@@ -103,14 +103,16 @@ class PanelPricer:
         col_fraction = column("count_fraction", counts / pool.names)
         col_loss = column("pool_loss", (1.0 - pool.recovery) * counts / pool.names)
 
-        self._instrument_cols: list[tuple[int, int]] = []  # (loss col, notional col)
+        loss_cols: list[int] = []
+        notional_cols: list[int] = []
         for q in sorted(panel.index_quotes, key=lambda q: q.maturity):
             self.instruments.append(Instrument(
                 label=f"index {format_date(q.maturity)}", kind="index",
                 attachment=None, detachment=None, maturity=q.maturity,
                 maturity_time=year_fraction(panel.valuation_date, q.maturity),
                 mid=q.spread_bp, width=q.bid_ask_width_bp))
-            self._instrument_cols.append((col_loss, col_fraction))
+            loss_cols.append(col_loss)
+            notional_cols.append(col_fraction)
         for q in sorted(panel.tranche_quotes,
                         key=lambda q: (q.attachment, q.detachment, q.maturity)):
             tranche = TrancheDef(q.attachment, q.detachment)
@@ -122,48 +124,50 @@ class PanelPricer:
                 maturity_time=year_fraction(panel.valuation_date, q.maturity),
                 mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
                 running=q.running_premium_if_upfront))
-            self._instrument_cols.append((col, col))
+            loss_cols.append(col)
+            notional_cols.append(col)
 
         self.payout_matrix = np.column_stack(payout_cols)  # (names+1, n_cols)
+        self._loss_cols = np.array(loss_cols)
+        self._notional_cols = np.array(notional_cols)
         self.mids = np.array([ins.mid for ins in self.instruments])
         self.widths = np.array([ins.width for ins in self.instruments])
+        self._upfront = np.array([ins.is_upfront for ins in self.instruments])
+        self._running = np.array([ins.running if ins.is_upfront else 0.0
+                                  for ins in self.instruments])
         # one mask per knot (= per quoted maturity, in knot order)
         self.maturity_masks = [
             np.array([ins.maturity == m for ins in self.instruments])
             for m in panel.maturities]
 
-        self._disc_mid = curve.discount_factor(
-            0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
-        self._pay_cache = []
-        for ins in self.instruments:
+        # every leg is a weighted sum over the grid: the default leg weighs the
+        # loss increment of each grid cell up to maturity by the discount
+        # factor at the cell's midpoint, the annuity weighs the surviving
+        # notional at each payment date by its discounted year fraction
+        disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
+        self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
+        self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
+        for i, ins in enumerate(self.instruments):
             sched = schedules[ins.maturity]
             pay_times = np.asarray(sched.times)
             pay_idx = np.searchsorted(self.grid_times, pay_times)
             if not np.allclose(self.grid_times[pay_idx], pay_times, atol=1e-12):
                 raise CalibrationError("payment dates missing from the pricing grid")
-            self._pay_cache.append({
-                "pay_idx": pay_idx,
-                "weights": sched.year_fractions * curve.discount_factor(pay_times),
-                "n_cells": int(np.searchsorted(self.grid_times, ins.maturity_time + 1e-12)),
-            })
+            n_cells = int(np.searchsorted(self.grid_times, ins.maturity_time + 1e-12)) - 1
+            self._increment_weights[:n_cells, i] = disc_mid[:n_cells]
+            self._payment_weights[pay_idx, i] = (sched.year_fractions
+                                                 * curve.discount_factor(pay_times))
 
     def model_values(self, schedule: IntensitySchedule) -> np.ndarray:
         grid = LossGrid.compute(self.pool, schedule, self.grid_times)
         stats = grid.probs @ self.payout_matrix  # (n_times, n_cols)
-        values = np.empty(len(self.instruments))
-        for i, ins in enumerate(self.instruments):
-            loss_col, notional_col = self._instrument_cols[i]
-            cache = self._pay_cache[i]
-            n = cache["n_cells"]
-            curve_vals = stats[:n, loss_col]
-            default_pv = float(self._disc_mid[: n - 1] @ np.diff(curve_vals))
-            annuity = float(cache["weights"] @ (1.0 - stats[cache["pay_idx"], notional_col]))
-            if ins.kind == "index":
-                values[i] = 1e4 * default_pv / annuity
-            elif ins.is_upfront:
-                values[i] = default_pv - ins.running * annuity
-            else:
-                values[i] = 1e4 * default_pv / annuity
+        default_pv = np.einsum("ti,ti->i", self._increment_weights,
+                               np.diff(stats[:, self._loss_cols], axis=0))
+        annuity = np.einsum("ti,ti->i", self._payment_weights,
+                            1.0 - stats[:, self._notional_cols])
+        values = default_pv - self._running * annuity  # upfront quotes
+        spreads = ~self._upfront
+        values[spreads] = 1e4 * default_pv[spreads] / annuity[spreads]
         return values
 
     def errors(self, schedule: IntensitySchedule) -> np.ndarray:
@@ -462,68 +466,77 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
                        "chosen": 1, "objective": fit.objective})
 
     step = 1
-    while fit.objective > objective_threshold and len(amplitudes) < max_modes:
-        step += 1
-        candidates = [a for a in range(1, pool.names + 1) if a not in amplitudes]
-        if not candidates:
-            break
-        tasks = []
-        for candidate in candidates:
-            # zero-initialised new mode: the warm start prices exactly like the
-            # incumbent, so a refit can only improve or tie the objective
-            position = int(np.searchsorted(amplitudes, candidate))
-            x0 = np.insert(fit.increments, position, np.zeros(n_knots), axis=0)
-            child_seed = int(np.random.SeedSequence(seed, spawn_key=(step, candidate))
-                             .generate_state(1)[0])
-            new_amps = sorted(amplitudes + [candidate])
-            tasks.append((model, tuple(new_amps), x0.ravel(), candidate, position,
-                          scan_budget, child_seed))
-        if n_jobs > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(min(n_jobs, len(tasks)), _scan_init,
-                                      (pricer,)) as p:
-                scan = p.map(_scan_candidate, tasks, chunksize=4)
-        else:
-            _scan_init(pricer)
-            scan = [_scan_candidate(t) for t in tasks]
-        total_evals += sum(s[3] for s in scan)
-        scan_log = sorted(((cand, f) for cand, f, _, _ in scan), key=lambda cf: cf[0])
-        best_candidate, _, best_x, _ = min(scan, key=lambda s: (s[1], s[0]))
+    # the scan's worker pool is started at the first parallel scan and serves
+    # every later step of this calibration
+    workers = None
+    try:
+        while fit.objective > objective_threshold and len(amplitudes) < max_modes:
+            step += 1
+            candidates = [a for a in range(1, pool.names + 1) if a not in amplitudes]
+            if not candidates:
+                break
+            tasks = []
+            for candidate in candidates:
+                # zero-initialised new mode: the warm start prices exactly like the
+                # incumbent, so a refit can only improve or tie the objective
+                position = int(np.searchsorted(amplitudes, candidate))
+                x0 = np.insert(fit.increments, position, np.zeros(n_knots), axis=0)
+                child_seed = int(np.random.SeedSequence(seed, spawn_key=(step, candidate))
+                                 .generate_state(1)[0])
+                new_amps = sorted(amplitudes + [candidate])
+                tasks.append((model, tuple(new_amps), x0.ravel(), candidate, position,
+                              scan_budget, child_seed))
+            if n_jobs > 1 and len(tasks) > 1:
+                if workers is None:
+                    workers = multiprocessing.Pool(min(n_jobs, len(tasks)), _scan_init,
+                                                   (pricer,))
+                scan = workers.map(_scan_candidate, tasks, chunksize=4)
+            else:
+                _scan_init(pricer)
+                scan = [_scan_candidate(t) for t in tasks]
+            total_evals += sum(s[3] for s in scan)
+            scan_log = sorted(((cand, f) for cand, f, _, _ in scan), key=lambda cf: cf[0])
+            best_candidate, _, best_x, _ = min(scan, key=lambda s: (s[1], s[0]))
 
-        new_amplitudes = sorted(amplitudes + [best_candidate])
-        # refine the winner from the warm scan point and from scratch (the
-        # from-zero start lets the maturity-ordered sweep rebuild the whole
-        # surface around the new amplitude); keep the better fit
-        refined = fit_intensities(pricer, model, new_amplitudes, best_x,
-                                  max_evaluations=refine_budget,
-                                  seed=int(np.random.SeedSequence(
-                                      seed, spawn_key=(step, 0)).generate_state(1)[0]))
-        rebuilt = fit_intensities(pricer, model, new_amplitudes,
-                                  np.zeros_like(best_x),
-                                  max_evaluations=refine_budget,
-                                  seed=int(np.random.SeedSequence(
-                                      seed, spawn_key=(step, 1)).generate_state(1)[0]))
-        total_evals += refined.n_evaluations + rebuilt.n_evaluations
-        if rebuilt.objective < refined.objective:
-            refined = rebuilt
-        if refined.warning:
-            warnings.append(f"step {step}: {refined.warning}")
-        iterations.append({"step": step,
-                           "candidates": [[c, f] for c, f in scan_log],
-                           "chosen": best_candidate, "objective": refined.objective})
+            new_amplitudes = sorted(amplitudes + [best_candidate])
+            # refine the winner from the warm scan point and from scratch (the
+            # from-zero start lets the maturity-ordered sweep rebuild the whole
+            # surface around the new amplitude); keep the better fit
+            refined = fit_intensities(pricer, model, new_amplitudes, best_x,
+                                      max_evaluations=refine_budget,
+                                      seed=int(np.random.SeedSequence(
+                                          seed, spawn_key=(step, 0)).generate_state(1)[0]))
+            rebuilt = fit_intensities(pricer, model, new_amplitudes,
+                                      np.zeros_like(best_x),
+                                      max_evaluations=refine_budget,
+                                      seed=int(np.random.SeedSequence(
+                                          seed, spawn_key=(step, 1)).generate_state(1)[0]))
+            total_evals += refined.n_evaluations + rebuilt.n_evaluations
+            if rebuilt.objective < refined.objective:
+                refined = rebuilt
+            if refined.warning:
+                warnings.append(f"step {step}: {refined.warning}")
+            iterations.append({"step": step,
+                               "candidates": [[c, f] for c, f in scan_log],
+                               "chosen": best_candidate, "objective": refined.objective})
 
-        new_index = new_amplitudes.index(best_candidate)
-        new_total = refined.schedule.cumulated[new_index][-1]
-        if new_total < negligible_intensity:
-            warnings.append(
-                f"step {step}: best new mode {best_candidate} has negligible "
-                f"intensity; stopping")
-            break
-        if refined.objective < fit.objective:
-            amplitudes = new_amplitudes
-            fit = refined
-        else:
-            warnings.append(f"step {step}: no improvement from any candidate; stopping")
-            break
+            new_index = new_amplitudes.index(best_candidate)
+            new_total = refined.schedule.cumulated[new_index][-1]
+            if new_total < negligible_intensity:
+                warnings.append(
+                    f"step {step}: best new mode {best_candidate} has negligible "
+                    f"intensity; stopping")
+                break
+            if refined.objective < fit.objective:
+                amplitudes = new_amplitudes
+                fit = refined
+            else:
+                warnings.append(f"step {step}: no improvement from any candidate; stopping")
+                break
+    finally:
+        if workers is not None:
+            workers.terminate()
+            workers.join()
 
     if polish_budget > 0 and len(amplitudes) > 1:
         polished = fit_intensities(pricer, model, amplitudes, fit.increments.ravel(),

@@ -26,7 +26,8 @@ from .loss_engine import (
     STRATEGIES,
     cluster_cumulated_intensity,
     counting_intensity,
-    distribution_term_structure,
+    gpcl_distribution,
+    gpl_distribution,
 )
 from .market_data import MarketDataError, format_date, load_curve, load_quotes, parse_date
 from .pricer import PricingError
@@ -137,6 +138,9 @@ def cmd_price(args) -> int:
     curve = _read_curve(args.curve, args.valuation_date)
     panel = _read_quotes(args.quotes, args.valuation_date)
     schedule = _read_schedule(args.schedule)
+    if args.model is not None and args.model != schedule.model:
+        raise InputError(f"--model {args.model} does not match the schedule's model "
+                         f"{schedule.model}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _resolved_config(args)
@@ -172,7 +176,10 @@ def cmd_dist(args) -> int:
     times = _parse_times(args.times) if args.times else [3.0, 5.0, 7.0, 10.0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    probs = distribution_term_structure(pool, schedule, sorted(times))
+    # the exact single-time engines: each file equals what the library returns
+    # for its time
+    exact = gpcl_distribution if schedule.model == GPCL else gpl_distribution
+    probs = [exact(pool, schedule, t).probs for t in sorted(times)]
     simulated = None
     if args.simulate:
         strategy = "s2" if schedule.model == GPCL else "s0"

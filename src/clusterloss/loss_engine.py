@@ -3,12 +3,17 @@
 Two model kinds share one piecewise-linear cumulated-intensity schedule:
 
 * ``gpl``  — independent Poisson jump modes, total count capped at the pool
-  size. Distributions come from Panjer's compound-Poisson recursion with the
-  residual tail lumped into the cap state.
+  size. Single-time distributions come from Panjer's compound-Poisson
+  recursion with the residual tail lumped into the cap state.
 * ``gpcl`` — cluster-adjusted dynamics where a cluster of names can fire only
   while all its names survive. The counting process is then a Markov chain on
-  {0..M}; distributions solve the forward Kolmogorov equation via matrix
-  exponentials of the integrated transition-rate matrix.
+  {0..M}; single-time distributions solve the forward Kolmogorov equation via
+  matrix exponentials of the integrated transition-rate matrix.
+
+The capped ``gpl`` count is a pure-birth Markov chain on {0..M} as well, so
+term structures (``distribution_term_structure``) of both models come from
+one uniformised forward-equation kernel; the single-time engines above are
+its references.
 
 Schedules store, for each jump amplitude, the *aggregate* cumulated jump
 intensity: for ``gpl`` the mode's Poisson cumulated intensity, for ``gpcl``
@@ -332,117 +337,6 @@ def gpcl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
     return LossDistribution(time=t, probs=state)
 
 
-def _taylor_terms(norm: float) -> int:
-    """Smallest K with Taylor remainder norm^(K+1)/(K+1)! e^norm below 1e-16."""
-    envelope = math.exp(norm)
-    term, k = 1.0, 0
-    while True:
-        k += 1
-        term *= norm / k
-        if term * envelope < 1e-16:
-            return k
-
-
-def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
-                                times) -> np.ndarray:
-    """Counting distributions at several times, stacked as rows.
-
-    ``times`` must be non-negative and non-decreasing. The gpcl chain is
-    propagated sequentially (splitting at knots); gpl rows come from the
-    Panjer recursion vectorised across times.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise LossEngineError("times must be a one-dimensional sequence")
-    if len(times) and (times[0] < 0 or np.any(np.diff(times) < 0)):
-        raise LossEngineError("times must be non-negative and non-decreasing")
-    if schedule.model == GPL:
-        return _gpl_term_structure(pool, schedule, times)
-    return _gpcl_term_structure(pool, schedule, times)
-
-
-def _gpcl_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
-                         times: np.ndarray) -> np.ndarray:
-    """Sequential chain propagation, one truncated power series per chunk.
-
-    Within a knot interval the intensity density is constant, so with the
-    interval's unit generator G the state at interval fraction s is
-    exp(s G) v = sum_m s^m (G^m v / m!). The series vectors are built once
-    per chunk (chunks keep the series norm at or below 2 so no precision is
-    lost to cancellation) and every requested time inside the chunk is then
-    a small polynomial evaluation. The final interval's slope also covers
-    extrapolation beyond the last knot.
-    """
-    n_states = pool.names + 1
-    out = np.empty((len(times), n_states))
-    state = np.zeros(n_states)
-    state[0] = 1.0
-    if len(times) == 0:
-        return out
-    knot_grid = schedule._knot_grid
-    n_intervals = len(knot_grid) - 1
-    t_max = float(times[-1])
-
-    # (start, end, interval index); the last interval absorbs extrapolation
-    regions = []
-    for k in range(n_intervals):
-        a, b = float(knot_grid[k]), float(knot_grid[k + 1])
-        if a >= t_max:
-            break
-        if k == n_intervals - 1 and t_max > b:
-            b = t_max
-        regions.append((a, min(b, t_max), k))
-
-    ti = 0
-    first_start = regions[0][0] if regions else math.inf
-    while ti < len(times) and times[ti] <= first_start + 1e-15:
-        out[ti] = state
-        ti += 1
-
-    def unit(k: int) -> tuple[np.ndarray, float, float]:
-        a, b = float(knot_grid[k]), float(knot_grid[k + 1])
-        gen = cumulated_generator(pool, schedule, a, b)
-        return gen, float(np.abs(gen).sum(axis=0).max()), b - a
-
-    for a, b, k in regions:
-        gen, gen_norm, unit_len = unit(k)
-        region_len = b - a
-        if region_len <= 0:
-            continue
-        region_norm = gen_norm * region_len / unit_len
-        if region_norm == 0.0:
-            while ti < len(times) and times[ti] <= b + 1e-15:
-                out[ti] = state
-                ti += 1
-            continue
-        n_chunks = max(1, int(math.ceil(region_norm / 2.0)))
-        chunk_len = region_len / n_chunks
-        chunk_scale = chunk_len / unit_len  # multiplier taking G to one chunk
-        n_terms = _taylor_terms(gen_norm * chunk_scale)
-        for c in range(n_chunks):
-            chunk_start = a + c * chunk_len
-            chunk_end = a + (c + 1) * chunk_len if c < n_chunks - 1 else b
-            series = np.empty((n_terms + 1, n_states))
-            series[0] = state
-            for m in range(1, n_terms + 1):
-                series[m] = gen.dot(series[m - 1]) * (chunk_scale / m)
-            lo = ti
-            while ti < len(times) and times[ti] <= chunk_end + 1e-15:
-                ti += 1
-            if ti > lo:
-                fractions = (times[lo:ti] - chunk_start) / chunk_len
-                powers = np.power(fractions[:, None], np.arange(n_terms + 1)[None, :])
-                out[lo:ti] = powers @ series
-            state = series.sum(axis=0)
-    while ti < len(times):  # times beyond the final region boundary roundoff
-        out[ti] = state
-        ti += 1
-    # roundoff hygiene: clamp tiny negatives, renormalise
-    np.clip(out, 0.0, None, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # gpl: Panjer recursion with cap
 # ---------------------------------------------------------------------------
@@ -483,22 +377,133 @@ def gpl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> L
     return LossDistribution(time=t, probs=probs)
 
 
-def _gpl_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
-                        times: np.ndarray) -> np.ndarray:
-    m = pool.names
-    lams = np.stack([schedule.aggregate_cumulated(t) for t in times])  # (n_t, n_modes)
-    out = np.zeros((len(times), m + 1))
-    out[:, 0] = np.exp(-lams.sum(axis=1))
-    amps = np.asarray(schedule.amplitudes)
-    weights = amps[None, :] * lams  # (n_t, n_modes)
-    for n in range(1, m):
-        k = int(np.searchsorted(amps, n, side="right"))  # modes with amplitude <= n
-        if k == 0:
+# ---------------------------------------------------------------------------
+# term structures: one uniformised forward equation for both models
+# ---------------------------------------------------------------------------
+
+_POISSON_TAIL = 1e-16
+
+
+def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
+                                times) -> np.ndarray:
+    """Counting distributions at several times, stacked as rows.
+
+    ``times`` must be non-negative and non-decreasing. Both models are
+    pure-birth Markov chains on {0..names} whose rates are constant inside
+    each knot interval (gpl: the compound Poisson count, with the cap state
+    absorbing), so one uniformised forward equation serves both. In an
+    interval with transition-rate matrix G and total intensity density q,
+    the state s years into the interval is sum_k Poisson(k; q s) P^k v,
+    where v is the state at its start and P = I + G/q. The series runs until
+    its Poisson tail over the interval is below 1e-16, and every term is
+    non-negative, so nothing cancels. The final interval's slope also covers
+    extrapolation beyond the last knot. ``gpl_distribution`` (Panjer) and
+    ``gpcl_distribution`` (matrix exponentials) remain the single-time
+    references.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise LossEngineError("times must be a one-dimensional sequence")
+    if len(times) and (times[0] < 0 or np.any(np.diff(times) < 0)):
+        raise LossEngineError("times must be non-negative and non-decreasing")
+    n_states = pool.names + 1
+    out = np.empty((len(times), n_states))
+    state = np.zeros(n_states)
+    state[0] = 1.0
+    lo = int(np.searchsorted(times, 0.0, side="right"))
+    out[:lo] = state
+    grid, values = schedule._knot_grid, schedule._value_grid
+    last = len(grid) - 2
+    for k in range(last + 1):
+        if lo == len(times):
+            break
+        a = grid[k]
+        if k < last:
+            hi = int(np.searchsorted(times, grid[k + 1], side="right"))
+            end = min(grid[k + 1], times[-1])
+        else:
+            hi, end = len(times), times[-1]
+        # schedules may dip by roundoff between knots; a rate is never negative
+        slopes = np.maximum(values[:, k + 1] - values[:, k], 0.0) / (grid[k + 1] - grid[k])
+        q = float(slopes.sum())
+        if q <= 0.0:
+            out[lo:hi] = state
+            lo = hi
             continue
-        out[:, n] = np.einsum("tj,tj->t", out[:, n - amps[:k]], weights[:, :k]) / n
-    out[:, m] = np.clip(1.0 - out[:, :m].sum(axis=1), 0.0, None)
+        transition = _unit_transition_matrix(pool, schedule, slopes / q)
+        weights = _poisson_weights(q * (np.append(times[lo:hi], end) - a))
+        krylov = np.empty((weights.shape[1], n_states))
+        krylov[0] = state
+        for j in range(1, len(krylov)):
+            np.dot(transition, krylov[j - 1], out=krylov[j])
+        rows = weights @ krylov
+        out[lo:hi] = rows[:-1]
+        state = rows[-1]
+        lo = hi
     out /= out.sum(axis=1, keepdims=True)
     return out
+
+
+def _unit_transition_matrix(pool: PoolSpec, schedule: IntensitySchedule,
+                            shares: np.ndarray) -> np.ndarray:
+    """P = I + G/q for one knot interval, indexed (to-state, from-state).
+
+    ``shares`` are the amplitudes' intensity densities over their sum q. A
+    state leaves at rate at most q in both models (gpcl: the binomial ratio
+    is at most one; gpl: exactly q below the cap, zero at it), so every
+    entry is non-negative and each column sums to one. Sub-diagonal a is the
+    strided view starting at flat index a * n.
+    """
+    m = pool.names
+    n = m + 1
+    p = np.zeros((n, n))
+    flat = p.reshape(-1)
+    for amplitude, share in zip(schedule.amplitudes, shares):
+        if share <= 0.0:
+            continue
+        if schedule.model == GPCL:
+            ratio = _binomial_ratio_column(m, amplitude)  # zero beyond the survivors
+            if amplitude <= m:
+                flat[amplitude * n::n + 1] += share * ratio[:n - amplitude]
+            flat[::n + 1] += share * (1.0 - ratio)
+        else:
+            jump = min(amplitude, m)
+            flat[jump * n::n + 1][:m - jump] += share
+            p[m, m - jump:m] += share  # jumps reaching the cap
+    if schedule.model == GPL:
+        p[m, m] = 1.0
+    return p
+
+
+def _poisson_weights(means: np.ndarray) -> np.ndarray:
+    """Poisson(mean) probabilities of 0..K jumps, one row per mean, where K is
+    the smallest count with P(Poisson(means[-1]) > K) below 1e-16; the last
+    mean must be the largest.
+
+    Computed in log space, so that large means neither overflow nor
+    underflow, over a support reaching about ten standard deviations past the
+    largest mean, beyond which the Chernoff bound puts the mass below 1e-22.
+    The tail is summed smallest term first.
+    """
+    top = means[-1]
+    k = np.arange(int(top + 10.0 * math.sqrt(top)) + 41)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = k * np.log(means)[:, None] - means[:, None] - _log_factorials(len(k))
+    log_w[:, 0] = -means  # also right for mean 0, where 0 * log 0 is nan
+    weights = np.exp(log_w)
+    tails = np.cumsum(weights[-1, ::-1])[::-1]  # tails[k] = P(N >= k)
+    return weights[:, :int(np.argmax(tails[1:] < _POISSON_TAIL)) + 1]
+
+
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1.0) for k in range(size)])
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log k! for k = 0..count-1, from a table built on first use and sized
+    to a power of two so that few tables are ever built."""
+    return _log_factorial_table(1 << max(6, (count - 1).bit_length()))[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import datetime as dt
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -13,12 +14,22 @@ from clusterloss.calibrator import (
     objective,
     weighted_error,
 )
+from clusterloss.fixtures import FIXTURE_VALUATION_DATE, quotes_path, schedule_path
 from clusterloss.loss_engine import GPL, GPCL, IntensitySchedule, PoolSpec
 from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
+    PaymentSchedule,
     QuotePanel,
     TrancheQuote,
+    load_quotes,
+)
+from clusterloss.pricer import (
+    LossGrid,
+    TrancheDef,
+    default_leg,
+    index_spread,
+    tranche_premium_leg,
 )
 
 VAL = dt.date(2006, 10, 2)
@@ -127,6 +138,31 @@ class TestObjective:
         empty = QuotePanel("x", VAL, (), ())
         with pytest.raises(CalibrationError):
             PanelPricer(empty, curve, pool)
+
+
+class TestPanelPricerLegs:
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_model_values_match_leg_by_leg_pricing(self, pool, curve, index, model):
+        panel = load_quotes(quotes_path(index), FIXTURE_VALUATION_DATE)
+        with open(schedule_path(model, index)) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        pricer = PanelPricer(panel, curve, pool)
+        grid = LossGrid.compute(pool, schedule, pricer.grid_times)
+        expected = []
+        for ins in pricer.instruments:
+            payments = PaymentSchedule.quarterly(FIXTURE_VALUATION_DATE, ins.maturity)
+            if ins.kind == "index":
+                expected.append(1e4 * index_spread(grid, curve, payments))
+                continue
+            tranche = TrancheDef(ins.attachment, ins.detachment)
+            protection = default_leg(grid, tranche, curve, payments.maturity_time)
+            annuity = tranche_premium_leg(grid, tranche, curve, payments)
+            expected.append(protection - ins.running * annuity if ins.is_upfront
+                            else 1e4 * protection / annuity)
+        assert any(ins.is_upfront for ins in pricer.instruments)
+        np.testing.assert_allclose(pricer.model_values(schedule), expected,
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestFitIntensities:
@@ -249,6 +285,47 @@ class TestGreedyCalibrate:
         assert reloaded == result.schedule
         assert doc["seed"] == 2
         assert "settings" in doc and doc["settings"]["max_modes"] == 1
+
+    def test_scan_pool_built_once_per_calibration(self, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            """Stands in for multiprocessing.Pool and records its use."""
+
+            def __init__(self, processes, initializer, initargs):
+                self.maps = 0
+                self.terminated = False
+                pools.append(self)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.terminate()
+
+            def map(self, func, tasks, chunksize=1):
+                self.maps += 1
+                return [func(task) for task in tasks]
+
+            def terminate(self):
+                self.terminated = True
+
+            def join(self):
+                assert self.terminated
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        pool = PoolSpec(names=16)
+        curve = flat_curve()
+        true = make_schedule(GPL, (1, 4), (2.2246575342465754,), [(0.30,), (0.05,)])
+        panel = synthetic_panel_single(pool, curve, true)
+        result = greedy_calibrate(panel, curve, pool, GPL, max_modes=3,
+                                  objective_threshold=0.0, scan_budget=30,
+                                  refine_budget=300, polish_budget=0, seed=5, n_jobs=2)
+        assert len(result.iterations) == 3  # two greedy steps, each with a scan
+        assert len(pools) == 1
+        assert pools[0].maps == 2
+        assert pools[0].terminated
 
     def test_unknown_model_rejected(self, curve):
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())

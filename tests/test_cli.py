@@ -141,6 +141,23 @@ class TestPriceCommand:
         assert code == 2
         assert "no_curve.csv" in capsys.readouterr().err
 
+    def test_model_matching_schedule_is_accepted(self, tmp_path):
+        code = run(["price", "--model", "gpcl", "--curve", curve_path(),
+                    "--quotes", quotes_path(), "--schedule", schedule_path("gpcl"),
+                    "--out", tmp_path])
+        assert code == 0
+        report = json.loads((tmp_path / "pricing_report.json").read_text())
+        assert len(report["instruments"]) == 25
+
+    def test_model_differing_from_schedule_is_input_error(self, tmp_path, capsys):
+        code = run(["price", "--model", "gpl", "--curve", curve_path(),
+                    "--quotes", quotes_path(), "--schedule", schedule_path("gpcl"),
+                    "--out", tmp_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gpl" in err and "gpcl" in err
+        assert not (tmp_path / "pricing_report.json").exists()
+
 
 class TestCalibrateCommand:
     def test_tiny_panel_calibration_outputs(self, tmp_path):

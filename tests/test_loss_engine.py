@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterloss.fixtures import schedule_path
 from clusterloss.loss_engine import (
     GPCL,
     GPL,
@@ -304,6 +305,71 @@ def _brute_force_capped(amplitudes, lams, names):
     out[:names] = total[:names]
     out[names] = max(0.0, 1.0 - total[:names].sum())
     return out
+
+
+def _single_time_engine(model):
+    return gpl_distribution if model == GPL else gpcl_distribution
+
+
+def _knot_times(schedule):
+    """t = 0 twice, times between, at (twice) and beyond the knots."""
+    k = schedule.knots
+    return [0.0, 0.0, 0.4, k[0], k[0], 0.5 * (k[0] + k[1]), k[1], k[-2] + 0.3,
+            k[-1], k[-1] + 0.75, k[-1] + 4.0, k[-1] + 4.0]
+
+
+class TestUniformisedTermStructure:
+    """The shared term-structure kernel against the single-time engines
+    (Panjer for gpl, matrix exponentials for gpcl)."""
+
+    @pytest.mark.parametrize("names", [60, 125, 250])  # amplitudes 79, 120 exceed 60
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_rows_match_single_time_engines(self, model, index, names):
+        with open(schedule_path(model, index)) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        pool = PoolSpec(names=names)
+        times = _knot_times(schedule)
+        rows = distribution_term_structure(pool, schedule, times)
+        assert rows.shape == (len(times), names + 1)
+        for row, t in zip(rows, times):
+            exact = _single_time_engine(model)(pool, schedule, t).probs
+            np.testing.assert_allclose(row, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_long_series_of_a_scaled_schedule(self, model):
+        with open(schedule_path(model, "itraxx")) as fh:
+            base = IntensitySchedule.from_json(fh.read())
+        schedule = base.with_cumulated(20.0 * np.asarray(base.cumulated))
+        increments = np.diff(schedule.cumulated, axis=1, prepend=0.0).sum(axis=0)
+        # a Poisson(40) tail below 1e-16 takes more than 60 jumps
+        assert increments.max() > 40.0
+        pool = PoolSpec()
+        times = _knot_times(schedule)
+        rows = distribution_term_structure(pool, schedule, times)
+        for row, t in zip(rows, times):
+            exact = _single_time_engine(model)(pool, schedule, t).probs
+            np.testing.assert_allclose(row, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_interval_with_zero_increment_holds_the_state(self, model):
+        pool = PoolSpec(names=40)
+        schedule = make_schedule(model, (1, 4, 55), (1.0, 2.0, 3.0),
+                                 [(0.3, 0.3, 0.9), (0.05, 0.05, 0.1), (0.01, 0.01, 0.02)])
+        times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+        rows = distribution_term_structure(pool, schedule, times)
+        for row, t in zip(rows, times):
+            exact = _single_time_engine(model)(pool, schedule, t).probs
+            np.testing.assert_allclose(row, exact, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(rows[1], rows[2])
+        np.testing.assert_array_equal(rows[1], rows[3])
+
+    def test_empty_and_invalid_times(self, gpl_schedule, pool):
+        assert distribution_term_structure(pool, gpl_schedule, []).shape == (0, 126)
+        with pytest.raises(LossEngineError):
+            distribution_term_structure(pool, gpl_schedule, [2.0, 1.0])
+        with pytest.raises(LossEngineError):
+            distribution_term_structure(pool, gpl_schedule, [-0.5, 1.0])
 
 
 class TestPanjerRecursion:

@@ -174,6 +174,8 @@ def cmd_dist(args) -> int:
     pool = _pool_from_args(args)
     schedule = _read_schedule(args.schedule)
     times = _parse_times(args.times) if args.times else [3.0, 5.0, 7.0, 10.0]
+    if args.simulate and args.paths < 1:
+        raise InputError(f"--paths must be at least 1, got {args.paths}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the exact single-time engines: each file equals what the library returns

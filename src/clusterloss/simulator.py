@@ -1,10 +1,12 @@
-"""Monte Carlo engine for common-shock cluster defaults with name identity.
+"""Monte Carlo engine for common-shock cluster defaults.
 
 Shock streams are sampled per amplitude as inhomogeneous Poisson processes by
 inverse transform of the piecewise-linear aggregate cumulated intensity; each
 event carries a uniformly random subset of names of that size (under
 size-homogeneous intensities all same-size clusters are exchangeable, so the
 merged-stream-plus-uniform-mark construction is distributionally exact).
+``sample_shock_stream`` and ``apply_strategy`` build such streams name by
+name; they are the reference for name identity.
 
 Four ways of turning the same stream into a default count:
 
@@ -15,8 +17,17 @@ Four ways of turning the same stream into a default count:
 * ``s2``       — an event fires only if *none* of its names has defaulted;
                  otherwise it is discarded entirely.
 
-Per-path RNG streams are spawned from a splittable seed sequence keyed by the
-path index, so runs are reproducible and paths independent.
+``empirical_distributions`` histograms the count alone, for a whole block of
+paths at once. The repeated and s0 counts are ``sum_j a_j N_j(t)``, the
+latter capped at the pool size M, so one Poisson draw per path, observation
+interval and mode gives them. For s1 and s2, exchangeability makes the count
+a Markov chain: with y names defaulted, the defaulted set is a uniformly
+random y-subset, so an s2 event of size a fires with probability
+C(M - y, a) / C(M, a) and an s1 event defaults Hypergeometric(M - y, y, a)
+fresh names. A cluster larger than the pool never fires under s1 and s2 and
+takes s0 to the cap, as in the exact engines. Each block of 2^15 paths draws
+from its own generator, spawned from the seed by block index, so histograms
+are reproducible given the seed and the path count, and memory stays bounded.
 """
 from __future__ import annotations
 
@@ -80,8 +91,9 @@ class Trajectory:
         return 0 if idx < 0 else int(self.counts[idx])
 
 
-def _rng_for_path(seed: int, path_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index,)))
+# paths per generator stream in empirical_distributions; histograms for a
+# given seed depend on it, and it bounds the memory one block takes
+_BLOCK_PATHS = 2 ** 15
 
 
 def _inverse_grid(schedule: IntensitySchedule, horizon: float):
@@ -105,6 +117,10 @@ def sample_shock_stream(pool: PoolSpec, schedule: IntensitySchedule, horizon: fl
         raise SimulationError("horizon must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     grid_times, grid_values = _inverse_grid(schedule, horizon)
+    for amplitude, total in zip(schedule.amplitudes, grid_values[-1]):
+        if amplitude > pool.names and total > 0.0:
+            raise SimulationError(f"amplitude {amplitude} exceeds the pool of "
+                                  f"{pool.names} names")
     events: list[tuple[float, int, ShockEvent]] = []
     for j, amplitude in enumerate(schedule.amplitudes):
         total = float(grid_values[-1, j])
@@ -198,8 +214,11 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
                             times, n_paths: int, seed: int = 0) -> list[EmpiricalDistribution]:
     """Simulate once, histogram the counting process at each requested time.
 
-    One pass over ``n_paths`` independent paths serves every time point; the
-    per-bin standard error is the binomial estimate sqrt(p(1-p)/n).
+    Paths are drawn in blocks of 2^15, each from its own generator spawned
+    from ``seed`` by block index, so the result depends on ``(seed,
+    n_paths)`` alone and memory stays bounded. Only the default count is
+    tracked (see the module docstring); one pass serves every time point, and
+    the per-bin standard error is the binomial estimate sqrt(p(1-p)/n).
     """
     if strategy not in STRATEGIES:
         raise SimulationError(f"unknown strategy {strategy!r}")
@@ -208,59 +227,32 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
     times = np.asarray(sorted(float(t) for t in np.atleast_1d(times)))
     if len(times) == 0 or times[0] < 0:
         raise SimulationError("need at least one non-negative time")
-    horizon = float(times[-1])
     m = pool.names
-    histogram = np.zeros((len(times), m + 1), dtype=np.int64)
-    if horizon == 0.0:
-        histogram[:, 0] = n_paths
+    amplitudes = np.asarray(schedule.amplitudes, dtype=np.int64)
+    name_aware = strategy in (STRATEGY_SINGLE_NAME, STRATEGY_CLUSTER)
+    if name_aware:
+        grid_times, grid_values = _inverse_grid(schedule, float(times[-1]))
+        # a cluster larger than the pool has no survivors to hit: it never fires
+        active = (amplitudes <= m) & (grid_values[-1] > 0.0)
+        grid_values = grid_values[:, active]
+        amplitudes = amplitudes[active]
     else:
-        grid_times, grid_values = _inverse_grid(schedule, horizon)
-        totals = grid_values[-1]
-        amplitudes = schedule.amplitudes
-        name_aware = strategy in (STRATEGY_SINGLE_NAME, STRATEGY_CLUSTER)
-        for p in range(n_paths):
-            rng = _rng_for_path(seed, p)
-            event_times: list[np.ndarray] = []
-            event_amps: list[np.ndarray] = []
-            for j, amplitude in enumerate(amplitudes):
-                if totals[j] <= 0.0:
-                    continue
-                k = rng.poisson(totals[j])
-                if k == 0:
-                    continue
-                u = rng.uniform(0.0, totals[j], size=k)
-                event_times.append(np.interp(u, grid_values[:, j], grid_times))
-                event_amps.append(np.full(k, j, dtype=np.intp))
-            if not event_times:
-                histogram[:, 0] += 1
-                continue
-            ts = np.concatenate(event_times)
-            js = np.concatenate(event_amps)
-            order = np.lexsort((js, ts))
-            ts, js = ts[order], js[order]
-            counts = np.empty(len(ts), dtype=np.int64)
-            running = 0
-            defaulted = np.zeros(m, dtype=bool) if name_aware else None
-            for i in range(len(ts)):
-                size = amplitudes[js[i]]
-                if strategy == STRATEGY_REPEATED:
-                    running += size
-                elif strategy == STRATEGY_CAPPED:
-                    running = min(running + size, m)
-                else:
-                    cluster = rng.choice(m, size=size, replace=False)
-                    if strategy == STRATEGY_SINGLE_NAME:
-                        fresh = cluster[~defaulted[cluster]]
-                        defaulted[fresh] = True
-                        running += len(fresh)
-                    elif not defaulted[cluster].any():
-                        defaulted[cluster] = True
-                        running += size
-                counts[i] = running
-            at_times = np.searchsorted(ts, times, side="right") - 1
-            path_counts = np.where(at_times >= 0, counts[np.clip(at_times, 0, None)], 0)
-            for row, c in enumerate(path_counts):
-                histogram[row, min(int(c), m)] += 1
+        cumulated = np.stack([schedule.aggregate_cumulated(t) for t in times])
+        increments = np.maximum(np.diff(cumulated, axis=0, prepend=0.0), 0.0)
+    offsets = np.arange(len(times)) * (m + 1)
+    histogram = np.zeros(len(times) * (m + 1), dtype=np.int64)
+    for block, first in enumerate(range(0, n_paths, _BLOCK_PATHS)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        n = min(_BLOCK_PATHS, n_paths - first)
+        if not name_aware:
+            counts = _capped_counts(rng, n, increments, amplitudes, m)
+        elif len(amplitudes) == 0:
+            counts = np.zeros((n, len(times)), dtype=np.int64)
+        else:
+            counts = _name_aware_counts(rng, n, strategy, m, times, grid_times, grid_values,
+                                        amplitudes)
+        histogram += np.bincount((counts + offsets).ravel(), minlength=len(histogram))
+    histogram = histogram.reshape(len(times), m + 1)
     out = []
     for row, t in enumerate(times):
         freq = histogram[row] / n_paths
@@ -274,6 +266,84 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
             overflow=(strategy == STRATEGY_REPEATED),
         ))
     return out
+
+
+def _capped_counts(rng: np.random.Generator, n: int, increments: np.ndarray,
+                   amplitudes: np.ndarray, names: int) -> np.ndarray:
+    """``min(sum_j a_j N_j(t), names)`` at each observation time, shape (n, times).
+
+    ``increments[k, j]`` is mode j's cumulated intensity over the k-th
+    observation interval; the Poisson counts of disjoint intervals are
+    independent. The cap is the s0 count and the repeated strategy's
+    overflow bin alike.
+    """
+    jumps = rng.poisson(increments, size=(n,) + increments.shape)
+    return np.minimum(np.cumsum(jumps @ amplitudes, axis=1), names)
+
+
+def _name_aware_counts(rng: np.random.Generator, n: int, strategy: str, names: int,
+                       times: np.ndarray, grid_times: np.ndarray, grid_values: np.ndarray,
+                       amplitudes: np.ndarray) -> np.ndarray:
+    """s1 or s2 default counts at each observation time, shape (n, times).
+
+    Every path's events are drawn at once and sorted by path, then time; then
+    the k-th events of all paths that have one are applied together,
+    k = 0, 1, ... With y names defaulted, an s2 event of size a fires with the
+    chance that its uniformly random names miss all y, and an s1 event
+    defaults Hypergeometric(M - y, y, a) fresh names.
+    """
+    per_mode = rng.poisson(grid_values[-1], size=(n, len(amplitudes)))
+    path, when, mode = [], [], []
+    for j, total in enumerate(grid_values[-1]):
+        count = int(per_mode[:, j].sum())
+        path.append(np.repeat(np.arange(n), per_mode[:, j]))
+        when.append(np.interp(rng.uniform(0.0, total, count), grid_values[:, j], grid_times))
+        mode.append(np.full(count, j))
+    path, when, mode = np.concatenate(path), np.concatenate(when), np.concatenate(mode)
+    # by path, then time: a quicksort on the times (exact ties have probability
+    # zero), then a stable sort on the path, which numpy does by radix sort
+    # when the indices fit 16 bits; several times faster than lexsort
+    order = np.argsort(when)
+    order = order[np.argsort(path[order].astype(np.min_scalar_type(n - 1)), kind="stable")]
+    path, when, mode = path[order], when[order], mode[order]
+    per_path = per_mode.sum(axis=1)
+    first = np.cumsum(per_path) - per_path
+    defaulted = np.zeros(n, dtype=np.int64)
+    increments = np.zeros(len(path), dtype=np.int64)
+    avoidance = _avoidance_table(names, amplitudes)
+    live = np.flatnonzero(per_path)
+    rank = 0
+    while live.size:
+        event = first[live] + rank
+        size = amplitudes[mode[event]]
+        y = defaulted[live]
+        if strategy == STRATEGY_CLUSTER:
+            fires = rng.random(live.size) < avoidance[mode[event], y]
+            step = np.where(fires, size, 0)
+        else:
+            step = rng.hypergeometric(names - y, y, size)
+        defaulted[live] += step
+        increments[event] = step
+        rank += 1
+        live = live[per_path[live] > rank]
+    # an event counts at every observation time at or after it
+    slot = path * len(times) + np.searchsorted(times, when, side="left")
+    gained = np.bincount(slot, weights=increments, minlength=n * len(times))
+    return np.cumsum(gained.reshape(n, len(times)), axis=1).astype(np.int64)
+
+
+def _avoidance_table(names: int, amplitudes: np.ndarray) -> np.ndarray:
+    """C(M - y, a) / C(M, a) for each amplitude a <= M (rows) and y = 0..M.
+
+    The chance that a uniformly random a-subset misses all y defaulted names
+    equals the chance that y names drawn without replacement all miss a fixed
+    a-subset: the product over l < y of (M - a - l) / (M - l), zero once
+    y > M - a.
+    """
+    a = np.asarray(amplitudes, dtype=float)[:, None]
+    drawn = np.arange(names, dtype=float)
+    factors = np.clip((names - a - drawn) / (names - drawn), 0.0, None)
+    return np.concatenate([np.ones((len(a), 1)), np.cumprod(factors, axis=1)], axis=1)
 
 
 def empirical_distribution(pool: PoolSpec, schedule: IntensitySchedule, strategy: str,

@@ -63,6 +63,23 @@ class TestDistCommand:
         assert set(rows[0]) == {"count", "probability", "mc_frequency", "mc_std_err"}
         assert float(rows[0]["mc_frequency"]) == 1.0
 
+    def test_simulate_without_paths_is_input_error(self, tmp_path, capsys):
+        sched = write_zero_schedule(tmp_path)
+        code = run(["dist", "--schedule", sched, "--times", "1", "--pool-size", "10",
+                    "--paths", "0", "--simulate", "--out", tmp_path / "out"])
+        assert code == 2
+        assert "--paths" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_with_clusters_larger_than_pool(self, tmp_path):
+        # the iTraxx gpcl schedule has 80- and 125-name clusters
+        code = run(["dist", "--schedule", schedule_path("gpcl"), "--pool-size", "60",
+                    "--times", "10", "--simulate", "--paths", "3000", "--out", tmp_path])
+        assert code == 0
+        rows = read_csv(tmp_path / "dist_10y.csv")
+        assert len(rows) == 61
+        assert sum(float(r["mc_frequency"]) for r in rows) == pytest.approx(1.0)
+
     def test_missing_schedule_file_is_input_error(self, tmp_path, capsys):
         code = run(["dist", "--schedule", tmp_path / "absent.json", "--out", tmp_path])
         assert code == 2

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from clusterloss.loss_engine import GPCL, GPL, IntensitySchedule, PoolSpec, gpcl_distribution
+from clusterloss.loss_engine import (
+    GPCL,
+    GPL,
+    STRATEGIES,
+    IntensitySchedule,
+    PoolSpec,
+    gpcl_distribution,
+    gpl_distribution,
+)
 from clusterloss.simulator import (
     ShockEvent,
     SimulationError,
@@ -67,6 +75,14 @@ class TestSampleShockStream:
         pool = PoolSpec(names=5)
         with pytest.raises(SimulationError):
             sample_shock_stream(pool, make_schedule(GPCL, (1,), (1.0,), [(1.0,)]), 0.0)
+
+    def test_cluster_larger_than_pool_rejected(self, gpcl_schedule):
+        with pytest.raises(SimulationError, match="amplitude 80 exceeds the pool of 60"):
+            sample_shock_stream(PoolSpec(names=60), gpcl_schedule, 10.0, seed=1)
+        # a mode without intensity before the horizon draws no cluster
+        sched = make_schedule(GPCL, (1, 80), (1.0, 2.0), [(1.0, 2.0), (0.0, 1.0)])
+        events = sample_shock_stream(PoolSpec(names=60), sched, 1.0, seed=1)
+        assert {len(e.cluster) for e in events} <= {1}
 
 
 WORKED_EVENTS = [
@@ -208,6 +224,36 @@ class TestEmpiricalDistribution:
         assert emp.std_err.shape == emp.distribution.probs.shape
         assert np.all(emp.std_err <= 0.5 / math.sqrt(1000) + 1e-12)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_time_zero_has_no_defaults(self, strategy):
+        pool = PoolSpec(names=12)
+        sched = make_schedule(GPCL, (1, 3), (1.0,), [(1.0,), (0.3,)])
+        emp = empirical_distribution(pool, sched, strategy, 0.0, n_paths=100, seed=4)
+        assert emp.distribution.probs[0] == 1.0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_histograms_across_a_block_boundary(self, strategy):
+        pool = PoolSpec(names=12)
+        sched = make_schedule(GPCL, (1, 3, 5), (1.0, 2.0),
+                              [(1.2, 2.0), (0.5, 1.1), (0.2, 0.5)])
+        times = [0.7, 2.0]
+        n_paths = 2 ** 15 + 3
+
+        def path_counts(n, seed):
+            emps = empirical_distributions(pool, sched, strategy, times, n, seed=seed)
+            counts = np.stack([e.distribution.probs for e in emps]) * n
+            whole = np.rint(counts)
+            np.testing.assert_allclose(counts, whole, rtol=0, atol=1e-6)
+            return whole.astype(np.int64)
+
+        counts = path_counts(n_paths, 6)
+        assert np.all(counts.sum(axis=1) == n_paths)
+        np.testing.assert_array_equal(path_counts(n_paths, 6), counts)
+        assert not np.array_equal(path_counts(n_paths, 7), counts)
+        # the first block's paths do not depend on how many follow them
+        tail = counts - path_counts(2 ** 15, 6)
+        assert np.all(tail >= 0) and np.all(tail.sum(axis=1) == 3)
+
     def test_invalid_arguments(self):
         pool = PoolSpec(names=5)
         sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
@@ -248,3 +294,62 @@ class TestStatisticalConsistency:
         pooled = p_hat.mean()
         sigma = math.sqrt(pooled * (1 - pooled) / n_paths)
         assert np.all(np.abs(p_hat - pooled) < 4 * sigma)
+
+
+def two_sample_z(a: np.ndarray, b: np.ndarray) -> float:
+    """z statistic of the difference between the means of two samples."""
+    se = math.sqrt(a.var() / len(a) + b.var() / len(b))
+    return (a.mean() - b.mean()) / se if se > 0 else 0.0
+
+
+class TestCountOnlySimulation:
+    """``empirical_distributions`` tracks only the default count; the name-level
+    streams of ``sample_shock_stream`` and ``apply_strategy`` are its reference."""
+
+    TIMES = (0.7, 2.0)
+
+    @pytest.fixture(scope="class")
+    def name_level_counts(self):
+        pool = PoolSpec(names=12)
+        sched = make_schedule(GPCL, (1, 3, 5), (1.0, 2.0),
+                              [(1.2, 2.0), (0.5, 1.1), (0.2, 0.5)])
+        counts = {"s1": [], "s2": []}
+        for seed in range(40_000):
+            events = sample_shock_stream(pool, sched, self.TIMES[-1], seed=seed)
+            for strategy, rows in counts.items():
+                traj = apply_strategy(events, strategy, pool)
+                rows.append([traj.count_at(t) for t in self.TIMES])
+        return pool, sched, {s: np.asarray(rows) for s, rows in counts.items()}
+
+    @pytest.mark.parametrize("strategy", ["s1", "s2"])
+    def test_same_law_as_name_level_simulation(self, name_level_counts, strategy):
+        pool, sched, reference = name_level_counts
+        n_paths = 200_000
+        emps = empirical_distributions(pool, sched, strategy, self.TIMES, n_paths, seed=17)
+        for row, emp in enumerate(emps):
+            freq = emp.distribution.probs
+            simulated = np.repeat(np.arange(pool.names + 1), np.rint(freq * n_paths).astype(int))
+            names = reference[strategy][:, row]
+            assert abs(two_sample_z(simulated, names)) <= 5.0
+            assert abs(two_sample_z(simulated == 0, names == 0)) <= 5.0
+
+    @pytest.mark.parametrize("model, strategy, engine", [
+        (GPCL, "s2", gpcl_distribution),
+        (GPL, "s0", gpl_distribution),
+    ])
+    def test_clusters_larger_than_pool_match_exact_engines(self, gpcl_schedule, gpl_schedule,
+                                                           model, strategy, engine):
+        # gpcl gives clusters larger than the pool rate zero; gpl jumps to the cap
+        schedule = gpcl_schedule if model == GPCL else gpl_schedule
+        assert max(schedule.amplitudes) > 60
+        pool = PoolSpec(names=60)
+        n_paths = 200_000
+        times = [5.0, 10.0]
+        emps = empirical_distributions(pool, schedule, strategy, times, n_paths, seed=23)
+        counts = np.arange(pool.names + 1)
+        for emp, t in zip(emps, times):
+            exact = engine(pool, schedule, t).probs
+            mean = counts @ exact
+            sd = math.sqrt(counts ** 2 @ exact - mean ** 2)
+            z = (counts @ emp.distribution.probs - mean) / (sd / math.sqrt(n_paths))
+            assert abs(z) <= 5.0, (strategy, t, z)

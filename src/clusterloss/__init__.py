@@ -18,6 +18,7 @@ from .loss_engine import (
     GPL,
     STRATEGIES,
     IntensitySchedule,
+    KnotMemo,
     LossDistribution,
     PoolSpec,
     cluster_cumulated_intensity,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .loss_engine import GPCL, GPL, IntensitySchedule, PoolSpec
+from .loss_engine import GPCL, GPL, IntensitySchedule, KnotMemo, PoolSpec
 from .market_data import DiscountCurve, PaymentSchedule, QuotePanel, format_date, year_fraction
 from .pricer import LossGrid, TrancheDef, pricing_times, tranche_payout_by_count
 
@@ -93,15 +93,17 @@ class PanelPricer:
         payout_cols: list[np.ndarray] = []
         payout_key: dict = {}
 
-        def column(key, payout: np.ndarray) -> int:
+        def column(key, payout) -> int:
+            """Index of the payout column under ``key``; ``payout()`` builds it
+            the first time the key is seen."""
             if key not in payout_key:
                 payout_key[key] = len(payout_cols)
-                payout_cols.append(payout)
+                payout_cols.append(payout())
             return payout_key[key]
 
         counts = np.arange(pool.names + 1)
-        col_fraction = column("count_fraction", counts / pool.names)
-        col_loss = column("pool_loss", (1.0 - pool.recovery) * counts / pool.names)
+        col_fraction = column("count_fraction", lambda: counts / pool.names)
+        col_loss = column("pool_loss", lambda: (1.0 - pool.recovery) * counts / pool.names)
 
         loss_cols: list[int] = []
         notional_cols: list[int] = []
@@ -117,7 +119,7 @@ class PanelPricer:
                         key=lambda q: (q.attachment, q.detachment, q.maturity)):
             tranche = TrancheDef(q.attachment, q.detachment)
             col = column(("tranche", q.attachment, q.detachment),
-                         tranche_payout_by_count(tranche, pool))
+                         lambda: tranche_payout_by_count(tranche, pool))
             self.instruments.append(Instrument(
                 label=f"{tranche.label()} {format_date(q.maturity)}", kind="tranche",
                 attachment=q.attachment, detachment=q.detachment, maturity=q.maturity,
@@ -143,35 +145,66 @@ class PanelPricer:
         # every leg is a weighted sum over the grid: the default leg weighs the
         # loss increment of each grid cell up to maturity by the discount
         # factor at the cell's midpoint, the annuity weighs the surviving
-        # notional at each payment date by its discounted year fraction
+        # notional at each payment date by its discounted year fraction; the
+        # weights depend on the maturity alone
         disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
         self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
         self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
-        for i, ins in enumerate(self.instruments):
-            sched = schedules[ins.maturity]
+        # grid rows each instrument's legs read: through its maturity
+        self._rows_needed = np.zeros(len(self.instruments), dtype=int)
+        for maturity, mask in zip(panel.maturities, self.maturity_masks):
+            sched = schedules[maturity]
             pay_times = np.asarray(sched.times)
             pay_idx = np.searchsorted(self.grid_times, pay_times)
             if not np.allclose(self.grid_times[pay_idx], pay_times, atol=1e-12):
                 raise CalibrationError("payment dates missing from the pricing grid")
-            n_cells = int(np.searchsorted(self.grid_times, ins.maturity_time + 1e-12)) - 1
-            self._increment_weights[:n_cells, i] = disc_mid[:n_cells]
-            self._payment_weights[pay_idx, i] = (sched.year_fractions
-                                                 * curve.discount_factor(pay_times))
+            n_rows = int(np.searchsorted(
+                self.grid_times, year_fraction(panel.valuation_date, maturity) + 1e-12))
+            cols = np.flatnonzero(mask)
+            self._rows_needed[cols] = n_rows
+            self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
+            self._payment_weights[np.ix_(pay_idx, cols)] = (
+                sched.year_fractions * curve.discount_factor(pay_times))[:, None]
+        self._memo = KnotMemo()
 
-    def model_values(self, schedule: IntensitySchedule) -> np.ndarray:
-        grid = LossGrid.compute(self.pool, schedule, self.grid_times)
-        stats = grid.probs @ self.payout_matrix  # (n_times, n_cols)
-        default_pv = np.einsum("ti,ti->i", self._increment_weights,
-                               np.diff(stats[:, self._loss_cols], axis=0))
-        annuity = np.einsum("ti,ti->i", self._payment_weights,
-                            1.0 - stats[:, self._notional_cols])
-        values = default_pv - self._running * annuity  # upfront quotes
-        spreads = ~self._upfront
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_memo"]  # holds a lock; a copy starts with an empty memo
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = KnotMemo()
+
+    def model_values(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
+        """Model quotes of every instrument, or of those a boolean ``subset``
+        mask selects; a subset is priced off the grid through its latest
+        maturity only. Distributions come from the kernel with this pricer's
+        memo, so calls that share leading knot intervals solve them once."""
+        if subset is None:
+            cols, n_rows = slice(None), len(self.grid_times)
+        else:
+            cols = np.asarray(subset, dtype=bool)
+            if cols.shape != (len(self.instruments),):
+                raise CalibrationError("subset must be one boolean per instrument")
+            n_rows = int(self._rows_needed[cols].max(initial=1))
+        grid = LossGrid.compute(self.pool, schedule, self.grid_times[:n_rows], memo=self._memo)
+        stats = grid.probs @ self.payout_matrix  # (n_rows, n_cols)
+        default_pv = np.einsum("ti,ti->i", self._increment_weights[:n_rows - 1, cols],
+                               np.diff(stats[:, self._loss_cols[cols]], axis=0))
+        annuity = np.einsum("ti,ti->i", self._payment_weights[:n_rows, cols],
+                            1.0 - stats[:, self._notional_cols[cols]])
+        values = default_pv - self._running[cols] * annuity  # upfront quotes
+        spreads = ~self._upfront[cols]
         values[spreads] = 1e4 * default_pv[spreads] / annuity[spreads]
         return values
 
-    def errors(self, schedule: IntensitySchedule) -> np.ndarray:
-        return (self.model_values(schedule) - self.mids) / self.widths
+    def errors(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
+        """Weighted quote errors of every instrument, or of the ``subset``."""
+        mids, widths = self.mids, self.widths
+        if subset is not None:
+            mids, widths = mids[subset], widths[subset]
+        return (self.model_values(schedule, subset) - mids) / widths
 
     def objective(self, schedule: IntensitySchedule) -> tuple[float, np.ndarray]:
         eps = self.errors(schedule)
@@ -234,10 +267,10 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
 
     evaluations = 0
 
-    def eps_of(x: np.ndarray) -> np.ndarray:
+    def eps_of(x: np.ndarray, subset=None) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        return pricer.errors(_schedule_from_increments(model, amplitudes, knots, x))
+        return pricer.errors(_schedule_from_increments(model, amplitudes, knots, x), subset)
 
     def joint_f(x: np.ndarray) -> float:
         e = eps_of(x)
@@ -269,9 +302,7 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
         def fun(z: np.ndarray) -> float:
             xx = x.copy()
             xx[idx] = np.clip(z, 0.0, None)
-            e = eps_of(xx)
-            if subset_mask is not None:
-                e = e[subset_mask]
+            e = eps_of(xx, subset_mask)
             return float(e @ e)
 
         best_z = x[idx].copy()

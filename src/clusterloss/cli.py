@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -90,7 +91,10 @@ def _write_meta(out_dir: Path, command: str, config: dict, outputs: list[str]) -
 
 
 def _pool_from_args(args) -> PoolSpec:
-    return PoolSpec(names=args.pool_size, recovery=args.recovery)
+    try:
+        return PoolSpec(names=args.pool_size, recovery=args.recovery)
+    except LossEngineError as exc:
+        raise InputError(f"invalid pool: {exc}") from exc
 
 
 def cmd_calibrate(args) -> int:
@@ -216,6 +220,9 @@ def cmd_intensity_curve(args) -> int:
     pool = _pool_from_args(args)
     schedule = _read_schedule(args.schedule)
     at_time = args.at_time if args.at_time is not None else schedule.horizon
+    if not (math.isfinite(at_time) and at_time >= 0):
+        raise InputError(f"--at-time must be a finite, non-negative year fraction, "
+                         f"got {at_time}")
     # per-cluster rates from the aggregate values (both schedule kinds store
     # amplitude totals over C(names, amplitude) clusters)
     gpcl_like = schedule if schedule.model == GPCL else IntensitySchedule(
@@ -250,8 +257,8 @@ def _parse_times(text: str) -> list[float]:
         times = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise InputError(f"cannot parse times {text!r}") from exc
-    if not times or any(t <= 0 for t in times):
-        raise InputError("times must be positive year fractions")
+    if not times or not all(math.isfinite(t) and t > 0 for t in times):
+        raise InputError("times must be positive, finite year fractions")
     return times
 
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -79,6 +81,11 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t) or t < 0:
+        raise LossEngineError(f"time must be finite and non-negative, got {t!r}")
+
+
 @lru_cache(maxsize=None)
 def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
     """C(names - y, amplitude) / C(names, amplitude) for y = 0..names.
@@ -122,6 +129,8 @@ class IntensitySchedule:
             raise LossEngineError("amplitudes must be strictly increasing")
         if len(self.knots) == 0 or self.knots[0] <= 0.0:
             raise LossEngineError("knots must be positive year fractions")
+        if not all(math.isfinite(t) for t in self.knots):
+            raise LossEngineError("knots must be finite")
         if any(b <= a for a, b in zip(self.knots, self.knots[1:])):
             raise LossEngineError("knots must be strictly increasing")
         if len(self.cumulated) != len(amps):
@@ -129,6 +138,8 @@ class IntensitySchedule:
         for row in self.cumulated:
             if len(row) != len(self.knots):
                 raise LossEngineError("one cumulated value per knot required")
+            if not all(math.isfinite(v) for v in row):
+                raise LossEngineError("cumulated intensities must be finite")
             if row[0] < 0 or any(b < a - 1e-15 for a, b in zip(row, row[1:])):
                 raise LossEngineError(
                     "cumulated intensities must be non-negative and non-decreasing")
@@ -148,8 +159,7 @@ class IntensitySchedule:
 
     def aggregate_cumulated(self, t: float) -> np.ndarray:
         """Aggregate cumulated intensity of every amplitude at time t."""
-        if t < 0:
-            raise LossEngineError("time must be non-negative")
+        _check_time(t)
         grid = self._knot_grid
         values = self._value_grid
         if t <= grid[-1]:
@@ -228,11 +238,14 @@ class LossDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1:
             raise LossEngineError("probability vector must be one-dimensional")
+        total = float(probs.sum())
+        if not math.isfinite(total):  # a nan or an infinity reaches the sum
+            raise LossEngineError("probabilities must be finite")
         if probs.min() < -_NEGATIVE_CLAMP_TOL:
             raise LossEngineError(
                 f"negative probability {probs.min():.3e} beyond clamp tolerance")
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise LossEngineError(f"probabilities sum to {probs.sum()!r}, not 1")
+        if abs(total - 1.0) > 1e-10:
+            raise LossEngineError(f"probabilities sum to {total!r}, not 1")
         probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
         object.__setattr__(self, "probs", probs)
@@ -326,8 +339,7 @@ def gpcl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
     runs oldest-first. With a single piece this is the plain one-exponential
     solution of the forward equation.
     """
-    if t < 0:
-        raise LossEngineError("time must be non-negative")
+    _check_time(t)
     state = np.zeros(pool.names + 1)
     state[0] = 1.0
     if t > 0:
@@ -369,8 +381,7 @@ def gpl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> L
     probabilities on {0..names-1}, all remaining mass lumped at the cap."""
     if schedule.model != GPL:
         raise LossEngineError("gpl_distribution requires a gpl schedule")
-    if t < 0:
-        raise LossEngineError("time must be non-negative")
+    _check_time(t)
     lams = schedule.aggregate_cumulated(t)
     body = compound_poisson_panjer(schedule.amplitudes, lams, pool.names)
     probs = np.append(body, max(0.0, 1.0 - body.sum()))
@@ -382,16 +393,51 @@ def gpl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> L
 # ---------------------------------------------------------------------------
 
 _POISSON_TAIL = 1e-16
+_MEMO_ENTRIES = 32  # knot intervals a KnotMemo holds
+
+
+class KnotMemo:
+    """Least-recently-used store of the kernel's per-knot-interval results.
+
+    ``distribution_term_structure`` keys each knot interval on everything its
+    rows and end state depend on, so one memo may serve any sequence of
+    calls; it pays off when calls share leading knot intervals, as the
+    calibrator's do. It holds at most ``_MEMO_ENTRIES`` intervals, few
+    enough that it costs little memory and does not outlive one run of
+    related calls. The lock is held only for a lookup or an insert, so
+    threads may share a memo.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > _MEMO_ENTRIES:
+                self._entries.popitem(last=False)
 
 
 def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
-                                times) -> np.ndarray:
+                                times, memo: KnotMemo | None = None) -> np.ndarray:
     """Counting distributions at several times, stacked as rows.
 
-    ``times`` must be non-negative and non-decreasing. Both models are
-    pure-birth Markov chains on {0..names} whose rates are constant inside
-    each knot interval (gpl: the compound Poisson count, with the cap state
-    absorbing), so one uniformised forward equation serves both. In an
+    ``times`` must be finite, non-negative and non-decreasing. Both models
+    are pure-birth Markov chains on {0..names} whose rates are constant
+    inside each knot interval (gpl: the compound Poisson count, with the cap
+    state absorbing), so one uniformised forward equation serves both. In an
     interval with transition-rate matrix G and total intensity density q,
     the state s years into the interval is sum_k Poisson(k; q s) P^k v,
     where v is the state at its start and P = I + G/q. The series runs until
@@ -400,68 +446,95 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     extrapolation beyond the last knot. ``gpl_distribution`` (Panjer) and
     ``gpcl_distribution`` (matrix exponentials) remain the single-time
     references.
+
+    The state at a knot depends only on the intervals before it. With a
+    ``memo``, each interval's rows and end state are stored under a key of
+    the model, the pool size, the interval's requested times and end, and
+    the (amplitude, density) pairs of its modes with non-zero density, for
+    it and every interval before it; a call whose leading intervals match an
+    earlier one's copies their results instead of solving them again, and
+    gets the same bits.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise LossEngineError("times must be a one-dimensional sequence")
-    if len(times) and (times[0] < 0 or np.any(np.diff(times) < 0)):
-        raise LossEngineError("times must be non-negative and non-decreasing")
+    # written so that a nan fails every comparison; non-decreasing times
+    # are finite when the last one is
+    if len(times) and not (times[0] >= 0 and math.isfinite(times[-1])
+                           and np.all(np.diff(times) >= 0)):
+        raise LossEngineError("times must be finite, non-negative and non-decreasing")
     n_states = pool.names + 1
     out = np.empty((len(times), n_states))
     state = np.zeros(n_states)
     state[0] = 1.0
+    state.flags.writeable = False
     lo = int(np.searchsorted(times, 0.0, side="right"))
     out[:lo] = state
-    grid, values = schedule._knot_grid, schedule._value_grid
-    last = len(grid) - 2
-    for k in range(last + 1):
+    if lo == len(times):
+        return out
+    grid = schedule._knot_grid
+    # schedules may dip by roundoff between knots; a rate is never negative
+    densities = (np.maximum(np.diff(schedule._value_grid, axis=1), 0.0)
+                 / np.diff(grid)).T.tolist()
+    # the final interval's slope carries on beyond the last knot
+    his = np.searchsorted(times, grid[1:-1], side="right").tolist() + [len(times)]
+    ends = np.minimum(grid[1:-1], times[-1]).tolist() + [float(times[-1])]
+    key = (schedule.model, pool.names)
+    for start, hi, end, slopes in zip(grid.tolist(), his, ends, densities):
+        active = tuple((a, s) for a, s in zip(schedule.amplitudes, slopes) if s > 0.0)
+        key = (key, times[lo:hi].tobytes(), end, active)
+        found = memo.get(key) if memo is not None else None
+        if found is None:
+            found = _interval_rows(pool, schedule.model, active, state,
+                                   times[lo:hi] - start, end - start)
+            if memo is not None:
+                memo.put(key, found)
+        rows, state = found
+        out[lo:hi] = rows
+        lo = hi
         if lo == len(times):
             break
-        a = grid[k]
-        if k < last:
-            hi = int(np.searchsorted(times, grid[k + 1], side="right"))
-            end = min(grid[k + 1], times[-1])
-        else:
-            hi, end = len(times), times[-1]
-        # schedules may dip by roundoff between knots; a rate is never negative
-        slopes = np.maximum(values[:, k + 1] - values[:, k], 0.0) / (grid[k + 1] - grid[k])
-        q = float(slopes.sum())
-        if q <= 0.0:
-            out[lo:hi] = state
-            lo = hi
-            continue
-        transition = _unit_transition_matrix(pool, schedule, slopes / q)
-        weights = _poisson_weights(q * (np.append(times[lo:hi], end) - a))
-        krylov = np.empty((weights.shape[1], n_states))
-        krylov[0] = state
-        for j in range(1, len(krylov)):
-            np.dot(transition, krylov[j - 1], out=krylov[j])
-        rows = weights @ krylov
-        out[lo:hi] = rows[:-1]
-        state = rows[-1]
-        lo = hi
     out /= out.sum(axis=1, keepdims=True)
     return out
 
 
-def _unit_transition_matrix(pool: PoolSpec, schedule: IntensitySchedule,
-                            shares: np.ndarray) -> np.ndarray:
+def _interval_rows(pool: PoolSpec, model: str, active, state: np.ndarray,
+                   offsets: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """States at ``offsets`` years into one knot interval, and at its end
+    ``length`` years in, from ``state`` at its start; ``active`` holds the
+    (amplitude, intensity density) pairs of the interval's modes with
+    non-zero density. Both arrays are read-only, so a memo may hand them
+    out."""
+    if not active:
+        return np.broadcast_to(state, (len(offsets), len(state))), state
+    q = sum(s for _, s in active)
+    transition = _unit_transition_matrix(pool, model, [(a, s / q) for a, s in active])
+    weights = _poisson_weights(q * np.append(offsets, length))
+    krylov = np.empty((weights.shape[1], len(state)))
+    krylov[0] = state
+    for j in range(1, len(krylov)):
+        np.dot(transition, krylov[j - 1], out=krylov[j])
+    rows = weights @ krylov
+    rows.flags.writeable = False
+    return rows[:-1], rows[-1]
+
+
+def _unit_transition_matrix(pool: PoolSpec, model: str, shares) -> np.ndarray:
     """P = I + G/q for one knot interval, indexed (to-state, from-state).
 
-    ``shares`` are the amplitudes' intensity densities over their sum q. A
-    state leaves at rate at most q in both models (gpcl: the binomial ratio
-    is at most one; gpl: exactly q below the cap, zero at it), so every
-    entry is non-negative and each column sums to one. Sub-diagonal a is the
-    strided view starting at flat index a * n.
+    ``shares`` are (amplitude, share) pairs, the shares being the modes'
+    intensity densities over their sum q. A state leaves at rate at most q
+    in both models (gpcl: the binomial ratio is at most one; gpl: exactly q
+    below the cap, zero at it), so every entry is non-negative and each
+    column sums to one. Sub-diagonal a is the strided view starting at flat
+    index a * n.
     """
     m = pool.names
     n = m + 1
     p = np.zeros((n, n))
     flat = p.reshape(-1)
-    for amplitude, share in zip(schedule.amplitudes, shares):
-        if share <= 0.0:
-            continue
-        if schedule.model == GPCL:
+    for amplitude, share in shares:
+        if model == GPCL:
             ratio = _binomial_ratio_column(m, amplitude)  # zero beyond the survivors
             if amplitude <= m:
                 flat[amplitude * n::n + 1] += share * ratio[:n - amplitude]
@@ -470,7 +543,7 @@ def _unit_transition_matrix(pool: PoolSpec, schedule: IntensitySchedule,
             jump = min(amplitude, m)
             flat[jump * n::n + 1][:m - jump] += share
             p[m, m - jump:m] += share  # jumps reaching the cap
-    if schedule.model == GPL:
+    if model == GPL:
         p[m, m] = 1.0
     return p
 

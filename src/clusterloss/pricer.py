@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss_engine import IntensitySchedule, LossDistribution, PoolSpec, distribution_term_structure
+from .loss_engine import (
+    IntensitySchedule,
+    KnotMemo,
+    LossDistribution,
+    PoolSpec,
+    distribution_term_structure,
+)
 from .market_data import DAYS_PER_YEAR, PaymentSchedule
 
 
@@ -107,9 +113,10 @@ class LossGrid:
         self.probs = probs
 
     @classmethod
-    def compute(cls, pool: PoolSpec, schedule: IntensitySchedule, times) -> "LossGrid":
+    def compute(cls, pool: PoolSpec, schedule: IntensitySchedule, times,
+                memo: KnotMemo | None = None) -> "LossGrid":
         times = np.asarray(times, dtype=float)
-        return cls(pool, times, distribution_term_structure(pool, schedule, times))
+        return cls(pool, times, distribution_term_structure(pool, schedule, times, memo=memo))
 
     def expected_tranched_losses(self, tranche: TrancheDef) -> np.ndarray:
         return self.probs @ tranche_payout_by_count(tranche, self.pool)

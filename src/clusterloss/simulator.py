@@ -31,6 +31,7 @@ are reproducible given the seed and the path count, and memory stays bounded.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,9 +225,10 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
         raise SimulationError(f"unknown strategy {strategy!r}")
     if n_paths < 1:
         raise SimulationError("n_paths must be at least 1")
-    times = np.asarray(sorted(float(t) for t in np.atleast_1d(times)))
-    if len(times) == 0 or times[0] < 0:
-        raise SimulationError("need at least one non-negative time")
+    times = sorted(float(t) for t in np.atleast_1d(times))
+    if not times or not all(map(math.isfinite, times)) or times[0] < 0:
+        raise SimulationError("need at least one time, all finite and non-negative")
+    times = np.asarray(times)
     m = pool.names
     amplitudes = np.asarray(schedule.amplitudes, dtype=np.int64)
     name_aware = strategy in (STRATEGY_SINGLE_NAME, STRATEGY_CLUSTER)

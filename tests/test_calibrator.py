@@ -1,5 +1,7 @@
+import concurrent.futures
 import datetime as dt
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from clusterloss.calibrator import (
     weighted_error,
 )
 from clusterloss.fixtures import FIXTURE_VALUATION_DATE, quotes_path, schedule_path
+from clusterloss import loss_engine
+from clusterloss import pricer as pricer_module
 from clusterloss.loss_engine import GPL, GPCL, IntensitySchedule, PoolSpec
 from clusterloss.market_data import (
     DiscountCurve,
@@ -163,6 +167,184 @@ class TestPanelPricerLegs:
         assert any(ins.is_upfront for ins in pricer.instruments)
         np.testing.assert_allclose(pricer.model_values(schedule), expected,
                                    rtol=1e-12, atol=0.0)
+
+
+def _load(model, index="itraxx"):
+    with open(schedule_path(model, index)) as fh:
+        return IntensitySchedule.from_json(fh.read())
+
+
+def _bumped(schedule, j, k, rel):
+    """Mode j's cumulated value at knot k raised by ``rel`` of itself, later
+    knots lifted where they would fall below it."""
+    rows = [list(r) for r in schedule.cumulated]
+    rows[j][k] += rel * max(rows[j][k], 1e-3)
+    for kk in range(k + 1, len(rows[j])):
+        rows[j][kk] = max(rows[j][kk], rows[j][k])
+    return schedule.with_cumulated(rows)
+
+
+def _with_zero_mode(schedule):
+    """The schedule plus a mode with no intensity, as the greedy scan's
+    zero-initialised candidates are."""
+    amplitude = next(a for a in range(2, 125) if a not in schedule.amplitudes)
+    pairs = sorted(zip(schedule.amplitudes, schedule.cumulated))
+    pairs.append((amplitude, (0.0,) * len(schedule.knots)))
+    pairs.sort()
+    return make_schedule(schedule.model, [a for a, _ in pairs], schedule.knots,
+                         [row for _, row in pairs])
+
+
+class TestKnotPrefixMemo:
+    """Each PanelPricer keeps a bounded memo of the kernel's per-knot-interval
+    results; a memo hit must give the bits of a fresh solve."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Every kernel call the pricer makes, checked against the kernel
+        without a memo; counts the knot intervals actually solved."""
+        calls = {"calls": 0, "solved": 0}
+        original = pricer_module.distribution_term_structure
+        solve = loss_engine._interval_rows
+
+        def counting(*args, **kwargs):
+            calls["solved"] += 1
+            return solve(*args, **kwargs)
+
+        def checked(pool, schedule, times, memo=None):
+            assert memo is not None
+            out = original(pool, schedule, times, memo=memo)
+            solved = calls["solved"]
+            np.testing.assert_array_equal(out, original(pool, schedule, times))
+            calls["solved"] = solved
+            calls["calls"] += 1
+            return out
+
+        monkeypatch.setattr(pricer_module, "distribution_term_structure", checked)
+        monkeypatch.setattr(loss_engine, "_interval_rows", counting)
+        return calls
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_memo_hits_are_bit_identical(self, spy, pool, curve, itraxx_panel, model):
+        base = _load(model)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        pricer.model_values(base)
+        n_knots = len(base.knots)
+        assert spy["solved"] == n_knots
+        pricer.model_values(_with_zero_mode(base))
+        assert spy["solved"] == n_knots  # served whole by the memo
+        bumps = [_bumped(base, j, k, 0.02)
+                 for j in range(base.n_modes) for k in range(n_knots)]
+        lifting = _bumped(base, 0, 0, 50.0)  # lifts every later knot of mode 0
+        assert lifting.cumulated[0][1] > base.cumulated[0][1]
+        for schedule in bumps + [lifting]:
+            pricer.model_values(schedule)
+        # a bump at knot k leaves the k intervals before it to the memo
+        assert spy["solved"] == 2 * n_knots + base.n_modes * sum(
+            n_knots - k for k in range(n_knots))
+        pricer.model_values(base)
+        assert spy["calls"] == len(bumps) + 4
+
+    def test_mode_flat_over_one_interval(self, spy, pool, curve, itraxx_panel):
+        base = _load(GPCL)
+        rows = [list(r) for r in base.cumulated]
+        rows[0][2] = rows[0][1]  # mode 0 flat over the third interval
+        flat = base.with_cumulated(rows)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        pricer.model_values(base)
+        pricer.model_values(flat)
+        assert spy["solved"] == len(base.knots) + 2
+
+    def test_entry_count_never_exceeds_the_bound(self, pool, curve, itraxx_panel,
+                                                 monkeypatch):
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        sizes = []
+        put = loss_engine.KnotMemo.put
+
+        def recording(memo, key, value):
+            put(memo, key, value)
+            sizes.append(len(memo))
+
+        monkeypatch.setattr(loss_engine.KnotMemo, "put", recording)
+        base = _load(GPCL)
+        for n in range(3 * loss_engine._MEMO_ENTRIES):
+            pricer.model_values(base.with_cumulated(
+                np.asarray(base.cumulated) * (1.0 + 1e-3 * n)))
+        assert max(sizes) == loss_engine._MEMO_ENTRIES
+        assert len(pricer._memo) == loss_engine._MEMO_ENTRIES
+
+    def test_pickled_and_shared_pricers_agree(self, pool, curve, itraxx_panel):
+        base = _load(GPCL)
+        schedules = [base] + [_bumped(base, j, k, 0.03)
+                              for j in range(base.n_modes) for k in range(len(base.knots))]
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        expected = [PanelPricer(itraxx_panel, curve, pool).model_values(s) for s in schedules]
+        for s in schedules[:5]:
+            pricer.model_values(s)  # a copy must not carry the memo over
+        restored = pickle.loads(pickle.dumps(pricer))
+        assert len(restored._memo) == 0
+        for s, values in zip(schedules, expected):
+            np.testing.assert_array_equal(restored.model_values(s), values)
+        with concurrent.futures.ThreadPoolExecutor(4) as threads:
+            for _ in range(3):
+                shared = list(threads.map(pricer.model_values, schedules))
+                for got, values in zip(shared, expected):
+                    np.testing.assert_array_equal(got, values)
+
+
+class TestSubsetErrors:
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_each_maturity_matches_the_full_errors(self, pool, curve, itraxx_panel, model):
+        schedule = _load(model)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        fresh = PanelPricer(itraxx_panel, curve, pool)
+        full_values, full_errors = fresh.model_values(schedule), fresh.errors(schedule)
+        masks = pricer.maturity_masks + [pricer.maturity_masks[0] | pricer.maturity_masks[2]]
+        for mask in masks:
+            values = pricer.model_values(schedule, subset=mask)
+            np.testing.assert_allclose(values, full_values[mask], rtol=1e-13, atol=0.0)
+            # an error is model minus mid over the width, so near zero it
+            # keeps the quote's absolute rounding: 1e-13 widths at least
+            got = pricer.errors(schedule, subset=mask)
+            assert got.shape == (mask.sum(),)
+            np.testing.assert_allclose(got, full_errors[mask], rtol=1e-13, atol=1e-13)
+
+    def test_solves_only_through_the_latest_maturity(self, pool, curve, itraxx_panel,
+                                                     monkeypatch):
+        seen = []
+        original = pricer_module.distribution_term_structure
+
+        def recording(pool, schedule, times, memo=None):
+            seen.append(times[-1])
+            return original(pool, schedule, times, memo=memo)
+
+        monkeypatch.setattr(pricer_module, "distribution_term_structure", recording)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        for knot, mask in zip(pricer.knots, pricer.maturity_masks):
+            pricer.errors(_load(GPL), subset=mask)
+            assert seen[-1] == pytest.approx(knot, abs=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.1, 0.001])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_subset_then_full_matches_a_fresh_pricer(self, pool, curve, itraxx_panel,
+                                                     model, shift):
+        # knots just after the maturities: a subset's last interval ends
+        # inside a knot interval, where the full grid's does not; 0.1 y on
+        # holds grid times, 0.001 y on holds none
+        base = _load(model)
+        schedule = make_schedule(model, base.amplitudes, [t + shift for t in base.knots],
+                                 base.cumulated)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        for mask in pricer.maturity_masks:
+            pricer.errors(schedule, subset=mask)
+            np.testing.assert_array_equal(
+                pricer.errors(schedule),
+                PanelPricer(itraxx_panel, curve, pool).errors(schedule))
+
+    def test_mask_of_wrong_length_rejected(self, pool, curve, itraxx_panel):
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        with pytest.raises(CalibrationError):
+            pricer.model_values(_load(GPL), subset=np.ones(3, dtype=bool))
 
 
 class TestFitIntensities:

@@ -80,6 +80,22 @@ class TestDistCommand:
         assert len(rows) == 61
         assert sum(float(r["mc_frequency"]) for r in rows) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("times", ["nan", "inf", "1,nan"])
+    def test_non_finite_times_are_input_errors(self, tmp_path, capsys, times):
+        code = run(["dist", "--schedule", schedule_path("gpcl"), "--times", times,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--pool-size", "0"), ("--recovery", "1.5")])
+    def test_invalid_pool_is_input_error(self, tmp_path, capsys, flag, value):
+        code = run(["dist", "--schedule", schedule_path("gpcl"), flag, value,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert "invalid pool" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_schedule_file_is_input_error(self, tmp_path, capsys):
         code = run(["dist", "--schedule", tmp_path / "absent.json", "--out", tmp_path])
         assert code == 2
@@ -122,6 +138,14 @@ class TestIntensityCurveCommand:
             column = np.array([float(r[strategy]) for r in rows])
             assert np.all(np.diff(column) <= 1e-12)
         assert float(rows[-1]["s2"]) == 0.0
+
+    @pytest.mark.parametrize("at_time", ["nan", "inf", "-1"])
+    def test_invalid_time_is_input_error(self, tmp_path, capsys, at_time):
+        code = run(["intensity-curve", "--schedule", schedule_path("gpcl"),
+                    f"--at-time={at_time}", "--out", tmp_path / "out"])
+        assert code == 2
+        assert "--at-time" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_works_for_capped_model_schedules(self, tmp_path):
         code = run(["intensity-curve", "--schedule", schedule_path("gpl"),

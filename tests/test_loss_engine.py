@@ -85,6 +85,14 @@ class TestIntensitySchedule:
         with pytest.raises(LossEngineError):
             make_schedule(GPL, (1,), (1.0, 2.0), [(0.3, 0.2)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a nan compares false, so ordering checks alone let it through
+        with pytest.raises(LossEngineError, match="finite"):
+            make_schedule(GPL, (1,), (1.0, 2.0), [(0.5, bad)])
+        with pytest.raises(LossEngineError, match="finite"):
+            make_schedule(GPL, (1,), (1.0, bad), [(0.5, 0.6)])
+
 
 class TestClusterCumulatedIntensity:
     def test_scaled_by_cluster_count(self, gpcl_schedule, pool):
@@ -371,6 +379,28 @@ class TestUniformisedTermStructure:
         with pytest.raises(LossEngineError):
             distribution_term_structure(pool, gpl_schedule, [-0.5, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, gpl_schedule, pool, bad):
+        with pytest.raises(LossEngineError, match="finite"):
+            distribution_term_structure(pool, gpl_schedule, [1.0, bad])
+
+
+class TestNonFiniteTimes:
+    """A non-finite time is an error of every engine, not a point mass."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_aggregate_cumulated(self, gpl_schedule, bad):
+        with pytest.raises(LossEngineError, match="finite"):
+            gpl_schedule.aggregate_cumulated(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_single_time_engines(self, gpl_schedule, gpcl_schedule, bad):
+        pool = PoolSpec(names=20)
+        with pytest.raises(LossEngineError, match="finite"):
+            gpl_distribution(pool, gpl_schedule, bad)
+        with pytest.raises(LossEngineError, match="finite"):
+            gpcl_distribution(pool, gpcl_schedule, bad)
+
 
 class TestPanjerRecursion:
     def test_zero_intensity_is_point_mass(self):
@@ -391,6 +421,13 @@ class TestLossDistribution:
     def test_negative_mass_beyond_clamp_rejected(self):
         with pytest.raises(LossEngineError):
             LossDistribution(time=1.0, probs=np.array([1.0 + 1e-6, -1e-6]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        with pytest.raises(LossEngineError, match="finite"):
+            LossDistribution(time=1.0, probs=np.array([1.0, bad]))
+        with pytest.raises(LossEngineError, match="finite"):
+            LossDistribution(time=1.0, probs=np.full(3, bad))
 
     def test_tiny_negatives_clamped(self):
         dist = LossDistribution(time=1.0, probs=np.array([1.0 + 1e-14, -1e-14]))

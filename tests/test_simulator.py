@@ -262,6 +262,14 @@ class TestEmpiricalDistribution:
         with pytest.raises(SimulationError):
             empirical_distribution(pool, sched, "bogus", 1.0, n_paths=10)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, strategy, bad):
+        pool = PoolSpec(names=5)
+        sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
+        with pytest.raises(SimulationError, match="finite"):
+            empirical_distributions(pool, sched, strategy, [1.0, bad], n_paths=10)
+
 
 class TestStatisticalConsistency:
     def test_single_name_marginal_default_probability(self):

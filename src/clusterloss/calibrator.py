@@ -17,12 +17,10 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .loss_engine import GPCL, GPL, IntensitySchedule, KnotMemo, PoolSpec
 from .market_data import DiscountCurve, PaymentSchedule, QuotePanel, format_date, year_fraction
@@ -44,8 +42,8 @@ def weighted_error(model_value: float, quote) -> float:
         mid, width = quote.quote, quote.bid_ask_width
     else:
         mid, width = quote
-    if width <= 0:
-        raise CalibrationError("bid-ask width must be positive")
+    if not (0 < width < math.inf):  # a nan fails this too
+        raise CalibrationError(f"bid-ask width must be positive and finite, got {width}")
     return (model_value - mid) / width
 
 
@@ -285,6 +283,10 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
         steps = np.maximum(0.2 * np.abs(z0), 0.03)
         if jitter:
             steps = steps * (0.5 + rng.random(d))  # seeded restart jitter
+        # imported here, not at module level, so that a process which only
+        # prices or simulates never loads scipy
+        import scipy.optimize
+
         result = scipy.optimize.minimize(
             fun, z0, method="Nelder-Mead",
             bounds=scipy.optimize.Bounds(np.zeros(d), np.full(d, np.inf)),
@@ -394,6 +396,8 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
 # greedy amplitude selection
 # ---------------------------------------------------------------------------
 
+# a scan pool worker's pricer, set once by the pool's initializer; the serial
+# scan passes its own pricer instead, so calibrations in threads stay apart
 _WORKER_PRICER: PanelPricer | None = None
 
 
@@ -402,9 +406,10 @@ def _scan_init(pricer: PanelPricer) -> None:
     _WORKER_PRICER = pricer
 
 
-def _scan_candidate(task) -> tuple[int, float, np.ndarray, int]:
+def _scan_candidate(task, pricer: PanelPricer | None = None
+                    ) -> tuple[int, float, np.ndarray, int]:
     model, amplitudes, x0, candidate, position, budget, seed = task
-    fit = fit_intensities(_WORKER_PRICER, model, amplitudes, x0,
+    fit = fit_intensities(pricer or _WORKER_PRICER, model, amplitudes, x0,
                           max_evaluations=budget, seed=seed, focus_block=position)
     return candidate, fit.objective, fit.increments.ravel(), fit.n_evaluations
 
@@ -519,12 +524,13 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
                               scan_budget, child_seed))
             if n_jobs > 1 and len(tasks) > 1:
                 if workers is None:
+                    import multiprocessing
+
                     workers = multiprocessing.Pool(min(n_jobs, len(tasks)), _scan_init,
                                                    (pricer,))
                 scan = workers.map(_scan_candidate, tasks, chunksize=4)
             else:
-                _scan_init(pricer)
-                scan = [_scan_candidate(t) for t in tasks]
+                scan = [_scan_candidate(t, pricer) for t in tasks]
             total_evals += sum(s[3] for s in scan)
             scan_log = sorted(((cand, f) for cand, f, _, _ in scan), key=lambda cf: cf[0])
             best_candidate, _, best_x, _ = min(scan, key=lambda s: (s[1], s[0]))

@@ -97,7 +97,16 @@ def _pool_from_args(args) -> PoolSpec:
         raise InputError(f"invalid pool: {exc}") from exc
 
 
+def _check_grid_step(args) -> None:
+    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
+        raise InputError(f"--grid-step must be a positive, finite number of days, "
+                         f"got {args.grid_step}")
+
+
 def cmd_calibrate(args) -> int:
+    _check_grid_step(args)
+    if args.max_modes < 1:
+        raise InputError(f"--max-modes must be at least 1, got {args.max_modes}")
     pool = _pool_from_args(args)
     curve = _read_curve(args.curve, args.valuation_date)
     panel = _read_quotes(args.quotes, args.valuation_date)
@@ -138,6 +147,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_price(args) -> int:
+    _check_grid_step(args)
     pool = _pool_from_args(args)
     curve = _read_curve(args.curve, args.valuation_date)
     panel = _read_quotes(args.quotes, args.valuation_date)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 log = logging.getLogger(__name__)
 
@@ -308,6 +307,10 @@ def matrix_exponential(generator: np.ndarray) -> np.ndarray:
         raise LossEngineError("generator must be a square matrix")
     if not np.all(np.isfinite(gen)):
         raise LossEngineError("generator has non-finite entries")
+    # imported here, not at module level, so that a process which only prices
+    # or builds term structures never loads scipy
+    import scipy.linalg
+
     result = scipy.linalg.expm(gen)
     most_negative = float(result.min())
     if most_negative < 0.0:

@@ -134,10 +134,13 @@ class IndexQuote:
     bid_ask_width_bp: float
 
     def __post_init__(self):
-        if self.spread_bp <= 0:
-            raise MarketDataError("index spread must be positive")
-        if self.bid_ask_width_bp <= 0:
-            raise MarketDataError("bid-ask width must be positive")
+        # written so that a nan fails them: every comparison with nan is false
+        if not (0 < self.spread_bp < math.inf):
+            raise MarketDataError(
+                f"index spread must be positive and finite, got {self.spread_bp}")
+        if not (0 < self.bid_ask_width_bp < math.inf):
+            raise MarketDataError(
+                f"bid-ask width must be positive and finite, got {self.bid_ask_width_bp}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,11 @@ class TrancheQuote:
             raise MarketDataError(
                 f"attachment/detachment must satisfy 0 <= A < B <= 1, "
                 f"got {self.attachment}, {self.detachment}")
-        if self.bid_ask_width <= 0:
-            raise MarketDataError("bid-ask width must be positive")
+        if not math.isfinite(self.quote):
+            raise MarketDataError(f"tranche quote must be finite, got {self.quote}")
+        if not (0 < self.bid_ask_width < math.inf):
+            raise MarketDataError(
+                f"bid-ask width must be positive and finite, got {self.bid_ask_width}")
 
 
 @dataclass(frozen=True)
@@ -331,8 +337,8 @@ class PaymentSchedule:
             raise MarketDataError("empty payment schedule")
         prev = 0.0
         for t in self.times:
-            if t <= prev:
-                raise MarketDataError("payment times must be positive and increasing")
+            if not (prev < t < math.inf):
+                raise MarketDataError("payment times must be positive, finite and increasing")
             prev = t
 
     @property

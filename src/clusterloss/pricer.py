@@ -88,8 +88,8 @@ def expected_tranched_loss(dist: LossDistribution, tranche: TrancheDef, pool: Po
 def pricing_times(payment_schedule: PaymentSchedule, grid_step_days: float = 30.0) -> np.ndarray:
     """Time grid for leg integrals: zero, every payment date, and a refinement
     grid of the given step, up to maturity."""
-    if grid_step_days <= 0:
-        raise PricingError("grid step must be positive")
+    if not (0 < grid_step_days < np.inf):  # a nan fails this too
+        raise PricingError(f"grid step must be positive and finite, got {grid_step_days}")
     maturity = payment_schedule.maturity_time
     step = grid_step_days / DAYS_PER_YEAR
     refinement = np.arange(step, maturity, step)

@@ -71,6 +71,11 @@ class TestWeightedError:
         with pytest.raises(CalibrationError):
             weighted_error(1.0, (1.0, 0.0))
 
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(CalibrationError, match="finite"):
+            weighted_error(1.0, (1.0, width))
+
     @given(st.floats(min_value=-50, max_value=50),
            st.floats(min_value=0.1, max_value=10))
     @settings(max_examples=50, deadline=None)
@@ -508,6 +513,22 @@ class TestGreedyCalibrate:
         assert len(pools) == 1
         assert pools[0].maps == 2
         assert pools[0].terminated
+
+    def test_serial_scans_in_threads_match_sequential_runs(self, pool, curve, itraxx_panel,
+                                                           cdx_panel):
+        panels = (itraxx_panel, cdx_panel)
+
+        def calibrate(panel):
+            return greedy_calibrate(panel, curve, pool, GPL, max_modes=2, scan_budget=12,
+                                    refine_budget=60, polish_budget=0, seed=3, n_jobs=1)
+
+        sequential = [calibrate(panel) for panel in panels]
+        with concurrent.futures.ThreadPoolExecutor(2) as threads:
+            threaded = list(threads.map(calibrate, panels))
+        for alone, together in zip(sequential, threaded):
+            assert len(alone.iterations) == 2  # one greedy step with a scan
+            assert together.iterations == alone.iterations
+            assert together.objective == alone.objective
 
     def test_unknown_model_rejected(self, curve):
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())

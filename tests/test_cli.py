@@ -199,6 +199,28 @@ class TestPriceCommand:
         assert "gpl" in err and "gpcl" in err
         assert not (tmp_path / "pricing_report.json").exists()
 
+    def test_non_finite_quote_is_input_error(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            "pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+            "X,20-Dec-11,,,40,0.5,0\n"
+            "X,20-Dec-11,3,6,nan,1,0\n")
+        code = run(["price", "--curve", curve_path(), "--quotes", quotes,
+                    "--schedule", schedule_path("gpl"), "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "quotes.csv" in err and "line 3" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-30"])
+    def test_invalid_grid_step_is_input_error(self, tmp_path, capsys, step):
+        code = run(["price", "--curve", curve_path(), "--quotes", quotes_path(),
+                    "--schedule", schedule_path("gpl"), "--grid-step", step,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert "--grid-step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrateCommand:
     def test_tiny_panel_calibration_outputs(self, tmp_path):
@@ -224,6 +246,27 @@ class TestCalibrateCommand:
                     "--quotes", tmp_path / "nope.csv", "--out", tmp_path])
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--grid-step", "nan"), ("--grid-step", "inf"),
+                                             ("--grid-step", "0"), ("--max-modes", "0"),
+                                             ("--max-modes", "-1")])
+    def test_invalid_option_is_input_error(self, tmp_path, capsys, flag, value):
+        code = run(["calibrate", "--model", "gpl", "--curve", curve_path(),
+                    "--quotes", quotes_path(), flag, value, "--out", tmp_path / "out"])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_quote_is_input_error(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            "pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+            "X,20-Dec-11,,,40,nan,0\n")
+        code = run(["calibrate", "--model", "gpl", "--curve", curve_path(),
+                    "--quotes", quotes, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_panel_is_numerical_error(self, tmp_path):
         empty = tmp_path / "empty.csv"

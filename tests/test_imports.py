@@ -1,0 +1,68 @@
+"""What a fresh interpreter loads: pricing, term structures and simulation
+run without scipy and without multiprocessing; scipy.linalg comes in with the
+expm reference engine and scipy.optimize with the first Nelder-Mead fit."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import json
+import sys
+
+import numpy as np
+
+import clusterloss
+import clusterloss.cli
+from clusterloss import (PanelPricer, PoolSpec, distribution_term_structure,
+                         empirical_distributions, fit_intensities, gpcl_distribution,
+                         gpl_distribution, load_curve, load_quotes)
+from clusterloss.fixtures import (FIXTURE_VALUATION_DATE, curve_path, quotes_path,
+                                  schedule_path)
+from clusterloss.loss_engine import IntensitySchedule
+
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name == "scipy" or name.startswith("scipy.")
+                  or name == "multiprocessing" or name.startswith("multiprocessing."))
+
+
+pool = PoolSpec()
+curve = load_curve(curve_path(), FIXTURE_VALUATION_DATE)
+panel = load_quotes(quotes_path("itraxx"), FIXTURE_VALUATION_DATE)
+schedules = {}
+for model in ("gpcl", "gpl"):
+    with open(schedule_path(model, "itraxx")) as fh:
+        schedules[model] = IntensitySchedule.from_json(fh.read())
+pricer = PanelPricer(panel, curve, pool)
+for schedule in schedules.values():
+    assert np.all(np.isfinite(pricer.model_values(schedule)))
+    assert distribution_term_structure(pool, schedule, [1.0, 5.0]).shape == (2, 126)
+gpl_distribution(pool, schedules["gpl"], 5.0)
+empirical_distributions(pool, schedules["gpl"], "s0", [5.0], n_paths=200, seed=1)
+empirical_distributions(pool, schedules["gpcl"], "s2", [5.0], n_paths=200, seed=1)
+stages = {"price_and_simulate": loaded()}
+
+gpcl_distribution(pool, schedules["gpcl"], 5.0)
+stages["gpcl_distribution"] = loaded()
+
+fit_intensities(pricer, "gpl", (1,), np.full(len(pricer.knots), 0.1), max_evaluations=20)
+stages["fit_intensities"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_scipy_and_multiprocessing_load_only_where_used():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    stages = json.loads(done.stdout)
+    assert stages["price_and_simulate"] == []
+    assert "scipy.linalg" in stages["gpcl_distribution"]
+    assert "scipy.optimize" in stages["fit_intensities"]

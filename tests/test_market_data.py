@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from clusterloss.market_data import (
     DiscountCurve,
+    IndexQuote,
     MarketDataError,
     PaymentSchedule,
+    TrancheQuote,
     load_curve,
     load_quotes,
     parse_date,
@@ -130,6 +132,26 @@ class TestQuotePanel:
         with pytest.raises(MarketDataError, match="line 2"):
             load_quotes(io.StringIO(text), VAL)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_quotes_rejected(self, value):
+        maturity = dt.date(2011, 12, 20)
+        with pytest.raises(MarketDataError, match="finite"):
+            IndexQuote(maturity, spread_bp=value, bid_ask_width_bp=0.5)
+        with pytest.raises(MarketDataError, match="finite"):
+            IndexQuote(maturity, spread_bp=30.0, bid_ask_width_bp=value)
+        with pytest.raises(MarketDataError, match="finite"):
+            TrancheQuote(0.03, 0.06, maturity, quote=value, bid_ask_width=0.5)
+        with pytest.raises(MarketDataError, match="finite"):
+            TrancheQuote(0.03, 0.06, maturity, quote=10.0, bid_ask_width=value)
+
+    @pytest.mark.parametrize("row", ["X,20-Dec-11,3,6,nan,1,0", "X,20-Dec-11,3,6,10,inf,0",
+                                     "X,20-Dec-11,,,nan,0.5,0", "X,20-Dec-11,0,3,nan,50,1"])
+    def test_non_finite_quote_rows_name_their_line(self, row):
+        text = ("pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+                "X,20-Dec-11,,,40,0.5,0\n" + row + "\n")
+        with pytest.raises(MarketDataError, match="line 3.*finite"):
+            load_quotes(io.StringIO(text), VAL)
+
     def test_maturity_after_valuation_required(self):
         text = ("pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
                 "X,20-Dec-05,3,6,10,1,0\n")
@@ -180,6 +202,11 @@ class TestPaymentSchedule:
             PaymentSchedule.from_times([0.5, 0.5])
         with pytest.raises(MarketDataError):
             PaymentSchedule.from_times([])
+
+    @pytest.mark.parametrize("times", [[0.25, math.nan], [math.nan], [0.25, math.inf]])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(MarketDataError, match="finite"):
+            PaymentSchedule.from_times(times)
 
     @given(st.integers(min_value=30, max_value=4000))
     @settings(max_examples=40, deadline=None)

@@ -264,5 +264,6 @@ class TestLossGrid:
         assert times[0] == 0.0
         for t in pay.times:
             assert np.min(np.abs(times - t)) == 0.0
-        with pytest.raises(PricingError):
-            pricing_times(pay, grid_step_days=0.0)
+        for step in (0.0, math.nan, math.inf):
+            with pytest.raises(PricingError, match="finite"):
+                pricing_times(pay, grid_step_days=step)

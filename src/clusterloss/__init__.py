@@ -1,13 +1,12 @@
 """Portfolio credit-loss models with common-shock cluster defaults.
 
-Exact loss distributions (forward Kolmogorov / Panjer), Monte Carlo
-simulation of cluster defaults under four repeated-default treatments,
-credit index and CDO tranche pricing, and greedy joint calibration to
-tranche quote panels.
+Exact loss distributions (one uniformised forward-equation kernel for both
+models), Monte Carlo simulation of cluster defaults under four
+repeated-default treatments, credit index and CDO tranche pricing, and
+greedy joint calibration to tranche quote panels.
 """
 from .calibrator import (
     CalibrationResult,
-    PanelPricer,
     fit_intensities,
     greedy_calibrate,
     objective,
@@ -23,11 +22,9 @@ from .loss_engine import (
     PoolSpec,
     cluster_cumulated_intensity,
     counting_intensity,
-    cumulated_generator,
     distribution_term_structure,
     gpcl_distribution,
     gpl_distribution,
-    matrix_exponential,
 )
 from .market_data import (
     DiscountCurve,
@@ -39,15 +36,9 @@ from .market_data import (
     load_quotes,
 )
 from .pricer import (
-    LegValues,
-    LossGrid,
+    PanelPricer,
     TrancheDef,
-    default_leg,
     expected_tranched_loss,
-    index_spread,
-    tranche_legs,
-    tranche_premium_leg,
-    tranche_spread_or_upfront,
     tranched_loss,
 )
 from .simulator import (

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss_engine import GPCL, GPL, IntensitySchedule, KnotMemo, PoolSpec
-from .market_data import DiscountCurve, PaymentSchedule, QuotePanel, format_date, year_fraction
-from .pricer import LossGrid, TrancheDef, pricing_times, tranche_payout_by_count
+from .loss_engine import GPCL, GPL, IntensitySchedule, PoolSpec
+from .market_data import DiscountCurve, QuotePanel
+from .pricer import Instrument, PanelPricer
 
 
 class CalibrationError(ValueError):
@@ -45,168 +45,6 @@ def weighted_error(model_value: float, quote) -> float:
     if not (0 < width < math.inf):  # a nan fails this too
         raise CalibrationError(f"bid-ask width must be positive and finite, got {width}")
     return (model_value - mid) / width
-
-
-@dataclass(frozen=True)
-class Instrument:
-    """One calibration target in its quoting units (bp, or fraction if upfront)."""
-
-    label: str
-    kind: str  # "index" | "tranche"
-    attachment: float | None
-    detachment: float | None
-    maturity: dt.date
-    maturity_time: float
-    mid: float
-    width: float
-    is_upfront: bool = False
-    running: float = 0.05
-
-
-class PanelPricer:
-    """Prices every instrument of a panel off one distribution term structure.
-
-    All date- and curve-dependent quantities (payment schedules, discount
-    factors, payout vectors, grid bookkeeping) are precomputed once so that
-    repeated objective evaluations only pay for the distributions."""
-
-    def __init__(self, panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec,
-                 grid_step_days: float = 30.0):
-        if len(panel) == 0:
-            raise CalibrationError("empty quote panel")
-        self.pool = pool
-        self.curve = curve
-        self.valuation_date = panel.valuation_date
-        self.grid_step_days = grid_step_days
-
-        schedules = {m: PaymentSchedule.quarterly(panel.valuation_date, m)
-                     for m in panel.maturities}
-        all_times = np.unique(np.concatenate(
-            [pricing_times(s, grid_step_days) for s in schedules.values()]))
-        self.grid_times = all_times
-        self.knots = tuple(year_fraction(panel.valuation_date, m)
-                           for m in panel.maturities)
-
-        self.instruments: list[Instrument] = []
-        payout_cols: list[np.ndarray] = []
-        payout_key: dict = {}
-
-        def column(key, payout) -> int:
-            """Index of the payout column under ``key``; ``payout()`` builds it
-            the first time the key is seen."""
-            if key not in payout_key:
-                payout_key[key] = len(payout_cols)
-                payout_cols.append(payout())
-            return payout_key[key]
-
-        counts = np.arange(pool.names + 1)
-        col_fraction = column("count_fraction", lambda: counts / pool.names)
-        col_loss = column("pool_loss", lambda: (1.0 - pool.recovery) * counts / pool.names)
-
-        loss_cols: list[int] = []
-        notional_cols: list[int] = []
-        for q in sorted(panel.index_quotes, key=lambda q: q.maturity):
-            self.instruments.append(Instrument(
-                label=f"index {format_date(q.maturity)}", kind="index",
-                attachment=None, detachment=None, maturity=q.maturity,
-                maturity_time=year_fraction(panel.valuation_date, q.maturity),
-                mid=q.spread_bp, width=q.bid_ask_width_bp))
-            loss_cols.append(col_loss)
-            notional_cols.append(col_fraction)
-        for q in sorted(panel.tranche_quotes,
-                        key=lambda q: (q.attachment, q.detachment, q.maturity)):
-            tranche = TrancheDef(q.attachment, q.detachment)
-            col = column(("tranche", q.attachment, q.detachment),
-                         lambda: tranche_payout_by_count(tranche, pool))
-            self.instruments.append(Instrument(
-                label=f"{tranche.label()} {format_date(q.maturity)}", kind="tranche",
-                attachment=q.attachment, detachment=q.detachment, maturity=q.maturity,
-                maturity_time=year_fraction(panel.valuation_date, q.maturity),
-                mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
-                running=q.running_premium_if_upfront))
-            loss_cols.append(col)
-            notional_cols.append(col)
-
-        self.payout_matrix = np.column_stack(payout_cols)  # (names+1, n_cols)
-        self._loss_cols = np.array(loss_cols)
-        self._notional_cols = np.array(notional_cols)
-        self.mids = np.array([ins.mid for ins in self.instruments])
-        self.widths = np.array([ins.width for ins in self.instruments])
-        self._upfront = np.array([ins.is_upfront for ins in self.instruments])
-        self._running = np.array([ins.running if ins.is_upfront else 0.0
-                                  for ins in self.instruments])
-        # one mask per knot (= per quoted maturity, in knot order)
-        self.maturity_masks = [
-            np.array([ins.maturity == m for ins in self.instruments])
-            for m in panel.maturities]
-
-        # every leg is a weighted sum over the grid: the default leg weighs the
-        # loss increment of each grid cell up to maturity by the discount
-        # factor at the cell's midpoint, the annuity weighs the surviving
-        # notional at each payment date by its discounted year fraction; the
-        # weights depend on the maturity alone
-        disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
-        self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
-        self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
-        # grid rows each instrument's legs read: through its maturity
-        self._rows_needed = np.zeros(len(self.instruments), dtype=int)
-        for maturity, mask in zip(panel.maturities, self.maturity_masks):
-            sched = schedules[maturity]
-            pay_times = np.asarray(sched.times)
-            pay_idx = np.searchsorted(self.grid_times, pay_times)
-            if not np.allclose(self.grid_times[pay_idx], pay_times, atol=1e-12):
-                raise CalibrationError("payment dates missing from the pricing grid")
-            n_rows = int(np.searchsorted(
-                self.grid_times, year_fraction(panel.valuation_date, maturity) + 1e-12))
-            cols = np.flatnonzero(mask)
-            self._rows_needed[cols] = n_rows
-            self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
-            self._payment_weights[np.ix_(pay_idx, cols)] = (
-                sched.year_fractions * curve.discount_factor(pay_times))[:, None]
-        self._memo = KnotMemo()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_memo"]  # holds a lock; a copy starts with an empty memo
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._memo = KnotMemo()
-
-    def model_values(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
-        """Model quotes of every instrument, or of those a boolean ``subset``
-        mask selects; a subset is priced off the grid through its latest
-        maturity only. Distributions come from the kernel with this pricer's
-        memo, so calls that share leading knot intervals solve them once."""
-        if subset is None:
-            cols, n_rows = slice(None), len(self.grid_times)
-        else:
-            cols = np.asarray(subset, dtype=bool)
-            if cols.shape != (len(self.instruments),):
-                raise CalibrationError("subset must be one boolean per instrument")
-            n_rows = int(self._rows_needed[cols].max(initial=1))
-        grid = LossGrid.compute(self.pool, schedule, self.grid_times[:n_rows], memo=self._memo)
-        stats = grid.probs @ self.payout_matrix  # (n_rows, n_cols)
-        default_pv = np.einsum("ti,ti->i", self._increment_weights[:n_rows - 1, cols],
-                               np.diff(stats[:, self._loss_cols[cols]], axis=0))
-        annuity = np.einsum("ti,ti->i", self._payment_weights[:n_rows, cols],
-                            1.0 - stats[:, self._notional_cols[cols]])
-        values = default_pv - self._running[cols] * annuity  # upfront quotes
-        spreads = ~self._upfront[cols]
-        values[spreads] = 1e4 * default_pv[spreads] / annuity[spreads]
-        return values
-
-    def errors(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
-        """Weighted quote errors of every instrument, or of the ``subset``."""
-        mids, widths = self.mids, self.widths
-        if subset is not None:
-            mids, widths = mids[subset], widths[subset]
-        return (self.model_values(schedule, subset) - mids) / widths
-
-    def objective(self, schedule: IntensitySchedule) -> tuple[float, np.ndarray]:
-        eps = self.errors(schedule)
-        return float(eps @ eps), eps
 
 
 def objective(schedule: IntensitySchedule, panel: QuotePanel, curve: DiscountCurve,
@@ -483,6 +321,11 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
         raise CalibrationError(f"unknown model kind {model!r}")
     if max_modes < 1:
         raise CalibrationError("max_modes must be at least 1")
+    # a nan fails every comparison of the search's stopping rules
+    for name, value in (("objective_threshold", objective_threshold),
+                        ("negligible_intensity", negligible_intensity)):
+        if not math.isfinite(value):
+            raise CalibrationError(f"{name} must be finite, got {value!r}")
     pricer = PanelPricer(panel, curve, pool, grid_step_days)
     n_knots = len(pricer.knots)
     if n_jobs is None:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibrator import CalibrationError, PanelPricer, greedy_calibrate
+from .calibrator import CalibrationError, greedy_calibrate
 from .loss_engine import (
     GPCL,
     GPL,
@@ -31,7 +31,7 @@ from .loss_engine import (
     gpl_distribution,
 )
 from .market_data import MarketDataError, format_date, load_curve, load_quotes, parse_date
-from .pricer import PricingError
+from .pricer import PanelPricer, PricingError
 from .simulator import SimulationError, empirical_distributions
 
 EXIT_OK = 0
@@ -107,6 +107,8 @@ def cmd_calibrate(args) -> int:
     _check_grid_step(args)
     if args.max_modes < 1:
         raise InputError(f"--max-modes must be at least 1, got {args.max_modes}")
+    if not math.isfinite(args.threshold):
+        raise InputError(f"--threshold must be a finite number, got {args.threshold}")
     pool = _pool_from_args(args)
     curve = _read_curve(args.curve, args.valuation_date)
     panel = _read_quotes(args.quotes, args.valuation_date)
@@ -187,23 +189,25 @@ def cmd_price(args) -> int:
 def cmd_dist(args) -> int:
     pool = _pool_from_args(args)
     schedule = _read_schedule(args.schedule)
-    times = _parse_times(args.times) if args.times else [3.0, 5.0, 7.0, 10.0]
+    times = sorted(_parse_times(args.times) if args.times else [3.0, 5.0, 7.0, 10.0])
     if args.simulate and args.paths < 1:
         raise InputError(f"--paths must be at least 1, got {args.paths}")
+    outputs = [f"dist_{t:g}y.csv" for t in times]
+    for i in range(1, len(times)):
+        if outputs[i] == outputs[i - 1]:
+            raise InputError(f"times {times[i - 1]!r} and {times[i]!r} both map to "
+                             f"{outputs[i]}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the exact single-time engines: each file equals what the library returns
-    # for its time
+    # each file equals what the library returns for its time
     exact = gpcl_distribution if schedule.model == GPCL else gpl_distribution
-    probs = [exact(pool, schedule, t).probs for t in sorted(times)]
+    probs = [exact(pool, schedule, t).probs for t in times]
     simulated = None
     if args.simulate:
         strategy = "s2" if schedule.model == GPCL else "s0"
-        simulated = empirical_distributions(pool, schedule, strategy, sorted(times),
+        simulated = empirical_distributions(pool, schedule, strategy, times,
                                             n_paths=args.paths, seed=args.seed)
-    outputs = []
-    for i, t in enumerate(sorted(times)):
-        name = f"dist_{t:g}y.csv"
+    for i, name in enumerate(outputs):
         with open(out_dir / name, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             if simulated is None:
@@ -217,7 +221,6 @@ def cmd_dist(args) -> int:
                     writer.writerow([c, repr(float(p)),
                                      repr(float(emp.distribution.probs[c])),
                                      repr(float(emp.std_err[c]))])
-        outputs.append(name)
     config = _resolved_config(args)
     config["schedule_hash"] = hashlib.sha256(
         schedule.to_json().encode()).hexdigest()[:16]

@@ -3,17 +3,15 @@
 Two model kinds share one piecewise-linear cumulated-intensity schedule:
 
 * ``gpl``  — independent Poisson jump modes, total count capped at the pool
-  size. Single-time distributions come from Panjer's compound-Poisson
-  recursion with the residual tail lumped into the cap state.
+  size.
 * ``gpcl`` — cluster-adjusted dynamics where a cluster of names can fire only
-  while all its names survive. The counting process is then a Markov chain on
-  {0..M}; single-time distributions solve the forward Kolmogorov equation via
-  matrix exponentials of the integrated transition-rate matrix.
+  while all its names survive.
 
-The capped ``gpl`` count is a pure-birth Markov chain on {0..M} as well, so
-term structures (``distribution_term_structure``) of both models come from
-one uniformised forward-equation kernel; the single-time engines above are
-its references.
+Both counting processes are pure-birth Markov chains on {0..M} whose rates
+are constant between schedule knots, so the distributions of both models,
+at one time (``gpl_distribution``, ``gpcl_distribution``) or at many
+(``distribution_term_structure``), come from one uniformised forward-equation
+kernel.
 
 Schedules store, for each jump amplitude, the *aggregate* cumulated jump
 intensity: for ``gpl`` the mode's Poisson cumulated intensity, for ``gpcl``
@@ -25,7 +23,6 @@ last knot.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import threading
 from collections import OrderedDict
@@ -33,8 +30,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 GPL = "gpl"
 GPCL = "gpcl"
@@ -47,7 +42,8 @@ STRATEGY_CLUSTER = "s2"
 STRATEGIES = (STRATEGY_REPEATED, STRATEGY_CAPPED, STRATEGY_SINGLE_NAME, STRATEGY_CLUSTER)
 
 _NEGATIVE_CLAMP_TOL = 1e-12
-_COLUMN_SUM_TOL = 1e-9
+_MASS_TOL = 1e-9  # largest |row sum - 1| the kernel renormalises
+_BINOMIAL_CACHE_ENTRIES = 1024  # one 1000-name gpcl scan's (names, amplitude) keys
 
 
 class LossEngineError(ValueError):
@@ -85,9 +81,10 @@ def _check_time(t: float) -> None:
         raise LossEngineError(f"time must be finite and non-negative, got {t!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BINOMIAL_CACHE_ENTRIES)
 def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
-    """C(names - y, amplitude) / C(names, amplitude) for y = 0..names.
+    """C(names - y, amplitude) / C(names, amplitude) for y = 0..names,
+    read-only because the cache hands out the same array to every caller.
 
     Computed in log space: C(125, 62) ~ 1e36 overflows nothing here because
     only the ratio is ever exponentiated.
@@ -97,6 +94,7 @@ def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
     for y in range(names + 1):
         num = log_binomial(names - y, amplitude)
         out[y] = 0.0 if num == -math.inf else math.exp(num - denom)
+    out.flags.writeable = False
     return out
 
 
@@ -221,6 +219,9 @@ def cluster_cumulated_intensity(schedule: IntensitySchedule, pool: PoolSpec,
         raise LossEngineError("per-cluster intensities are defined for gpcl schedules")
     if amplitude not in schedule.amplitudes:
         raise LossEngineError(f"unknown amplitude {amplitude}")
+    if amplitude > pool.names:
+        raise LossEngineError(f"a pool of {pool.names} names holds no cluster of "
+                              f"amplitude {amplitude}")
     j = schedule.amplitudes.index(amplitude)
     aggregate = float(schedule.aggregate_cumulated(t)[j])
     return aggregate * math.exp(-log_binomial(pool.names, amplitude))
@@ -228,13 +229,18 @@ def cluster_cumulated_intensity(schedule: IntensitySchedule, pool: PoolSpec,
 
 @dataclass(frozen=True)
 class LossDistribution:
-    """Distribution of the default count over {0..names} at one time."""
+    """Distribution of the default count over {0..names} at one time.
+
+    The probabilities are kept as given, bit for bit, unless roundoff left
+    negatives (down to -1e-12): those are clamped to zero and the rest
+    renormalised.
+    """
 
     time: float
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)  # a copy: the caller keeps its array
         if probs.ndim != 1:
             raise LossEngineError("probability vector must be one-dimensional")
         total = float(probs.sum())
@@ -245,8 +251,9 @@ class LossDistribution:
                 f"negative probability {probs.min():.3e} beyond clamp tolerance")
         if abs(total - 1.0) > 1e-10:
             raise LossEngineError(f"probabilities sum to {total!r}, not 1")
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
+        if probs.min() < 0.0:
+            probs = np.clip(probs, 0.0, None)
+            probs = probs / probs.sum()
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -259,136 +266,6 @@ class LossDistribution:
     def survival_function(self) -> np.ndarray:
         """P(count >= k) for k = 0..max_count."""
         return np.concatenate([[1.0], 1.0 - np.cumsum(self.probs)[:-1]])
-
-
-# ---------------------------------------------------------------------------
-# gpcl: forward Kolmogorov equation
-# ---------------------------------------------------------------------------
-
-def cumulated_generator(pool: PoolSpec, schedule: IntensitySchedule,
-                        t0: float, t1: float) -> np.ndarray:
-    """Integral over [t0, t1] of the transition-rate matrix of the
-    cluster-adjusted counting chain.
-
-    Entry (x, y) for x > y with x - y in the amplitude set is
-    C(names - y, x - y) times the per-cluster cumulated-intensity increment;
-    the diagonal balances each column to zero; nothing below the diagonal
-    (defaults cannot be undone). Indexing is (to-state, from-state).
-    """
-    if schedule.model != GPCL:
-        raise LossEngineError("cumulated generator is defined for gpcl schedules")
-    if not (0.0 <= t0 < t1):
-        raise LossEngineError(f"invalid interval [{t0}, {t1}], need 0 <= t0 < t1")
-    m = pool.names
-    increments = schedule.aggregate_cumulated(t1) - schedule.aggregate_cumulated(t0)
-    gen = np.zeros((m + 1, m + 1))
-    diag = np.zeros(m + 1)
-    for amplitude, dv in zip(schedule.amplitudes, increments):
-        if dv <= 0.0 or amplitude > m:
-            continue
-        ratio = _binomial_ratio_column(m, amplitude)  # zero where amplitude > m - y
-        weights = dv * ratio[: m + 1 - amplitude]
-        rows = np.arange(amplitude, m + 1)
-        gen[rows, rows - amplitude] += weights
-        diag[: m + 1 - amplitude] -= weights
-    gen[np.diag_indices(m + 1)] += diag
-    return gen
-
-
-def matrix_exponential(generator: np.ndarray) -> np.ndarray:
-    """exp of a cumulated generator via Padé scaling-and-squaring.
-
-    Verifies the probability-conservation contract on the way out: columns
-    sum to one within 1e-9 and any negative entries (roundoff) are clamped,
-    with the clamp magnitude logged.
-    """
-    gen = np.asarray(generator, dtype=float)
-    if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-        raise LossEngineError("generator must be a square matrix")
-    if not np.all(np.isfinite(gen)):
-        raise LossEngineError("generator has non-finite entries")
-    # imported here, not at module level, so that a process which only prices
-    # or builds term structures never loads scipy
-    import scipy.linalg
-
-    result = scipy.linalg.expm(gen)
-    most_negative = float(result.min())
-    if most_negative < 0.0:
-        if most_negative < -_NEGATIVE_CLAMP_TOL:
-            log.warning("matrix exponential clamped entries as low as %.3e", most_negative)
-        else:
-            log.debug("matrix exponential clamped entries as low as %.3e", most_negative)
-        result = np.clip(result, 0.0, None)
-    column_sums = result.sum(axis=0)
-    if np.max(np.abs(column_sums - 1.0)) > _COLUMN_SUM_TOL:
-        raise LossEngineError(
-            f"matrix exponential lost probability mass: worst column sum "
-            f"{column_sums[np.argmax(np.abs(column_sums - 1.0))]!r}")
-    return result
-
-
-def _knot_pieces(schedule: IntensitySchedule, t: float) -> list[tuple[float, float]]:
-    """[0, t] split at schedule knots (intensities are constant inside each piece)."""
-    cuts = [k for k in schedule.knots if k < t]
-    edges = [0.0] + cuts + [t]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def gpcl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
-    """Counting distribution of the cluster-adjusted model at time t.
-
-    Ordered product of one matrix exponential per knot-to-knot piece of
-    [0, t]; generators of different pieces need not commute, so the product
-    runs oldest-first. With a single piece this is the plain one-exponential
-    solution of the forward equation.
-    """
-    _check_time(t)
-    state = np.zeros(pool.names + 1)
-    state[0] = 1.0
-    if t > 0:
-        for a, b in _knot_pieces(schedule, t):
-            gen = cumulated_generator(pool, schedule, a, b)
-            state = matrix_exponential(gen) @ state
-    return LossDistribution(time=t, probs=state)
-
-
-# ---------------------------------------------------------------------------
-# gpl: Panjer recursion with cap
-# ---------------------------------------------------------------------------
-
-def compound_poisson_panjer(amplitudes, cumulated, n_states: int) -> np.ndarray:
-    """P(Z = n) for n = 0..n_states-1 where Z sums independent Poisson modes
-    ``Z = sum_j amplitude_j * N_j`` with ``N_j ~ Poisson(cumulated_j)``.
-
-    This is the Panjer recursion for a compound Poisson sum with discrete
-    severities: p(0) = exp(-Lambda), p(n) = (1/n) sum_j a_j L_j p(n - a_j).
-    """
-    amplitudes = [int(a) for a in amplitudes]
-    cumulated = np.asarray(cumulated, dtype=float)
-    if np.any(cumulated < 0):
-        raise LossEngineError("cumulated intensities must be non-negative")
-    probs = np.zeros(n_states)
-    probs[0] = math.exp(-float(cumulated.sum()))
-    weights = [(a, a * lam) for a, lam in zip(amplitudes, cumulated) if lam > 0]
-    for n in range(1, n_states):
-        acc = 0.0
-        for a, w in weights:
-            if a <= n:
-                acc += w * probs[n - a]
-        probs[n] = acc / n
-    return probs
-
-
-def gpl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
-    """Counting distribution of the capped model at time t: exact Panjer
-    probabilities on {0..names-1}, all remaining mass lumped at the cap."""
-    if schedule.model != GPL:
-        raise LossEngineError("gpl_distribution requires a gpl schedule")
-    _check_time(t)
-    lams = schedule.aggregate_cumulated(t)
-    body = compound_poisson_panjer(schedule.amplitudes, lams, pool.names)
-    probs = np.append(body, max(0.0, 1.0 - body.sum()))
-    return LossDistribution(time=t, probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +323,8 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     where v is the state at its start and P = I + G/q. The series runs until
     its Poisson tail over the interval is below 1e-16, and every term is
     non-negative, so nothing cancels. The final interval's slope also covers
-    extrapolation beyond the last knot. ``gpl_distribution`` (Panjer) and
-    ``gpcl_distribution`` (matrix exponentials) remain the single-time
-    references.
+    extrapolation beyond the last knot. Each row is renormalised to sum to
+    one; a row whose sum strays from one by more than 1e-9 is an error.
 
     The state at a knot depends only on the intervals before it. With a
     ``memo``, each interval's rows and end state are stored under a key of
@@ -497,8 +373,31 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
         lo = hi
         if lo == len(times):
             break
-    out /= out.sum(axis=1, keepdims=True)
+    sums = out.sum(axis=1)
+    deficits = np.abs(sums - 1.0)
+    if not np.all(deficits <= _MASS_TOL):  # a nan fails this too
+        raise LossEngineError(f"forward equation lost probability mass: worst row sum "
+                              f"{float(sums[np.argmax(deficits)])!r}")
+    out /= sums[:, None]
     return out
+
+
+def gpl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
+    """Counting distribution of the capped model at time t: the kernel's row,
+    with all mass beyond the pool size at the cap."""
+    if schedule.model != GPL:
+        raise LossEngineError("gpl_distribution requires a gpl schedule")
+    _check_time(t)
+    return LossDistribution(time=t, probs=distribution_term_structure(pool, schedule, [t])[0])
+
+
+def gpcl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
+    """Counting distribution of the cluster-adjusted model at time t: the
+    kernel's row."""
+    if schedule.model != GPCL:
+        raise LossEngineError("gpcl_distribution requires a gpcl schedule")
+    _check_time(t)
+    return LossDistribution(time=t, probs=distribution_term_structure(pool, schedule, [t])[0])
 
 
 def _interval_rows(pool: PoolSpec, model: str, active, state: np.ndarray,
@@ -606,8 +505,9 @@ def counting_intensity(strategy: str, pool: PoolSpec, cluster_rates: dict[int, f
     total = 0.0
     for amplitude, rate in cluster_rates.items():
         amplitude = int(amplitude)
-        if rate < 0:
-            raise LossEngineError("cluster rates must be non-negative")
+        if not (0 <= rate < math.inf):  # a nan fails this too
+            raise LossEngineError(f"cluster rate of amplitude {amplitude} must be "
+                                  f"non-negative and finite, got {rate!r}")
         if rate == 0.0 or amplitude < 1 or amplitude > m:
             continue
         log_rate = math.log(rate)

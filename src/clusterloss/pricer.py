@@ -1,15 +1,18 @@
 """Credit index and CDO tranche pricing from counting-distribution term
-structures: default legs, premium legs, breakeven spreads, equity upfronts.
+structures.
 
-Conventions: deterministic discounting; premium paid in arrears on the
-notional remaining at each payment date; the default-leg time integral is
-discretised on the payment dates plus a refinement grid (monthly by default)
-with midpoint discounting of each loss increment; index premium notional
-erodes with the default count (no recovery credit), while the index default
-leg pays loss increments net of recovery.
+``PanelPricer`` prices every instrument of a quote panel, index spreads,
+tranche spreads and equity upfronts, off one call of the loss engine's
+term-structure kernel. Conventions: deterministic discounting; premium paid
+in arrears on the notional remaining at each payment date; the default-leg
+time integral is discretised on the payment dates plus a refinement grid
+(monthly by default) with midpoint discounting of each loss increment; index
+premium notional erodes with the default count (no recovery credit), while
+the index default leg pays loss increments net of recovery.
 """
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,14 @@ from .loss_engine import (
     PoolSpec,
     distribution_term_structure,
 )
-from .market_data import DAYS_PER_YEAR, PaymentSchedule
+from .market_data import (
+    DAYS_PER_YEAR,
+    DiscountCurve,
+    PaymentSchedule,
+    QuotePanel,
+    format_date,
+    year_fraction,
+)
 
 
 class PricingError(ValueError):
@@ -47,19 +57,6 @@ class TrancheDef:
 
     def label(self) -> str:
         return f"{100 * self.attachment:g}-{100 * self.detachment:g}"
-
-
-@dataclass(frozen=True)
-class LegValues:
-    """Present values per unit tranche (or pool) notional."""
-
-    default_leg_pv: float
-    premium_leg_pv_per_unit_spread: float
-    upfront_pv: float = 0.0
-
-    def __post_init__(self):
-        if self.default_leg_pv < 0 or self.premium_leg_pv_per_unit_spread < 0:
-            raise PricingError("leg values must be non-negative")
 
 
 def tranched_loss(loss, tranche: TrancheDef):
@@ -96,111 +93,164 @@ def pricing_times(payment_schedule: PaymentSchedule, grid_step_days: float = 30.
     return np.unique(np.concatenate([[0.0], refinement, payment_schedule.times]))
 
 
-class LossGrid:
-    """Counting-distribution term structure on a fixed time grid.
+@dataclass(frozen=True)
+class Instrument:
+    """One quoted instrument in its quoting units (bp, or fraction if upfront)."""
 
-    Precomputes the distributions once; every leg evaluation is then a small
-    inner product. Rows are distributions over {0..names}.
-    """
+    label: str
+    kind: str  # "index" | "tranche"
+    attachment: float | None
+    detachment: float | None
+    maturity: dt.date
+    maturity_time: float
+    mid: float
+    width: float
+    is_upfront: bool = False
+    running: float = 0.05
 
-    def __init__(self, pool: PoolSpec, times: np.ndarray, probs: np.ndarray):
-        times = np.asarray(times, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (len(times), pool.names + 1):
-            raise PricingError("probability matrix shape does not match grid")
+
+class PanelPricer:
+    """Prices every instrument of a panel off one distribution term structure.
+
+    All date- and curve-dependent quantities (payment schedules, discount
+    factors, payout vectors, grid bookkeeping) are precomputed once so that
+    repeated objective evaluations only pay for the distributions."""
+
+    def __init__(self, panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec,
+                 grid_step_days: float = 30.0):
+        if len(panel) == 0:
+            raise PricingError("empty quote panel")
         self.pool = pool
-        self.times = times
-        self.probs = probs
+        self.curve = curve
+        self.valuation_date = panel.valuation_date
+        self.grid_step_days = grid_step_days
 
-    @classmethod
-    def compute(cls, pool: PoolSpec, schedule: IntensitySchedule, times,
-                memo: KnotMemo | None = None) -> "LossGrid":
-        times = np.asarray(times, dtype=float)
-        return cls(pool, times, distribution_term_structure(pool, schedule, times, memo=memo))
+        schedules = {m: PaymentSchedule.quarterly(panel.valuation_date, m)
+                     for m in panel.maturities}
+        all_times = np.unique(np.concatenate(
+            [pricing_times(s, grid_step_days) for s in schedules.values()]))
+        self.grid_times = all_times
+        self.knots = tuple(year_fraction(panel.valuation_date, m)
+                           for m in panel.maturities)
 
-    def expected_tranched_losses(self, tranche: TrancheDef) -> np.ndarray:
-        return self.probs @ tranche_payout_by_count(tranche, self.pool)
+        self.instruments: list[Instrument] = []
+        payout_cols: list[np.ndarray] = []
+        payout_key: dict = {}
 
-    def expected_default_fraction(self) -> np.ndarray:
-        counts = np.arange(self.pool.names + 1)
-        return self.probs @ (counts / self.pool.names)
+        def column(key, payout) -> int:
+            """Index of the payout column under ``key``; ``payout()`` builds it
+            the first time the key is seen."""
+            if key not in payout_key:
+                payout_key[key] = len(payout_cols)
+                payout_cols.append(payout())
+            return payout_key[key]
 
-    def expected_pool_loss(self) -> np.ndarray:
-        return (1.0 - self.pool.recovery) * self.expected_default_fraction()
+        counts = np.arange(pool.names + 1)
+        col_fraction = column("count_fraction", lambda: counts / pool.names)
+        col_loss = column("pool_loss", lambda: (1.0 - pool.recovery) * counts / pool.names)
 
-    def index_of(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t))
-        if idx >= len(self.times) or abs(self.times[idx] - t) > 1e-9:
-            raise PricingError(f"time {t} is not on the pricing grid")
-        return idx
+        loss_cols: list[int] = []
+        notional_cols: list[int] = []
+        for q in sorted(panel.index_quotes, key=lambda q: q.maturity):
+            self.instruments.append(Instrument(
+                label=f"index {format_date(q.maturity)}", kind="index",
+                attachment=None, detachment=None, maturity=q.maturity,
+                maturity_time=year_fraction(panel.valuation_date, q.maturity),
+                mid=q.spread_bp, width=q.bid_ask_width_bp))
+            loss_cols.append(col_loss)
+            notional_cols.append(col_fraction)
+        for q in sorted(panel.tranche_quotes,
+                        key=lambda q: (q.attachment, q.detachment, q.maturity)):
+            tranche = TrancheDef(q.attachment, q.detachment)
+            col = column(("tranche", q.attachment, q.detachment),
+                         lambda: tranche_payout_by_count(tranche, pool))
+            self.instruments.append(Instrument(
+                label=f"{tranche.label()} {format_date(q.maturity)}", kind="tranche",
+                attachment=q.attachment, detachment=q.detachment, maturity=q.maturity,
+                maturity_time=year_fraction(panel.valuation_date, q.maturity),
+                mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
+                running=q.running_premium_if_upfront))
+            loss_cols.append(col)
+            notional_cols.append(col)
 
+        self.payout_matrix = np.column_stack(payout_cols)  # (names+1, n_cols)
+        self._loss_cols = np.array(loss_cols)
+        self._notional_cols = np.array(notional_cols)
+        self.mids = np.array([ins.mid for ins in self.instruments])
+        self.widths = np.array([ins.width for ins in self.instruments])
+        self._upfront = np.array([ins.is_upfront for ins in self.instruments])
+        self._running = np.array([ins.running if ins.is_upfront else 0.0
+                                  for ins in self.instruments])
+        # one mask per knot (= per quoted maturity, in knot order)
+        self.maturity_masks = [
+            np.array([ins.maturity == m for ins in self.instruments])
+            for m in panel.maturities]
 
-def _discounted_increments(times: np.ndarray, expected_losses: np.ndarray, curve,
-                           maturity_time: float) -> float:
-    """sum over grid cells of D(midpoint) * increment of the expected loss."""
-    mask = times <= maturity_time + 1e-12
-    t = times[mask]
-    v = expected_losses[mask]
-    if len(t) < 2:
-        return 0.0
-    midpoints = 0.5 * (t[1:] + t[:-1])
-    return float(np.sum(curve.discount_factor(midpoints) * np.diff(v)))
+        # every leg is a weighted sum over the grid: the default leg weighs the
+        # loss increment of each grid cell up to maturity by the discount
+        # factor at the cell's midpoint, the annuity weighs the surviving
+        # notional at each payment date by its discounted year fraction; the
+        # weights depend on the maturity alone
+        disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
+        self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
+        self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
+        # grid rows each instrument's legs read: through its maturity
+        self._rows_needed = np.zeros(len(self.instruments), dtype=int)
+        for maturity, mask in zip(panel.maturities, self.maturity_masks):
+            sched = schedules[maturity]
+            pay_times = np.asarray(sched.times)
+            pay_idx = np.searchsorted(self.grid_times, pay_times)
+            if not np.allclose(self.grid_times[pay_idx], pay_times, atol=1e-12):
+                raise PricingError("payment dates missing from the pricing grid")
+            n_rows = int(np.searchsorted(
+                self.grid_times, year_fraction(panel.valuation_date, maturity) + 1e-12))
+            cols = np.flatnonzero(mask)
+            self._rows_needed[cols] = n_rows
+            self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
+            self._payment_weights[np.ix_(pay_idx, cols)] = (
+                sched.year_fractions * curve.discount_factor(pay_times))[:, None]
+        self._memo = KnotMemo()
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_memo"]  # holds a lock; a copy starts with an empty memo
+        return state
 
-def default_leg(grid: LossGrid, tranche: TrancheDef, curve, maturity_time: float) -> float:
-    """PV of tranche protection payments up to ``maturity_time``."""
-    return _discounted_increments(grid.times, grid.expected_tranched_losses(tranche),
-                                  curve, maturity_time)
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = KnotMemo()
 
+    def model_values(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
+        """Model quotes of every instrument, or of those a boolean ``subset``
+        mask selects; a subset is priced off the grid through its latest
+        maturity only. Distributions come from the kernel with this pricer's
+        memo, so calls that share leading knot intervals solve them once."""
+        if subset is None:
+            cols, n_rows = slice(None), len(self.grid_times)
+        else:
+            cols = np.asarray(subset, dtype=bool)
+            if cols.shape != (len(self.instruments),):
+                raise PricingError("subset must be one boolean per instrument")
+            n_rows = int(self._rows_needed[cols].max(initial=1))
+        probs = distribution_term_structure(self.pool, schedule, self.grid_times[:n_rows],
+                                            memo=self._memo)
+        stats = probs @ self.payout_matrix  # (n_rows, n_cols)
+        default_pv = np.einsum("ti,ti->i", self._increment_weights[:n_rows - 1, cols],
+                               np.diff(stats[:, self._loss_cols[cols]], axis=0))
+        annuity = np.einsum("ti,ti->i", self._payment_weights[:n_rows, cols],
+                            1.0 - stats[:, self._notional_cols[cols]])
+        values = default_pv - self._running[cols] * annuity  # upfront quotes
+        spreads = ~self._upfront[cols]
+        values[spreads] = 1e4 * default_pv[spreads] / annuity[spreads]
+        return values
 
-def tranche_premium_leg(grid: LossGrid, tranche: TrancheDef, curve,
-                        schedule: PaymentSchedule) -> float:
-    """PV of a unit running spread on the surviving tranche notional:
-    sum_i delta_i D(T_i) (1 - expected tranched loss at T_i)."""
-    etl = grid.expected_tranched_losses(tranche)
-    pay_idx = [grid.index_of(t) for t in schedule.times]
-    pay_times = np.asarray(schedule.times)
-    return float(np.sum(schedule.year_fractions * curve.discount_factor(pay_times)
-                        * (1.0 - etl[pay_idx])))
+    def errors(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
+        """Weighted quote errors of every instrument, or of the ``subset``."""
+        mids, widths = self.mids, self.widths
+        if subset is not None:
+            mids, widths = mids[subset], widths[subset]
+        return (self.model_values(schedule, subset) - mids) / widths
 
-
-def tranche_legs(grid: LossGrid, tranche: TrancheDef, curve,
-                 schedule: PaymentSchedule) -> LegValues:
-    return LegValues(
-        default_leg_pv=default_leg(grid, tranche, curve, schedule.maturity_time),
-        premium_leg_pv_per_unit_spread=tranche_premium_leg(grid, tranche, curve, schedule),
-    )
-
-
-def tranche_spread_or_upfront(legs: LegValues, is_upfront: bool = False,
-                              running_premium: float = 0.05) -> float:
-    """Breakeven quote for the tranche legs.
-
-    Running convention: spread = default leg / annuity (natural units; multiply
-    by 1e4 for bp). Upfront convention: upfront = default leg - running
-    premium * annuity, as a fraction of tranche notional.
-    """
-    if is_upfront:
-        return legs.default_leg_pv - running_premium * legs.premium_leg_pv_per_unit_spread
-    if legs.premium_leg_pv_per_unit_spread <= 0.0:
-        raise PricingError("tranche annuity is zero; tranche certainly wiped out")
-    return (legs.default_leg_pv - legs.upfront_pv) / legs.premium_leg_pv_per_unit_spread
-
-
-def index_spread(grid: LossGrid, curve, schedule: PaymentSchedule) -> float:
-    """Breakeven index spread (natural units).
-
-    Numerator: discounted increments of the expected pool loss. Denominator:
-    sum_i delta_i D(T_i) (1 - expected default fraction at T_i) — the premium
-    notional ignores recovery, eroding one full name-share per default.
-    """
-    numerator = _discounted_increments(grid.times, grid.expected_pool_loss(),
-                                       curve, schedule.maturity_time)
-    idx = [grid.index_of(t) for t in schedule.times]
-    fractions = grid.expected_default_fraction()[idx]
-    pay_times = np.asarray(schedule.times)
-    annuity = float(np.sum(schedule.year_fractions * curve.discount_factor(pay_times)
-                           * (1.0 - fractions)))
-    if annuity <= 0.0:
-        raise PricingError("index annuity is zero")
-    return numerator / annuity
+    def objective(self, schedule: IntensitySchedule) -> tuple[float, np.ndarray]:
+        eps = self.errors(schedule)
+        return float(eps @ eps), eps

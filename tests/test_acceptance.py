@@ -116,7 +116,7 @@ class TestCriterion4SmallInstanceBruteForce:
             brute = _convolution_oracle(amps, lams, names)
             worst = max(worst, float(np.abs(dist.probs - brute).max()))
         assert worst < 1e-12
-        report(4, True, f"Panjer vs convolution worst |diff| {worst:.2e} (limit 1e-12); "
+        report(4, True, f"gpl engine vs convolution worst |diff| {worst:.2e} (limit 1e-12); "
                         "pure-death closed form next")
 
     def test_single_name_clusters_match_binomial_death_chain(self):

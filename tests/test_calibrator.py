@@ -1,5 +1,6 @@
 import concurrent.futures
 import datetime as dt
+import math
 import multiprocessing
 import pickle
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from clusterloss.calibrator import (
     CalibrationError,
-    PanelPricer,
     fit_intensities,
     greedy_calibrate,
     objective,
@@ -28,9 +28,10 @@ from clusterloss.market_data import (
     TrancheQuote,
     load_quotes,
 )
-from clusterloss.pricer import (
-    LossGrid,
-    TrancheDef,
+from clusterloss.pricer import PanelPricer, PricingError, TrancheDef
+
+from reference_engines import (
+    ReferenceGrid,
     default_leg,
     index_spread,
     tranche_premium_leg,
@@ -145,7 +146,7 @@ class TestObjective:
 
     def test_empty_panel_rejected(self, pool, curve):
         empty = QuotePanel("x", VAL, (), ())
-        with pytest.raises(CalibrationError):
+        with pytest.raises(PricingError):
             PanelPricer(empty, curve, pool)
 
 
@@ -157,7 +158,9 @@ class TestPanelPricerLegs:
         with open(schedule_path(model, index)) as fh:
             schedule = IntensitySchedule.from_json(fh.read())
         pricer = PanelPricer(panel, curve, pool)
-        grid = LossGrid.compute(pool, schedule, pricer.grid_times)
+        # the kernel's distributions, priced leg by leg
+        grid = ReferenceGrid(pool, pricer.grid_times, loss_engine.distribution_term_structure(
+            pool, schedule, pricer.grid_times))
         expected = []
         for ins in pricer.instruments:
             payments = PaymentSchedule.quarterly(FIXTURE_VALUATION_DATE, ins.maturity)
@@ -348,7 +351,7 @@ class TestSubsetErrors:
 
     def test_mask_of_wrong_length_rejected(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(PricingError):
             pricer.model_values(_load(GPL), subset=np.ones(3, dtype=bool))
 
 
@@ -534,6 +537,15 @@ class TestGreedyCalibrate:
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())
         with pytest.raises(CalibrationError):
             greedy_calibrate(panel, curve, PoolSpec(names=10), "itl")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("setting", ["objective_threshold", "negligible_intensity"])
+    def test_non_finite_settings_rejected(self, curve, setting, bad):
+        # a nan threshold would stop after step 1, a nan negligible intensity
+        # would drop every mode but the first
+        panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())
+        with pytest.raises(CalibrationError, match=setting):
+            greedy_calibrate(panel, curve, PoolSpec(names=10), GPL, **{setting: bad})
 
 
 def synthetic_panel_single(pool, curve, schedule):

@@ -108,6 +108,15 @@ class TestDistCommand:
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("times", ["5,5.0000001", "5,5"])
+    def test_times_sharing_a_file_name_are_input_errors(self, tmp_path, capsys, times):
+        code = run(["dist", "--schedule", schedule_path("gpl"), "--times", times,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dist_5y.csv" in err and err.count("5.0") == 2  # names both times
+        assert not (tmp_path / "out").exists()
+
     def test_dist_csv_round_trips_probabilities(self, tmp_path):
         code = run(["dist", "--schedule", schedule_path("gpl"), "--times", "5",
                     "--out", tmp_path])
@@ -249,7 +258,8 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize("flag, value", [("--grid-step", "nan"), ("--grid-step", "inf"),
                                              ("--grid-step", "0"), ("--max-modes", "0"),
-                                             ("--max-modes", "-1")])
+                                             ("--max-modes", "-1"), ("--threshold", "nan"),
+                                             ("--threshold", "inf")])
     def test_invalid_option_is_input_error(self, tmp_path, capsys, flag, value):
         code = run(["calibrate", "--model", "gpl", "--curve", curve_path(),
                     "--quotes", quotes_path(), flag, value, "--out", tmp_path / "out"])

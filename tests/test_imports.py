@@ -1,17 +1,20 @@
-"""What a fresh interpreter loads: pricing, term structures and simulation
-run without scipy and without multiprocessing; scipy.linalg comes in with the
-expm reference engine and scipy.optimize with the first Nelder-Mead fit."""
+"""What a fresh interpreter loads: pricing, distributions, the dist command
+and simulation run without scipy and without multiprocessing; scipy.optimize
+comes in with the first Nelder-Mead fit. And what the package exports."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import clusterloss
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = r"""
 import json
 import sys
+import tempfile
 
 import numpy as np
 
@@ -50,6 +53,11 @@ stages = {"price_and_simulate": loaded()}
 gpcl_distribution(pool, schedules["gpcl"], 5.0)
 stages["gpcl_distribution"] = loaded()
 
+with tempfile.TemporaryDirectory() as out:
+    assert clusterloss.cli.main(["dist", "--schedule", str(schedule_path("gpcl", "itraxx")),
+                                 "--out", out]) == 0
+stages["dist"] = loaded()
+
 fit_intensities(pricer, "gpl", (1,), np.full(len(pricer.knots), 0.1), max_evaluations=20)
 stages["fit_intensities"] = loaded()
 print(json.dumps(stages))
@@ -62,7 +70,18 @@ def test_scipy_and_multiprocessing_load_only_where_used():
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    stages = json.loads(done.stdout)
+    stages = json.loads(done.stdout.splitlines()[-1])  # after the dist command's line
     assert stages["price_and_simulate"] == []
-    assert "scipy.linalg" in stages["gpcl_distribution"]
+    assert stages["gpcl_distribution"] == []
+    assert stages["dist"] == []
     assert "scipy.optimize" in stages["fit_intensities"]
+
+
+def test_reference_engines_are_not_exported():
+    # the single-instrument legs, Panjer and expm live in tests/reference_engines.py
+    for name in ("LegValues", "LossGrid", "default_leg", "index_spread", "tranche_legs",
+                 "tranche_premium_leg", "tranche_spread_or_upfront", "cumulated_generator",
+                 "matrix_exponential"):
+        assert not hasattr(clusterloss, name), name
+    assert clusterloss.PanelPricer is clusterloss.pricer.PanelPricer
+    assert clusterloss.calibrator.PanelPricer is clusterloss.pricer.PanelPricer

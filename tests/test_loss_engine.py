@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterloss import loss_engine
 from clusterloss.fixtures import schedule_path
 from clusterloss.loss_engine import (
     GPCL,
@@ -15,14 +16,19 @@ from clusterloss.loss_engine import (
     LossEngineError,
     PoolSpec,
     cluster_cumulated_intensity,
-    compound_poisson_panjer,
     counting_intensity,
-    cumulated_generator,
     distribution_term_structure,
     gpcl_distribution,
     gpl_distribution,
     log_binomial,
+)
+
+from reference_engines import (
+    compound_poisson_panjer,
+    cumulated_generator,
+    expm_distribution,
     matrix_exponential,
+    panjer_distribution,
 )
 
 
@@ -116,6 +122,12 @@ class TestClusterCumulatedIntensity:
     def test_unknown_amplitude_rejected(self, gpcl_schedule, pool):
         with pytest.raises(LossEngineError, match="amplitude"):
             cluster_cumulated_intensity(gpcl_schedule, pool, 2, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 5.0])
+    def test_cluster_larger_than_pool_rejected(self, gpcl_schedule, t):
+        # a 10-name pool holds no cluster of 125 names: no inf, no nan
+        with pytest.raises(LossEngineError, match="10 names.*amplitude 125"):
+            cluster_cumulated_intensity(gpcl_schedule, PoolSpec(10), 125, t)
 
 
 class TestCumulatedGenerator:
@@ -228,7 +240,7 @@ class TestGpclDistribution:
         times = [1.0, 3.5, 7.0, 11.0]
         rows = distribution_term_structure(pool, gpcl_schedule, times)
         for row, t in zip(rows, times):
-            one_shot = gpcl_distribution(pool, gpcl_schedule, t)
+            one_shot = expm_distribution(pool, gpcl_schedule, t)
             np.testing.assert_allclose(row, one_shot.probs, atol=1e-12)
 
     def test_survival_monotone_in_time(self, gpcl_schedule, pool):
@@ -270,11 +282,15 @@ class TestGplDistribution:
         with pytest.raises(LossEngineError):
             gpl_distribution(pool, gpcl_schedule, 1.0)
 
+    def test_gpl_schedule_rejected_by_gpcl_engine(self, gpl_schedule, pool):
+        with pytest.raises(LossEngineError):
+            gpcl_distribution(pool, gpl_schedule, 1.0)
+
     def test_term_structure_matches_single_time(self, gpl_schedule, pool):
         times = [0.5, 4.0, 10.0]
         rows = distribution_term_structure(pool, gpl_schedule, times)
         for row, t in zip(rows, times):
-            np.testing.assert_allclose(row, gpl_distribution(pool, gpl_schedule, t).probs,
+            np.testing.assert_allclose(row, panjer_distribution(pool, gpl_schedule, t).probs,
                                        atol=1e-12)
 
     @given(
@@ -289,9 +305,9 @@ class TestGplDistribution:
         lams = tuple(lams[: len(amps)])
         pool = PoolSpec(names=names)
         sched = make_schedule(GPL, amps, (1.0,), [(l,) for l in lams])
-        dist = gpl_distribution(pool, sched, 1.0)
         brute = _brute_force_capped(amps, lams, names)
-        np.testing.assert_allclose(dist.probs, brute, atol=1e-12)
+        for engine in (panjer_distribution, gpl_distribution):
+            np.testing.assert_allclose(engine(pool, sched, 1.0).probs, brute, atol=1e-12)
 
 
 def _brute_force_capped(amplitudes, lams, names):
@@ -316,7 +332,7 @@ def _brute_force_capped(amplitudes, lams, names):
 
 
 def _single_time_engine(model):
-    return gpl_distribution if model == GPL else gpcl_distribution
+    return panjer_distribution if model == GPL else expm_distribution
 
 
 def _knot_times(schedule):
@@ -327,8 +343,8 @@ def _knot_times(schedule):
 
 
 class TestUniformisedTermStructure:
-    """The shared term-structure kernel against the single-time engines
-    (Panjer for gpl, matrix exponentials for gpcl)."""
+    """The shared term-structure kernel against the single-time reference
+    engines (Panjer for gpl, matrix exponentials for gpcl)."""
 
     @pytest.mark.parametrize("names", [60, 125, 250])  # amplitudes 79, 120 exceed 60
     @pytest.mark.parametrize("index", ["itraxx", "cdx"])
@@ -383,6 +399,44 @@ class TestUniformisedTermStructure:
     def test_non_finite_times_rejected(self, gpl_schedule, pool, bad):
         with pytest.raises(LossEngineError, match="finite"):
             distribution_term_structure(pool, gpl_schedule, [1.0, bad])
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_lost_mass_is_an_error(self, model, monkeypatch):
+        # a Poisson tail cut at 1e-3 leaves rows short of one by 1e-6 to 6e-4
+        with open(schedule_path(model, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        monkeypatch.setattr(loss_engine, "_POISSON_TAIL", 1e-3)
+        with pytest.raises(LossEngineError, match="worst row sum"):
+            distribution_term_structure(PoolSpec(), schedule, [1.0, 5.0, 10.0])
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_single_time_distributions_are_kernel_rows(self, model):
+        with open(schedule_path(model, "cdx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        engine = gpl_distribution if model == GPL else gpcl_distribution
+        for names in (60, 125):
+            pool = PoolSpec(names=names)
+            for t in (0.0, 0.7, schedule.knots[0], 5.0, 12.0):
+                row = distribution_term_structure(pool, schedule, [t])[0]
+                np.testing.assert_array_equal(engine(pool, schedule, t).probs, row)
+
+
+class TestBinomialRatioCache:
+    def test_bounded_and_values_unchanged(self):
+        ratio = loss_engine._binomial_ratio_column
+        keys = [(names, a) for names in range(1, 48) for a in range(1, names + 1)]
+        assert len(keys) >= 1100
+        first = {key: ratio(*key).copy() for key in keys[:50]}
+        for key in keys:
+            ratio(*key)
+        info = ratio.cache_info()
+        assert 1024 <= info.maxsize and info.currsize <= info.maxsize
+        for key, value in first.items():
+            np.testing.assert_array_equal(ratio(*key), value)
+        names, a = keys[-1]
+        exact = [math.comb(names - y, a) / math.comb(names, a) for y in range(names + 1)]
+        np.testing.assert_allclose(ratio(names, a), exact, rtol=1e-12, atol=0.0)
+        assert not ratio(names, a).flags.writeable  # one array serves every caller
 
 
 class TestNonFiniteTimes:
@@ -464,6 +518,11 @@ class TestCountingIntensity:
         assert counting_intensity("s0", pool, rates, 3) == pytest.approx(2.0)
         assert counting_intensity("s0", pool, rates, 4) == pytest.approx(1.0)
         assert counting_intensity("s0", pool, rates, 5) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_bad_rate_rejected(self, bad):
+        with pytest.raises(LossEngineError, match="amplitude 1"):
+            counting_intensity("s2", PoolSpec(10), {1: bad}, 0)
 
     def test_out_of_range_count_rejected(self, pool):
         with pytest.raises(LossEngineError):

@@ -5,21 +5,31 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from clusterloss.loss_engine import GPL, GPCL, IntensitySchedule, LossDistribution, PoolSpec
+from clusterloss.loss_engine import (
+    GPL,
+    GPCL,
+    IntensitySchedule,
+    LossDistribution,
+    PoolSpec,
+    distribution_term_structure,
+)
 from clusterloss.market_data import DiscountCurve, PaymentSchedule
 from clusterloss.pricer import (
-    LegValues,
-    LossGrid,
     PricingError,
     TrancheDef,
-    default_leg,
     expected_tranched_loss,
-    index_spread,
     pricing_times,
+    tranched_loss,
+)
+
+from reference_engines import (
+    LegValues,
+    ReferenceGrid,
+    default_leg,
+    index_spread,
     tranche_legs,
     tranche_premium_leg,
     tranche_spread_or_upfront,
-    tranched_loss,
 )
 
 VAL = dt.date(2006, 10, 2)
@@ -33,6 +43,11 @@ def make_schedule(model, amplitudes, knots, cumulated):
 
 def flat_curve(rate):
     return DiscountCurve(VAL, (dt.date(2030, 1, 1),), (rate,))
+
+
+def kernel_grid(pool, schedule, times):
+    """The kernel's term structure as a grid for the reference legs."""
+    return ReferenceGrid(pool, times, distribution_term_structure(pool, schedule, times))
 
 
 def point_mass(count, names, t=1.0):
@@ -118,14 +133,14 @@ class TestLegIntegrals:
         pool = PoolSpec(names=10)
         sched = make_schedule(GPCL, (1,), (5.0,), [(0.0,)])
         pay = PaymentSchedule.from_times(np.arange(0.25, 5.01, 0.25))
-        grid = LossGrid.compute(pool, sched, pricing_times(pay))
+        grid = kernel_grid(pool, sched, pricing_times(pay))
         assert default_leg(grid, TrancheDef(0, 0.03), curve, 5.0) == 0.0
 
     def test_flat_unit_discount_telescopes_to_terminal_loss(self):
         pool = PoolSpec(names=10)
         sched = make_schedule(GPCL, (1, 2), (3.0,), [(1.0,), (0.4,)])
         pay = PaymentSchedule.from_times(np.arange(0.25, 3.01, 0.25))
-        grid = LossGrid.compute(pool, sched, pricing_times(pay))
+        grid = kernel_grid(pool, sched, pricing_times(pay))
         tranche = TrancheDef(0.0, 0.4)
         leg = default_leg(grid, tranche, flat_curve(0.0), 3.0)
         terminal = grid.expected_tranched_losses(tranche)[grid.index_of(3.0)]
@@ -137,7 +152,7 @@ class TestLegIntegrals:
         tranche = TrancheDef(0.03, 0.06)
         legs = {}
         for step in (30.0, 15.0):
-            grid = LossGrid.compute(pool, gpcl_schedule, pricing_times(pay, step))
+            grid = kernel_grid(pool, gpcl_schedule, pricing_times(pay, step))
             legs[step] = default_leg(grid, tranche, curve, pay.maturity_time)
         assert abs(legs[15.0] - legs[30.0]) / legs[30.0] < 1e-3
 
@@ -145,7 +160,7 @@ class TestLegIntegrals:
         pool = PoolSpec(names=10)
         sched = make_schedule(GPCL, (1,), (5.0,), [(0.0,)])
         pay = PaymentSchedule.from_times(np.arange(0.25, 5.01, 0.25))
-        grid = LossGrid.compute(pool, sched, pricing_times(pay))
+        grid = kernel_grid(pool, sched, pricing_times(pay))
         leg = tranche_premium_leg(grid, TrancheDef(0, 0.03), curve, pay)
         riskless = float(np.sum(pay.year_fractions
                                 * curve.discount_factor(np.asarray(pay.times))))
@@ -155,7 +170,7 @@ class TestLegIntegrals:
         pool = PoolSpec(names=4)
         probs = np.zeros((3, 5))
         probs[:, 4] = 1.0  # all names gone from the first instant
-        grid = LossGrid(pool, np.array([0.0, 0.5, 1.0]), probs)
+        grid = ReferenceGrid(pool, np.array([0.0, 0.5, 1.0]), probs)
         pay = PaymentSchedule.from_times([0.5, 1.0])
         annuity = tranche_premium_leg(grid, TrancheDef(0.0, 0.3), curve, pay)
         assert annuity == pytest.approx(0.0)
@@ -201,7 +216,7 @@ class ScaledCurve:
 class TestSpreadInvariance:
     def test_breakeven_invariant_under_curve_scaling(self, pool, gpl_schedule, curve):
         pay = PaymentSchedule.quarterly(VAL, dt.date(2011, 12, 20))
-        grid = LossGrid.compute(pool, gpl_schedule, pricing_times(pay))
+        grid = kernel_grid(pool, gpl_schedule, pricing_times(pay))
         tranche = TrancheDef(0.03, 0.06)
         base_legs = tranche_legs(grid, tranche, curve, pay)
         scaled_legs = tranche_legs(grid, tranche, ScaledCurve(curve, 1.37), pay)
@@ -218,7 +233,7 @@ class TestIndexSpread:
         pool = PoolSpec(names=10)
         sched = make_schedule(GPL, (1,), (5.0,), [(0.0,)])
         pay = PaymentSchedule.from_times(np.arange(0.25, 5.01, 0.25))
-        grid = LossGrid.compute(pool, sched, pricing_times(pay))
+        grid = kernel_grid(pool, sched, pricing_times(pay))
         assert index_spread(grid, curve, pay) == 0.0
 
     def test_single_name_pool_recovers_par_cds_spread(self):
@@ -228,7 +243,7 @@ class TestIndexSpread:
         pool = PoolSpec(names=1, recovery=0.0)
         sched = make_schedule(GPL, (1,), (maturity,), [(lam * maturity,)])
         pay = PaymentSchedule.from_times(np.arange(0.25, maturity + 1e-9, 0.25))
-        grid = LossGrid.compute(pool, sched, pricing_times(pay, grid_step_days=7.0))
+        grid = kernel_grid(pool, sched, pricing_times(pay, grid_step_days=7.0))
         model = index_spread(grid, flat_curve(rate), pay)
 
         numerator = quad(lambda t: lam * math.exp(-(lam + rate) * t), 0, maturity,
@@ -248,15 +263,17 @@ class TestIndexSpread:
 
 
 class TestLossGrid:
+    """The grid of distributions the reference legs read, and the pricing times."""
+
     def test_index_of_missing_time(self, pool, gpl_schedule):
-        grid = LossGrid.compute(pool, gpl_schedule, np.array([0.0, 1.0, 2.0]))
+        grid = kernel_grid(pool, gpl_schedule, np.array([0.0, 1.0, 2.0]))
         assert grid.index_of(1.0) == 1
         with pytest.raises(PricingError):
             grid.index_of(1.5)
 
     def test_shape_validation(self, pool):
         with pytest.raises(PricingError):
-            LossGrid(pool, np.array([0.0, 1.0]), np.zeros((2, 5)))
+            ReferenceGrid(pool, np.array([0.0, 1.0]), np.zeros((2, 5)))
 
     def test_pricing_times_include_payments_and_maturity(self):
         pay = PaymentSchedule.from_times([0.25, 0.5, 0.75, 1.0])

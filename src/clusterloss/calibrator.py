@@ -58,10 +58,8 @@ def objective(schedule: IntensitySchedule, panel: QuotePanel, curve: DiscountCur
 # ---------------------------------------------------------------------------
 
 def _schedule_from_increments(model: str, amplitudes, knots, x: np.ndarray) -> IntensitySchedule:
-    inc = np.clip(x.reshape(len(amplitudes), len(knots)), 0.0, None)
-    return IntensitySchedule(model=model, amplitudes=tuple(amplitudes),
-                             knots=tuple(knots), cumulated=tuple(
-                                 tuple(row) for row in np.cumsum(inc, axis=1)))
+    inc = np.maximum(x.reshape(len(amplitudes), len(knots)), 0.0)
+    return IntensitySchedule(model, amplitudes, knots, np.cumsum(inc, axis=1))
 
 
 @dataclass
@@ -279,10 +277,7 @@ class CalibrationResult:
 
     def to_dict(self) -> dict:
         return {
-            "model": self.schedule.model,
-            "amplitudes": list(self.schedule.amplitudes),
-            "knots_years": list(self.schedule.knots),
-            "cumulated": [list(r) for r in self.schedule.cumulated],
+            **self.schedule.to_dict(),
             "objective": self.objective,
             "errors": [
                 {"label": ins.label, "kind": ins.kind,
@@ -401,7 +396,7 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
                                "chosen": best_candidate, "objective": refined.objective})
 
             new_index = new_amplitudes.index(best_candidate)
-            new_total = refined.schedule.cumulated[new_index][-1]
+            new_total = refined.schedule.cumulated[new_index, -1]
             if new_total < negligible_intensity:
                 warnings.append(
                     f"step {step}: best new mode {best_candidate} has negligible "
@@ -428,18 +423,11 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
             fit = polished
 
     # drop negligible modes and renumber (amplitudes stay sorted)
-    keep = [j for j, row in enumerate(fit.schedule.cumulated)
-            if row[-1] >= negligible_intensity]
-    if not keep:
+    keep = np.flatnonzero(fit.schedule.cumulated[:, -1] >= negligible_intensity)
+    if not keep.size:
         keep = [0]
-    if len(keep) < len(amplitudes):
-        schedule = IntensitySchedule(
-            model=model,
-            amplitudes=tuple(amplitudes[j] for j in keep),
-            knots=tuple(pricer.knots),
-            cumulated=tuple(fit.schedule.cumulated[j] for j in keep))
-    else:
-        schedule = fit.schedule
+    schedule = IntensitySchedule(model, tuple(amplitudes[j] for j in keep), pricer.knots,
+                                 fit.schedule.cumulated[keep])
 
     f, eps = pricer.objective(schedule)
     values = pricer.model_values(schedule)

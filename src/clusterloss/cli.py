@@ -25,10 +25,10 @@ from .loss_engine import (
     LossEngineError,
     PoolSpec,
     STRATEGIES,
-    cluster_cumulated_intensity,
     counting_intensity,
     gpcl_distribution,
     gpl_distribution,
+    log_binomial,
 )
 from .market_data import MarketDataError, format_date, load_curve, load_quotes, parse_date
 from .pricer import PanelPricer, PricingError
@@ -50,7 +50,7 @@ def _read_schedule(path: str) -> IntensitySchedule:
         raise InputError(f"cannot read schedule file {path}: {exc}") from exc
     try:
         return IntensitySchedule.from_json(text)
-    except (json.JSONDecodeError, LossEngineError, TypeError) as exc:
+    except (json.JSONDecodeError, LossEngineError) as exc:
         raise InputError(f"invalid schedule {path}: {exc}") from exc
 
 
@@ -238,15 +238,10 @@ def cmd_intensity_curve(args) -> int:
                          f"got {at_time}")
     # per-cluster rates from the aggregate values (both schedule kinds store
     # amplitude totals over C(names, amplitude) clusters)
-    gpcl_like = schedule if schedule.model == GPCL else IntensitySchedule(
-        model=GPCL, amplitudes=schedule.amplitudes, knots=schedule.knots,
-        cumulated=schedule.cumulated)
     rates = {}
-    aggregates = schedule.aggregate_cumulated(at_time)
-    for amplitude, total in zip(schedule.amplitudes, aggregates):
+    for amplitude, total in zip(schedule.amplitudes, schedule.aggregate_cumulated(at_time)):
         if total > 0 and amplitude <= pool.names:
-            rates[amplitude] = cluster_cumulated_intensity(gpcl_like, pool, amplitude,
-                                                           at_time)
+            rates[amplitude] = float(total) * math.exp(-log_binomial(pool.names, amplitude))
     if not rates:
         raise InputError("schedule has no active amplitudes at the requested time")
     out_dir = Path(args.out)

@@ -26,7 +26,7 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -76,11 +76,6 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _check_time(t: float) -> None:
-    if not math.isfinite(t) or t < 0:
-        raise LossEngineError(f"time must be finite and non-negative, got {t!r}")
-
-
 @lru_cache(maxsize=_BINOMIAL_CACHE_ENTRIES)
 def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
     """C(names - y, amplitude) / C(names, amplitude) for y = 0..names,
@@ -98,53 +93,80 @@ def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _array_of(value, kinds: str, ndim: int, message: str) -> np.ndarray:
+    """A copy of ``value`` as an ``ndim``-dimensional array of dtype kind in ``kinds``."""
+    try:
+        array = np.array(value)  # a copy: the caller keeps its input
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise LossEngineError(message) from exc
+    if array.dtype.kind not in kinds or array.ndim != ndim:
+        raise LossEngineError(message)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class IntensitySchedule:
     """Piecewise-linear cumulated jump intensities per amplitude.
 
-    ``cumulated[j][k]`` is the aggregate cumulated intensity of amplitude
+    ``cumulated[j, k]`` is the aggregate cumulated intensity of amplitude
     ``amplitudes[j]`` at ``knots[k]`` (zero at time zero, linear between
-    knots, constant slope after the last knot).
+    knots, constant slope after the last knot). ``knots`` and ``cumulated``
+    are read-only float64 copies of the caller's sequences or arrays, so a
+    schedule never changes and threads may share it; equality is by value.
     """
 
     model: str
     amplitudes: tuple[int, ...]
-    knots: tuple[float, ...]
-    cumulated: tuple[tuple[float, ...], ...]
-    _knot_grid: np.ndarray = field(init=False, repr=False, compare=False)
-    _value_grid: np.ndarray = field(init=False, repr=False, compare=False)
+    knots: np.ndarray
+    cumulated: np.ndarray
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise LossEngineError(f"unknown model kind {self.model!r}")
-        amps = self.amplitudes
-        if len(amps) == 0:
+        amps = _array_of(self.amplitudes, "iu", 1,
+                         "amplitudes must be strictly increasing integers >= 1")
+        if amps.size == 0:
             raise LossEngineError("schedule needs at least one amplitude")
-        if any(int(a) != a or a < 1 for a in amps):
-            raise LossEngineError("amplitudes must be integers >= 1")
-        if any(b <= a for a, b in zip(amps, amps[1:])):
-            raise LossEngineError("amplitudes must be strictly increasing")
-        if len(self.knots) == 0 or self.knots[0] <= 0.0:
+        if amps[0] < 1 or not (amps[1:] > amps[:-1]).all():
+            raise LossEngineError("amplitudes must be strictly increasing integers >= 1")
+        knots = _array_of(self.knots, "iuf", 1, "knots must be positive year fractions"
+                          ).astype(np.float64, copy=False)
+        if knots.size == 0 or knots[0] <= 0.0:
             raise LossEngineError("knots must be positive year fractions")
-        if not all(math.isfinite(t) for t in self.knots):
-            raise LossEngineError("knots must be finite")
-        if any(b <= a for a, b in zip(self.knots, self.knots[1:])):
-            raise LossEngineError("knots must be strictly increasing")
-        if len(self.cumulated) != len(amps):
+        # written so that a nan fails: increasing knots are finite when the last is
+        if not (knots[-1] < math.inf and (knots[1:] > knots[:-1]).all()):
+            raise LossEngineError("knots must be finite" if not np.isfinite(knots).all()
+                                  else "knots must be strictly increasing")
+        cumulated = _array_of(self.cumulated, "iuf", 2, "cumulated must be a table of numbers"
+                              ).astype(np.float64, copy=False)
+        if len(cumulated) != len(amps):
             raise LossEngineError("one cumulated row per amplitude required")
-        for row in self.cumulated:
-            if len(row) != len(self.knots):
-                raise LossEngineError("one cumulated value per knot required")
-            if not all(math.isfinite(v) for v in row):
-                raise LossEngineError("cumulated intensities must be finite")
-            if row[0] < 0 or any(b < a - 1e-15 for a, b in zip(row, row[1:])):
-                raise LossEngineError(
-                    "cumulated intensities must be non-negative and non-decreasing")
-        grid = np.concatenate([[0.0], np.asarray(self.knots, dtype=float)])
-        values = np.column_stack([np.zeros(len(amps)),
-                                  np.asarray(self.cumulated, dtype=float)])
-        object.__setattr__(self, "_knot_grid", grid)
-        object.__setattr__(self, "_value_grid", values)
+        if cumulated.shape[1] != len(knots):
+            raise LossEngineError("one cumulated value per knot required")
+        # likewise, rows rising from zero or more to below infinity are finite
+        if not (cumulated[:, 0].min() >= 0 and cumulated[:, -1].max() < math.inf
+                and (cumulated[:, 1:] >= cumulated[:, :-1] - 1e-15).all()):
+            raise LossEngineError(
+                "cumulated intensities must be finite" if not np.isfinite(cumulated).all()
+                else "cumulated intensities must be non-negative and non-decreasing")
+        knots.flags.writeable = False
+        cumulated.flags.writeable = False
+        object.__setattr__(self, "amplitudes", tuple(amps.tolist()))
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "cumulated", cumulated)
+
+    def __eq__(self, other):
+        return (isinstance(other, IntensitySchedule) and self.model == other.model
+                and self.amplitudes == other.amplitudes
+                and np.array_equal(self.knots, other.knots)
+                and np.array_equal(self.cumulated, other.cumulated))
+
+    def __hash__(self):
+        # knots are positive and finite, so equal knots have equal bytes
+        return hash((self.model, self.amplitudes, self.knots.tobytes()))
+
+    def __reduce__(self):  # copies and unpickled schedules are read-only too
+        return IntensitySchedule, (self.model, self.amplitudes, self.knots, self.cumulated)
 
     @property
     def n_modes(self) -> int:
@@ -152,38 +174,37 @@ class IntensitySchedule:
 
     @property
     def horizon(self) -> float:
-        return self.knots[-1]
+        return float(self.knots[-1])
 
-    def aggregate_cumulated(self, t: float) -> np.ndarray:
-        """Aggregate cumulated intensity of every amplitude at time t."""
-        _check_time(t)
-        grid = self._knot_grid
-        values = self._value_grid
-        if t <= grid[-1]:
-            k = np.searchsorted(grid, t, side="right") - 1
-            if grid[k] == t:
-                return values[:, k].copy()
-            w = (t - grid[k]) / (grid[k + 1] - grid[k])
-            return values[:, k] + w * (values[:, k + 1] - values[:, k])
+    def aggregate_cumulated(self, t) -> np.ndarray:
+        """Aggregate cumulated intensity of every amplitude at time t, shape
+        (modes,), or at each of a one-dimensional array of times, (times, modes)."""
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1 or not (np.isfinite(times) & (times >= 0)).all():
+            raise LossEngineError(f"time must be a finite, non-negative scalar or "
+                                  f"one-dimensional array, got {t!r}")
+        grid = np.concatenate(([0.0], self.knots))
+        values = np.concatenate((np.zeros((1, self.n_modes)), self.cumulated.T))  # (grid, modes)
+        k = np.searchsorted(grid, times, side="right") - 1  # grid[k] <= t
+        lo = np.minimum(k, len(grid) - 2)
+        a, b, start, end = values[lo], values[lo + 1], grid[lo], grid[lo + 1]
+        out = a + ((times - start) / (end - start))[..., None] * (b - a)
         # constant-slope extrapolation using the final interval
-        slope = (values[:, -1] - values[:, -2]) / (grid[-1] - grid[-2])
-        return values[:, -1] + slope * (t - grid[-1])
-
-    def total_cumulated(self, amplitude: int) -> float:
-        """Aggregate cumulated intensity of one amplitude at the last knot."""
-        j = self.amplitudes.index(amplitude)
-        return self.cumulated[j][-1]
+        slope = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
+        out = np.where((times > grid[-1])[..., None],
+                       values[-1] + slope * (times - grid[-1])[..., None], out)
+        # at a knot, its own value: a + 1.0 * (b - a) need not equal b
+        return np.where((grid[k] == times)[..., None], values[k], out)
 
     def with_cumulated(self, cumulated) -> "IntensitySchedule":
-        rows = tuple(tuple(float(v) for v in row) for row in cumulated)
-        return replace(self, cumulated=rows)
+        return replace(self, cumulated=cumulated)
 
     def to_dict(self) -> dict:
         return {
             "model": self.model,
             "amplitudes": list(self.amplitudes),
-            "knots_years": list(self.knots),
-            "cumulated": [list(row) for row in self.cumulated],
+            "knots_years": self.knots.tolist(),
+            "cumulated": self.cumulated.tolist(),
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -191,15 +212,13 @@ class IntensitySchedule:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntensitySchedule":
+        if not isinstance(doc, dict):
+            raise LossEngineError("schedule document must be a JSON object")
         try:
-            return cls(
-                model=doc["model"],
-                amplitudes=tuple(int(a) for a in doc["amplitudes"]),
-                knots=tuple(float(t) for t in doc["knots_years"]),
-                cumulated=tuple(tuple(float(v) for v in row) for row in doc["cumulated"]),
-            )
+            fields = doc["model"], doc["amplitudes"], doc["knots_years"], doc["cumulated"]
         except KeyError as exc:
             raise LossEngineError(f"schedule document missing key {exc}") from exc
+        return cls(*fields)
 
     @classmethod
     def from_json(cls, text: str) -> "IntensitySchedule":
@@ -351,15 +370,16 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     out[:lo] = state
     if lo == len(times):
         return out
-    grid = schedule._knot_grid
+    knots, rises, widths = schedule.knots, schedule.cumulated.copy(), schedule.knots.copy()
+    rises[:, 1:] -= schedule.cumulated[:, :-1]  # in place: np.diff's prepend= is slower
+    widths[1:] -= knots[:-1]
     # schedules may dip by roundoff between knots; a rate is never negative
-    densities = (np.maximum(np.diff(schedule._value_grid, axis=1), 0.0)
-                 / np.diff(grid)).T.tolist()
+    densities = (np.maximum(rises, 0.0) / widths).T.tolist()
     # the final interval's slope carries on beyond the last knot
-    his = np.searchsorted(times, grid[1:-1], side="right").tolist() + [len(times)]
-    ends = np.minimum(grid[1:-1], times[-1]).tolist() + [float(times[-1])]
+    his = np.searchsorted(times, knots[:-1], side="right").tolist() + [len(times)]
+    ends = np.minimum(knots[:-1], times[-1]).tolist() + [float(times[-1])]
     key = (schedule.model, pool.names)
-    for start, hi, end, slopes in zip(grid.tolist(), his, ends, densities):
+    for start, hi, end, slopes in zip([0.0] + knots.tolist(), his, ends, densities):
         active = tuple((a, s) for a, s in zip(schedule.amplitudes, slopes) if s > 0.0)
         key = (key, times[lo:hi].tobytes(), end, active)
         found = memo.get(key) if memo is not None else None
@@ -387,7 +407,6 @@ def gpl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> L
     with all mass beyond the pool size at the cap."""
     if schedule.model != GPL:
         raise LossEngineError("gpl_distribution requires a gpl schedule")
-    _check_time(t)
     return LossDistribution(time=t, probs=distribution_term_structure(pool, schedule, [t])[0])
 
 
@@ -396,7 +415,6 @@ def gpcl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
     kernel's row."""
     if schedule.model != GPCL:
         raise LossEngineError("gpcl_distribution requires a gpcl schedule")
-    _check_time(t)
     return LossDistribution(time=t, probs=distribution_term_structure(pool, schedule, [t])[0])
 
 

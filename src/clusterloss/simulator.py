@@ -99,10 +99,8 @@ _BLOCK_PATHS = 2 ** 15
 
 def _inverse_grid(schedule: IntensitySchedule, horizon: float):
     """Breakpoints (times, cumulated rows) covering [0, horizon] for inversion."""
-    grid = [0.0] + [k for k in schedule.knots if k < horizon] + [horizon]
-    times = np.asarray(grid)
-    values = np.stack([schedule.aggregate_cumulated(t) for t in grid])  # (n_pts, n_modes)
-    return times, values
+    times = np.concatenate([[0.0], schedule.knots[schedule.knots < horizon], [horizon]])
+    return times, schedule.aggregate_cumulated(times)  # (n_pts, n_modes)
 
 
 def sample_shock_stream(pool: PoolSpec, schedule: IntensitySchedule, horizon: float,
@@ -239,8 +237,8 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
         grid_values = grid_values[:, active]
         amplitudes = amplitudes[active]
     else:
-        cumulated = np.stack([schedule.aggregate_cumulated(t) for t in times])
-        increments = np.maximum(np.diff(cumulated, axis=0, prepend=0.0), 0.0)
+        increments = np.maximum(np.diff(schedule.aggregate_cumulated(times), axis=0,
+                                        prepend=0.0), 0.0)
     offsets = np.arange(len(times)) * (m + 1)
     histogram = np.zeros(len(times) * (m + 1), dtype=np.int64)
     for block, first in enumerate(range(0, n_paths, _BLOCK_PATHS)):

@@ -130,6 +130,29 @@ class TestDistCommand:
         np.testing.assert_array_equal(probs, exact.probs)
 
 
+MALFORMED_SCHEDULES = {
+    "fractional amplitude": ({"amplitudes": [1, 2.5]}, "amplitudes"),
+    "amplitudes as text": ({"amplitudes": "12"}, "amplitudes"),
+    "value as text": ({"amplitudes": [1], "cumulated": ["0.1"]}, "cumulated"),
+}
+
+
+class TestMalformedSchedule:
+    @pytest.mark.parametrize("command", ["dist", "intensity-curve", "price"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULES))
+    def test_is_input_error_naming_the_field(self, tmp_path, capsys, command, case):
+        change, field = MALFORMED_SCHEDULES[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": "gpcl", "amplitudes": [1, 2], "knots_years": [5.0],
+                                   "cumulated": [[0.1], [0.2]], **change}))
+        market = ["--curve", curve_path(), "--quotes", quotes_path()] if command == "price" else []
+        code = run([command, "--schedule", bad, *market, "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and field in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestIntensityCurveCommand:
     def test_ratio_table_properties(self, tmp_path):
         code = run(["intensity-curve", "--schedule", schedule_path("gpcl"),

@@ -1,4 +1,8 @@
+import bisect
+import copy
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from clusterloss.fixtures import schedule_path
 from clusterloss.loss_engine import (
     GPCL,
     GPL,
+    MODEL_KINDS,
     STRATEGIES,
     IntensitySchedule,
     LossDistribution,
@@ -98,6 +103,177 @@ class TestIntensitySchedule:
             make_schedule(GPL, (1,), (1.0, 2.0), [(0.5, bad)])
         with pytest.raises(LossEngineError, match="finite"):
             make_schedule(GPL, (1,), (1.0, bad), [(0.5, 0.6)])
+
+
+def reference_cumulated(schedule, t):
+    """Aggregate cumulated intensities at one time, one mode at a time in
+    Python floats: zero at time zero, the stored value at a knot, a + w (b - a)
+    between knots, the final slope beyond the last."""
+    grid = [0.0] + schedule.knots.tolist()
+    out = []
+    for row in schedule.cumulated.tolist():
+        values = [0.0] + row
+        k = bisect.bisect_right(grid, t) - 1
+        if t > grid[-1]:
+            slope = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
+            out.append(values[-1] + slope * (t - grid[-1]))
+        elif grid[k] == t:
+            out.append(values[k])
+        else:
+            w = (t - grid[k]) / (grid[k + 1] - grid[k])
+            out.append(values[k] + w * (values[k + 1] - values[k]))
+    return np.array(out)
+
+
+class TestScheduleArrays:
+    """The in-memory form: read-only float64 copies, compared by value."""
+
+    def test_caller_mutation_changes_neither_schedule_nor_rows(self):
+        knots = np.array([1.0, 2.5])
+        cumulated = np.array([[0.3, 0.9], [0.2, 0.9]])
+        schedule = IntensitySchedule(GPCL, (1, 3), knots, cumulated)
+        pool, times = PoolSpec(names=20), [0.5, 1.0, 2.0, 3.0]
+        rows = distribution_term_structure(pool, schedule, times)
+        knots *= 2.0
+        cumulated[:] = 7.0
+        np.testing.assert_array_equal(schedule.knots, [1.0, 2.5])
+        np.testing.assert_array_equal(schedule.cumulated, [[0.3, 0.9], [0.2, 0.9]])
+        np.testing.assert_array_equal(distribution_term_structure(pool, schedule, times), rows)
+
+    def test_stored_arrays_are_read_only(self, gpcl_schedule):
+        for array in (gpcl_schedule.knots, gpcl_schedule.cumulated):
+            assert array.dtype == np.float64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        rebuilt = gpcl_schedule.with_cumulated(2.0 * gpcl_schedule.cumulated)
+        for copied in (rebuilt, copy.deepcopy(gpcl_schedule),
+                       pickle.loads(pickle.dumps(gpcl_schedule))):
+            assert not copied.knots.flags.writeable and not copied.cumulated.flags.writeable
+        assert pickle.loads(pickle.dumps(gpcl_schedule)) == gpcl_schedule
+
+    @pytest.mark.parametrize("model", MODEL_KINDS)
+    def test_tuples_arrays_and_json_give_identical_rows(self, model):
+        with open(schedule_path(model, "itraxx")) as fh:
+            doc = json.load(fh)
+        nested = make_schedule(model, doc["amplitudes"], doc["knots_years"], doc["cumulated"])
+        arrays = IntensitySchedule(model, np.array(doc["amplitudes"]),
+                                   np.array(doc["knots_years"]), np.array(doc["cumulated"]))
+        reloaded = IntensitySchedule.from_json(nested.to_json())
+        assert nested == arrays == reloaded
+        assert len({nested, arrays, reloaded}) == 1
+        assert nested != arrays.with_cumulated(2.0 * arrays.cumulated)
+        times = [0.0, 1.0, *doc["knots_years"], 12.0]
+        expected = distribution_term_structure(PoolSpec(), nested, times)
+        for other in (arrays, reloaded):
+            np.testing.assert_array_equal(
+                distribution_term_structure(PoolSpec(), other, times), expected)
+
+    def test_times_array_matches_scalar_calls_bit_for_bit(self):
+        # 0.3 + 1.0 * (0.9 - 0.3) is not 0.9, so a knot must return its own value
+        assert 0.3 + 1.0 * (0.9 - 0.3) != 0.9
+        schedule = make_schedule(GPL, (1, 2), (1.0, 2.5), [(0.3, 0.9), (0.2, 0.9)])
+        times = [0.0, 0.4, 1.0, 1.7, 2.5, 3.0, 40.0]
+        scalar = np.stack([schedule.aggregate_cumulated(t) for t in times])
+        reference = np.stack([reference_cumulated(schedule, t) for t in times])
+        assert schedule.aggregate_cumulated(np.array(times)).tobytes() == scalar.tobytes()
+        assert scalar.tobytes() == reference.tobytes()
+        assert scalar[4].tolist() == [0.9, 0.9]  # exactly the last knot's values
+
+
+@st.composite
+def schedule_docs(draw):
+    """Valid schedule documents: 1-4 modes, 1-5 knots."""
+    n_modes, n_knots = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    amplitudes = sorted(draw(st.sets(st.integers(1, 250), min_size=n_modes,
+                                     max_size=n_modes)))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n_knots, max_size=n_knots))
+    rows = [np.cumsum(draw(st.lists(st.floats(0.0, 5.0), min_size=n_knots,
+                                    max_size=n_knots))).tolist()
+            for _ in range(n_modes)]
+    return {"model": draw(st.sampled_from(MODEL_KINDS)), "amplitudes": amplitudes,
+            "knots_years": np.cumsum(steps).tolist(), "cumulated": rows}
+
+
+_BAD_NUMBERS = [math.nan, math.inf, -math.inf, -1.0, "0.5", None, [0.5]]
+
+
+def corrupt(doc, data):
+    """A copy of a valid document made invalid in one way drawn from ``data``."""
+    doc = json.loads(json.dumps(doc))
+    amps, knots, rows = doc["amplitudes"], doc["knots_years"], doc["cumulated"]
+    j = data.draw(st.integers(0, len(amps) - 1))
+    k = data.draw(st.integers(0, len(knots) - 1))
+    kind = data.draw(st.sampled_from([
+        "knot", "value", "knot order", "value order", "ragged", "rows", "columns",
+        "amplitude", "amplitudes text", "amplitude order", "model", "missing key"]))
+    if kind == "knot":
+        knots[k] = data.draw(st.sampled_from(_BAD_NUMBERS + [0.0]))
+    elif kind == "value":
+        rows[j][k] = data.draw(st.sampled_from(_BAD_NUMBERS))
+    elif kind == "knot order":  # equal to or below the knot before
+        knots[k] = knots[k - 1] - data.draw(st.floats(0.0, 1.0)) if k else 0.0
+    elif kind == "value order":  # below the value before, beyond the 1e-15 tolerance
+        below = data.draw(st.floats(1e-6, 1.0))
+        rows[j][k] = rows[j][k - 1] - below if k else -below
+    elif kind == "ragged":
+        rows[j].pop()
+    elif kind == "rows" and data.draw(st.booleans()):
+        rows.append(list(rows[j]))
+    elif kind == "rows":
+        rows.pop(j)
+    elif kind == "columns":
+        for row in rows:
+            row.append(row[-1] + 1.0)
+    elif kind == "amplitude":
+        amps[j] = data.draw(st.sampled_from([amps[j] + 0.5, str(amps[j]), None, 0, -amps[j]]))
+    elif kind == "amplitudes text":
+        doc["amplitudes"] = "".join(str(a) for a in amps)
+    elif kind == "amplitude order":
+        amps[j] = amps[j - 1] if j else 0
+    elif kind == "model":
+        doc["model"] = data.draw(st.sampled_from(["other", None, 1]))
+    else:
+        del doc[data.draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+class TestScheduleDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=schedule_docs())
+    def test_valid_documents_round_trip(self, doc):
+        schedule = IntensitySchedule.from_dict(doc)
+        text = schedule.to_json()
+        again = IntensitySchedule.from_json(text)
+        assert again == schedule
+        assert again.knots.tobytes() == schedule.knots.tobytes()
+        assert again.cumulated.tobytes() == schedule.cumulated.tobytes()
+        assert again.to_json() == text
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=schedule_docs(), data=st.data())
+    def test_invalid_documents_raise_loss_engine_error(self, doc, data):
+        # any other exception type escapes pytest.raises and fails the test
+        with pytest.raises(LossEngineError):
+            IntensitySchedule.from_json(json.dumps(corrupt(doc, data)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("amplitudes", [1, 2.5]),  # was truncated to 2
+        ("amplitudes", "12"),  # was read character by character
+        ("cumulated", ["0.1"]),  # was a bare ValueError
+        ("cumulated", [["0.1"], [0.2]]),
+        ("knots_years", ["5.0"]),
+    ])
+    def test_malformed_fields_are_named(self, field, value):
+        doc = {"model": GPCL, "amplitudes": [1, 2], "knots_years": [5.0],
+               "cumulated": [[0.1], [0.2]], field: value}
+        name = field.split("_")[0]
+        with pytest.raises(LossEngineError, match=name):
+            IntensitySchedule.from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"gpl"', "3"])
+    def test_document_must_be_an_object(self, text):
+        with pytest.raises(LossEngineError, match="object"):
+            IntensitySchedule.from_json(text)
 
 
 class TestClusterCumulatedIntensity:

@@ -42,13 +42,8 @@ from .pricer import (
     tranched_loss,
 )
 from .simulator import (
-    ShockEvent,
-    Trajectory,
-    apply_strategy,
     empirical_distribution,
     empirical_distributions,
-    sample_shock_stream,
-    single_name_default_times,
 )
 
 __version__ = "0.1.0"

@@ -252,7 +252,8 @@ class LossDistribution:
 
     The probabilities are kept as given, bit for bit, unless roundoff left
     negatives (down to -1e-12): those are clamped to zero and the rest
-    renormalised.
+    renormalised. ``probs`` is a read-only copy, so a distribution can be
+    shared.
     """
 
     time: float
@@ -273,6 +274,7 @@ class LossDistribution:
         if probs.min() < 0.0:
             probs = np.clip(probs, 0.0, None)
             probs = probs / probs.sum()
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
     @property

@@ -1,14 +1,10 @@
 """Monte Carlo engine for common-shock cluster defaults.
 
-Shock streams are sampled per amplitude as inhomogeneous Poisson processes by
-inverse transform of the piecewise-linear aggregate cumulated intensity; each
-event carries a uniformly random subset of names of that size (under
-size-homogeneous intensities all same-size clusters are exchangeable, so the
-merged-stream-plus-uniform-mark construction is distributionally exact).
-``sample_shock_stream`` and ``apply_strategy`` build such streams name by
-name; they are the reference for name identity.
-
-Four ways of turning the same stream into a default count:
+Each amplitude's shocks arrive as an inhomogeneous Poisson process whose
+cumulated intensity is the schedule's piecewise-linear curve, and each shock
+hits a uniformly random set of names of its size (under size-homogeneous
+intensities all same-size clusters are exchangeable). Four ways of turning
+the shocks into a default count:
 
 * ``repeated`` — every event adds its full size; the count is unbounded.
 * ``s0``       — running total capped at the pool size.
@@ -18,16 +14,28 @@ Four ways of turning the same stream into a default count:
                  otherwise it is discarded entirely.
 
 ``empirical_distributions`` histograms the count alone, for a whole block of
-paths at once. The repeated and s0 counts are ``sum_j a_j N_j(t)``, the
-latter capped at the pool size M, so one Poisson draw per path, observation
-interval and mode gives them. For s1 and s2, exchangeability makes the count
-a Markov chain: with y names defaulted, the defaulted set is a uniformly
-random y-subset, so an s2 event of size a fires with probability
-C(M - y, a) / C(M, a) and an s1 event defaults Hypergeometric(M - y, y, a)
-fresh names. A cluster larger than the pool never fires under s1 and s2 and
-takes s0 to the cap, as in the exact engines. Each block of 2^15 paths draws
-from its own generator, spawned from the seed by block index, so histograms
-are reproducible given the seed and the path count, and memory stays bounded.
+paths at once, and never draws a name or an event time. The repeated and s0
+counts are ``sum_j a_j N_j(t)``, the latter capped at the pool size M, so one
+Poisson draw per path, observation interval and mode gives them. For s1 and
+s2, exchangeability makes the count a Markov chain: with y names defaulted,
+the defaulted set is a uniformly random y-subset, so an s2 event of size a
+fires with probability C(M - y, a) / C(M, a) and an s1 event defaults
+Hypergeometric(M - y, y, a) fresh names. The chain needs the events in time
+order, but not their times: [0, last time] is cut into cells at the
+observation times and the knots, inside which every mode's rate is constant,
+so each path draws one Poisson total per cell and marks each event with a
+mode in proportion to the modes' rises over the cell (superposition and
+marking of Poisson processes). Inside a cell the modes of successive events
+are independent and identically distributed, so events taken in the order
+they are drawn need no times and no sort. A cluster larger than the pool never
+fires under s1 and s2 and takes s0 to the cap, as in the exact engines. Each
+block of 2^15 paths draws from its own generator, spawned from the seed by
+block index, so histograms are reproducible given the seed and the path
+count, and memory stays bounded. (Because no event times are drawn, the s1
+and s2 histograms of a seed differ bit for bit from those of versions that
+drew and sorted them; the s0 and repeated draws are unchanged.) Name
+identity, which names default and when, is tracked only by the tests'
+name-level reference simulation.
 """
 from __future__ import annotations
 
@@ -37,16 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss_engine import (
-    GPCL,
-    GPL,
     STRATEGIES,
-    STRATEGY_CAPPED,
     STRATEGY_CLUSTER,
     STRATEGY_REPEATED,
     STRATEGY_SINGLE_NAME,
     IntensitySchedule,
     LossDistribution,
-    LossEngineError,
     PoolSpec,
 )
 
@@ -55,142 +59,9 @@ class SimulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ShockEvent:
-    """One cluster shock: arrival time and the set of names it hits."""
-
-    time: float
-    cluster: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.time <= 0:
-            raise SimulationError("shock times must be positive")
-        if len(self.cluster) < 1:
-            raise SimulationError("clusters hold at least one name")
-
-
-@dataclass
-class Trajectory:
-    """Counting path produced by applying one strategy to an event stream.
-
-    ``increments[i]`` is the count increase accepted at event i (zero for a
-    discarded event), ``counts[i]`` the running count just after it. For the
-    name-aware strategies (s1, s2), ``name_default_times`` holds each name's
-    default time (nan while alive); the other strategies do not preserve name
-    identity.
-    """
-
-    strategy: str
-    pool: PoolSpec
-    times: np.ndarray
-    increments: np.ndarray
-    counts: np.ndarray
-    name_default_times: np.ndarray | None
-
-    def count_at(self, t: float) -> int:
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return 0 if idx < 0 else int(self.counts[idx])
-
-
 # paths per generator stream in empirical_distributions; histograms for a
 # given seed depend on it, and it bounds the memory one block takes
 _BLOCK_PATHS = 2 ** 15
-
-
-def _inverse_grid(schedule: IntensitySchedule, horizon: float):
-    """Breakpoints (times, cumulated rows) covering [0, horizon] for inversion."""
-    times = np.concatenate([[0.0], schedule.knots[schedule.knots < horizon], [horizon]])
-    return times, schedule.aggregate_cumulated(times)  # (n_pts, n_modes)
-
-
-def sample_shock_stream(pool: PoolSpec, schedule: IntensitySchedule, horizon: float,
-                        seed: int | np.random.Generator = 0) -> list[ShockEvent]:
-    """Sample one merged, time-sorted stream of cluster shocks up to ``horizon``.
-
-    For each amplitude the event count is Poisson with mean equal to the
-    aggregate cumulated intensity at the horizon, and event times are the
-    inverse image of uniforms under the piecewise-linear cumulated curve
-    (exact, no thinning). Ties after merging are broken by amplitude index.
-    """
-    if horizon <= 0:
-        raise SimulationError("horizon must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    grid_times, grid_values = _inverse_grid(schedule, horizon)
-    for amplitude, total in zip(schedule.amplitudes, grid_values[-1]):
-        if amplitude > pool.names and total > 0.0:
-            raise SimulationError(f"amplitude {amplitude} exceeds the pool of "
-                                  f"{pool.names} names")
-    events: list[tuple[float, int, ShockEvent]] = []
-    for j, amplitude in enumerate(schedule.amplitudes):
-        total = float(grid_values[-1, j])
-        if total <= 0.0:
-            continue
-        count = rng.poisson(total)
-        if count == 0:
-            continue
-        u = rng.uniform(0.0, total, size=count)
-        t = np.interp(u, grid_values[:, j], grid_times)
-        for ti in np.sort(t):
-            cluster = np.sort(rng.choice(pool.names, size=amplitude, replace=False))
-            events.append((float(ti), j, ShockEvent(float(ti), tuple(int(c) for c in cluster))))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return [e[2] for e in events]
-
-
-def apply_strategy(events: list[ShockEvent], strategy: str, pool: PoolSpec) -> Trajectory:
-    """Turn a time-sorted event stream into a counting trajectory."""
-    if strategy not in STRATEGIES:
-        raise SimulationError(f"unknown strategy {strategy!r}")
-    times = np.array([e.time for e in events])
-    if np.any(np.diff(times) < 0):
-        raise SimulationError("events must be sorted by time")
-    name_aware = strategy in (STRATEGY_SINGLE_NAME, STRATEGY_CLUSTER)
-    defaulted = np.zeros(pool.names, dtype=bool) if name_aware else None
-    name_times = np.full(pool.names, np.nan) if name_aware else None
-    increments = np.zeros(len(events), dtype=np.int64)
-    count = 0
-    for i, event in enumerate(events):
-        members = np.asarray(event.cluster, dtype=np.intp)
-        if name_aware and members.max(initial=-1) >= pool.names:
-            raise SimulationError("cluster references a name outside the pool")
-        if strategy == STRATEGY_REPEATED:
-            inc = len(members)
-        elif strategy == STRATEGY_CAPPED:
-            inc = min(len(members), pool.names - count)
-        elif strategy == STRATEGY_SINGLE_NAME:
-            fresh = members[~defaulted[members]]
-            defaulted[fresh] = True
-            name_times[fresh] = event.time
-            inc = len(fresh)
-        else:  # s2: all-or-nothing
-            if defaulted[members].any():
-                inc = 0
-            else:
-                defaulted[members] = True
-                name_times[members] = event.time
-                inc = len(members)
-        count += inc
-        increments[i] = inc
-    return Trajectory(
-        strategy=strategy,
-        pool=pool,
-        times=times,
-        increments=increments,
-        counts=np.cumsum(increments),
-        name_default_times=name_times,
-    )
-
-
-def single_name_default_times(trajectory: Trajectory) -> np.ndarray:
-    """Per-name default times (nan = never defaulted).
-
-    Only the name-aware strategies preserve identity; the capped and repeated
-    counts cannot be attributed to names.
-    """
-    if trajectory.name_default_times is None:
-        raise SimulationError(
-            f"strategy {trajectory.strategy!r} does not preserve name identity")
-    return trajectory.name_default_times.copy()
 
 
 @dataclass(frozen=True)
@@ -230,27 +101,26 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
     m = pool.names
     amplitudes = np.asarray(schedule.amplitudes, dtype=np.int64)
     name_aware = strategy in (STRATEGY_SINGLE_NAME, STRATEGY_CLUSTER)
+    # cells: s0 and repeated draw per observation interval; s1 and s2 cut at
+    # the knots as well, so that every mode's rate is constant inside a cell
+    cuts = np.union1d(times, schedule.knots[schedule.knots < times[-1]]) if name_aware else times
+    rises = np.maximum(np.diff(schedule.aggregate_cumulated(cuts), axis=0, prepend=0.0), 0.0)
     if name_aware:
-        grid_times, grid_values = _inverse_grid(schedule, float(times[-1]))
         # a cluster larger than the pool has no survivors to hit: it never fires
-        active = (amplitudes <= m) & (grid_values[-1] > 0.0)
-        grid_values = grid_values[:, active]
-        amplitudes = amplitudes[active]
-    else:
-        increments = np.maximum(np.diff(schedule.aggregate_cumulated(times), axis=0,
-                                        prepend=0.0), 0.0)
+        active = (amplitudes <= m) & rises.any(axis=0)
+        rises, amplitudes = rises[:, active], amplitudes[active]
+        ends = np.searchsorted(cuts, times)  # the cell that ends at each time
     offsets = np.arange(len(times)) * (m + 1)
     histogram = np.zeros(len(times) * (m + 1), dtype=np.int64)
     for block, first in enumerate(range(0, n_paths, _BLOCK_PATHS)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         n = min(_BLOCK_PATHS, n_paths - first)
         if not name_aware:
-            counts = _capped_counts(rng, n, increments, amplitudes, m)
+            counts = _capped_counts(rng, n, rises, amplitudes, m)
         elif len(amplitudes) == 0:
             counts = np.zeros((n, len(times)), dtype=np.int64)
         else:
-            counts = _name_aware_counts(rng, n, strategy, m, times, grid_times, grid_values,
-                                        amplitudes)
+            counts = _name_aware_counts(rng, n, strategy, m, rises, amplitudes)[:, ends]
         histogram += np.bincount((counts + offsets).ravel(), minlength=len(histogram))
     histogram = histogram.reshape(len(times), m + 1)
     out = []
@@ -282,34 +152,35 @@ def _capped_counts(rng: np.random.Generator, n: int, increments: np.ndarray,
 
 
 def _name_aware_counts(rng: np.random.Generator, n: int, strategy: str, names: int,
-                       times: np.ndarray, grid_times: np.ndarray, grid_values: np.ndarray,
-                       amplitudes: np.ndarray) -> np.ndarray:
-    """s1 or s2 default counts at each observation time, shape (n, times).
+                       rises: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """s1 or s2 default counts at the end of each cell, shape (n, cells).
 
-    Every path's events are drawn at once and sorted by path, then time; then
-    the k-th events of all paths that have one are applied together,
-    k = 0, 1, ... With y names defaulted, an s2 event of size a fires with the
-    chance that its uniformly random names miss all y, and an s1 event
-    defaults Hypergeometric(M - y, y, a) fresh names.
+    ``rises[c, j]`` is mode j's cumulated intensity over cell c, inside which
+    every rate is constant. So a path's events in a cell number
+    Poisson(sum_j rises[c, j]), each of mode j with probability proportional
+    to rises[c, j], and their order inside the cell is exchangeable: emitted
+    by path, then by cell, they need no times and no sort. Then the k-th
+    events of all paths that have one are applied together, k = 0, 1, ...
+    With y names defaulted, an s2 event of size a fires with the chance that
+    its uniformly random names miss all y, and an s1 event defaults
+    Hypergeometric(M - y, y, a) fresh names.
     """
-    per_mode = rng.poisson(grid_values[-1], size=(n, len(amplitudes)))
-    path, when, mode = [], [], []
-    for j, total in enumerate(grid_values[-1]):
-        count = int(per_mode[:, j].sum())
-        path.append(np.repeat(np.arange(n), per_mode[:, j]))
-        when.append(np.interp(rng.uniform(0.0, total, count), grid_values[:, j], grid_times))
-        mode.append(np.full(count, j))
-    path, when, mode = np.concatenate(path), np.concatenate(when), np.concatenate(mode)
-    # by path, then time: a quicksort on the times (exact ties have probability
-    # zero), then a stable sort on the path, which numpy does by radix sort
-    # when the indices fit 16 bits; several times faster than lexsort
-    order = np.argsort(when)
-    order = order[np.argsort(path[order].astype(np.min_scalar_type(n - 1)), kind="stable")]
-    path, when, mode = path[order], when[order], mode[order]
-    per_path = per_mode.sum(axis=1)
+    cells = len(rises)
+    bounds = np.cumsum(rises, axis=1)
+    totals = bounds[:, -1]
+    per_cell = rng.poisson(totals, size=(n, cells)).ravel()
+    cell = np.repeat(np.tile(np.arange(cells), n), per_cell)
+    # the mark: how many of the cell's cumulated shares below the last (which
+    # is 1) a uniform u < 1 reaches; a mode without rise there is never drawn
+    shares = bounds[:, :-1] / np.where(totals > 0.0, totals, 1.0)[:, None]
+    u = rng.random(len(cell))
+    mode = np.zeros(len(cell), dtype=np.min_scalar_type(len(amplitudes)))
+    for share in shares.T:
+        mode += u >= share[cell]
+    per_path = per_cell.reshape(n, cells).sum(axis=1)
     first = np.cumsum(per_path) - per_path
     defaulted = np.zeros(n, dtype=np.int64)
-    increments = np.zeros(len(path), dtype=np.int64)
+    increments = np.zeros(len(cell), dtype=np.int64)
     avoidance = _avoidance_table(names, amplitudes)
     live = np.flatnonzero(per_path)
     rank = 0
@@ -326,10 +197,10 @@ def _name_aware_counts(rng: np.random.Generator, n: int, strategy: str, names: i
         increments[event] = step
         rank += 1
         live = live[per_path[live] > rank]
-    # an event counts at every observation time at or after it
-    slot = path * len(times) + np.searchsorted(times, when, side="left")
-    gained = np.bincount(slot, weights=increments, minlength=n * len(times))
-    return np.cumsum(gained.reshape(n, len(times)), axis=1).astype(np.int64)
+    # a path's count at a cell's end: the running total of all increments at
+    # the path's last event up to that cell, less the total before the path
+    running = np.concatenate(([0], np.cumsum(increments)))
+    return running[np.cumsum(per_cell)].reshape(n, cells) - running[first][:, None]
 
 
 def _avoidance_table(names: int, amplitudes: np.ndarray) -> np.ndarray:

@@ -10,10 +10,23 @@ Each computes what the package computes by a different route:
 * ``expm_distribution``: the cluster-model distribution from an ordered
   product of matrix exponentials of the integrated transition-rate matrix,
   one per knot-to-knot piece, with binomial ratios in exact integer
-  arithmetic.
+  arithmetic;
+* ``sample_shock_stream`` and ``apply_strategy``: the name-level simulation,
+  one path at a time. Each mode's events get times by inverting uniforms
+  under its piecewise-linear cumulated intensity, and each event hits a
+  uniformly random set of names of its size. The four treatments of repeated
+  defaults then run event by event on the merged, time-sorted stream, so s1
+  and s2 keep every name's default time. This is the only place that tracks
+  name identity. The package's ``empirical_distributions`` tracks counts
+  alone: it cuts time into cells at the observation times and the knots,
+  draws one Poisson total per path and cell and marks each event with a
+  mode, and is checked against this simulation. Its s1 and s2 histograms
+  depend on the seed and the path count alone, but not with the bits of
+  the versions that drew event times.
 
 Both distribution engines solve one time at a time and share no code with
-the uniformised forward-equation kernel.
+the uniformised forward-equation kernel; the name-level simulation draws
+the names and event times that the count-only one never draws.
 """
 from __future__ import annotations
 
@@ -26,6 +39,11 @@ import scipy.linalg
 from clusterloss.loss_engine import (
     GPCL,
     GPL,
+    STRATEGIES,
+    STRATEGY_CAPPED,
+    STRATEGY_CLUSTER,
+    STRATEGY_REPEATED,
+    STRATEGY_SINGLE_NAME,
     IntensitySchedule,
     LossDistribution,
     LossEngineError,
@@ -33,6 +51,7 @@ from clusterloss.loss_engine import (
 )
 from clusterloss.market_data import PaymentSchedule
 from clusterloss.pricer import PricingError, TrancheDef, tranche_payout_by_count
+from clusterloss.simulator import SimulationError
 
 _COLUMN_SUM_TOL = 1e-9
 
@@ -266,3 +285,144 @@ def expm_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
         for a, b in _knot_pieces(schedule, t):
             state = matrix_exponential(cumulated_generator(pool, schedule, a, b)) @ state
     return LossDistribution(time=t, probs=state)
+
+
+# ---------------------------------------------------------------------------
+# name-level simulation: one stream of named clusters per path
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ShockEvent:
+    """One cluster shock: arrival time and the set of names it hits."""
+
+    time: float
+    cluster: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.time <= 0:
+            raise SimulationError("shock times must be positive")
+        if len(self.cluster) < 1:
+            raise SimulationError("clusters hold at least one name")
+
+
+@dataclass
+class Trajectory:
+    """Counting path produced by applying one strategy to an event stream.
+
+    ``increments[i]`` is the count increase accepted at event i (zero for a
+    discarded event), ``counts[i]`` the running count just after it. For the
+    name-aware strategies (s1, s2), ``name_default_times`` holds each name's
+    default time (nan while alive); the other strategies do not preserve name
+    identity.
+    """
+
+    strategy: str
+    pool: PoolSpec
+    times: np.ndarray
+    increments: np.ndarray
+    counts: np.ndarray
+    name_default_times: np.ndarray | None
+
+    def count_at(self, t: float) -> int:
+        idx = np.searchsorted(self.times, t, side="right") - 1
+        return 0 if idx < 0 else int(self.counts[idx])
+
+
+def _inverse_grid(schedule: IntensitySchedule, horizon: float):
+    """Breakpoints (times, cumulated rows) covering [0, horizon] for inversion."""
+    times = np.concatenate([[0.0], schedule.knots[schedule.knots < horizon], [horizon]])
+    return times, schedule.aggregate_cumulated(times)  # (n_pts, n_modes)
+
+
+def sample_shock_stream(pool: PoolSpec, schedule: IntensitySchedule, horizon: float,
+                        seed: int | np.random.Generator = 0) -> list[ShockEvent]:
+    """Sample one merged, time-sorted stream of cluster shocks up to ``horizon``.
+
+    For each amplitude the event count is Poisson with mean equal to the
+    aggregate cumulated intensity at the horizon, and event times are the
+    inverse image of uniforms under the piecewise-linear cumulated curve
+    (exact, no thinning). The names of all of an amplitude's events come from
+    one draw: the indices of the ``amplitude`` smallest of ``names`` iid
+    uniforms form a uniformly random subset. Ties after merging are broken by
+    amplitude index.
+    """
+    if horizon <= 0:
+        raise SimulationError("horizon must be positive")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    grid_times, grid_values = _inverse_grid(schedule, horizon)
+    for amplitude, total in zip(schedule.amplitudes, grid_values[-1]):
+        if amplitude > pool.names and total > 0.0:
+            raise SimulationError(f"amplitude {amplitude} exceeds the pool of "
+                                  f"{pool.names} names")
+    events: list[tuple[float, int, ShockEvent]] = []
+    for j, amplitude in enumerate(schedule.amplitudes):
+        total = float(grid_values[-1, j])
+        if total <= 0.0:
+            continue
+        count = rng.poisson(total)
+        if count == 0:
+            continue
+        u = rng.uniform(0.0, total, size=count)
+        t = np.sort(np.interp(u, grid_values[:, j], grid_times))
+        keys = rng.random((count, pool.names))
+        clusters = np.sort(np.argsort(keys, axis=1)[:, :amplitude], axis=1)
+        for ti, cluster in zip(t.tolist(), clusters.tolist()):
+            events.append((ti, j, ShockEvent(ti, tuple(cluster))))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return [e[2] for e in events]
+
+
+def apply_strategy(events: list[ShockEvent], strategy: str, pool: PoolSpec) -> Trajectory:
+    """Turn a time-sorted event stream into a counting trajectory."""
+    if strategy not in STRATEGIES:
+        raise SimulationError(f"unknown strategy {strategy!r}")
+    times = np.array([e.time for e in events])
+    if np.any(np.diff(times) < 0):
+        raise SimulationError("events must be sorted by time")
+    name_aware = strategy in (STRATEGY_SINGLE_NAME, STRATEGY_CLUSTER)
+    defaulted = np.zeros(pool.names, dtype=bool) if name_aware else None
+    name_times = np.full(pool.names, np.nan) if name_aware else None
+    increments = np.zeros(len(events), dtype=np.int64)
+    count = 0
+    for i, event in enumerate(events):
+        members = np.asarray(event.cluster, dtype=np.intp)
+        if name_aware and members.max(initial=-1) >= pool.names:
+            raise SimulationError("cluster references a name outside the pool")
+        if strategy == STRATEGY_REPEATED:
+            inc = len(members)
+        elif strategy == STRATEGY_CAPPED:
+            inc = min(len(members), pool.names - count)
+        elif strategy == STRATEGY_SINGLE_NAME:
+            fresh = members[~defaulted[members]]
+            defaulted[fresh] = True
+            name_times[fresh] = event.time
+            inc = len(fresh)
+        else:  # s2: all-or-nothing
+            if defaulted[members].any():
+                inc = 0
+            else:
+                defaulted[members] = True
+                name_times[members] = event.time
+                inc = len(members)
+        count += inc
+        increments[i] = inc
+    return Trajectory(
+        strategy=strategy,
+        pool=pool,
+        times=times,
+        increments=increments,
+        counts=np.cumsum(increments),
+        name_default_times=name_times,
+    )
+
+
+def single_name_default_times(trajectory: Trajectory) -> np.ndarray:
+    """Per-name default times (nan = never defaulted).
+
+    Only the name-aware strategies preserve identity; the capped and repeated
+    counts cannot be attributed to names.
+    """
+    if trajectory.name_default_times is None:
+        raise SimulationError(
+            f"strategy {trajectory.strategy!r} does not preserve name identity")
+    return trajectory.name_default_times.copy()

@@ -23,8 +23,9 @@ from clusterloss.loss_engine import (
     log_binomial,
 )
 from clusterloss.pricer import TrancheDef, expected_tranched_loss
-from clusterloss.simulator import apply_strategy, empirical_distributions, sample_shock_stream
+from clusterloss.simulator import empirical_distributions
 
+from reference_engines import apply_strategy, sample_shock_stream
 from reference_values import (
     REFERENCE_ETL_GPCL,
     REFERENCE_ETL_GPL,

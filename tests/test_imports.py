@@ -78,10 +78,15 @@ def test_scipy_and_multiprocessing_load_only_where_used():
 
 
 def test_reference_engines_are_not_exported():
-    # the single-instrument legs, Panjer and expm live in tests/reference_engines.py
+    # the single-instrument legs, Panjer, expm and the name-level simulation
+    # live in tests/reference_engines.py
     for name in ("LegValues", "LossGrid", "default_leg", "index_spread", "tranche_legs",
                  "tranche_premium_leg", "tranche_spread_or_upfront", "cumulated_generator",
                  "matrix_exponential"):
         assert not hasattr(clusterloss, name), name
+    for name in ("ShockEvent", "Trajectory", "sample_shock_stream", "apply_strategy",
+                 "single_name_default_times", "_inverse_grid"):
+        assert not hasattr(clusterloss, name), name
+        assert not hasattr(clusterloss.simulator, name), name
     assert clusterloss.PanelPricer is clusterloss.pricer.PanelPricer
     assert clusterloss.calibrator.PanelPricer is clusterloss.pricer.PanelPricer

@@ -668,6 +668,19 @@ class TestLossDistribution:
         dist = LossDistribution(time=1.0, probs=np.array([0.25, 0.5, 0.25]))
         assert dist.expected_count() == pytest.approx(1.0)
 
+    def test_probabilities_are_read_only(self, pool, gpl_schedule, gpcl_schedule):
+        given = np.array([0.25, 0.5, 0.25])
+        kept = LossDistribution(time=1.0, probs=given)
+        clamped = LossDistribution(time=1.0, probs=np.array([1.0 + 1e-14, -1e-14]))
+        for dist in (gpl_distribution(pool, gpl_schedule, 5.0),
+                     gpcl_distribution(pool, gpcl_schedule, 5.0), clamped, kept):
+            before = dist.expected_count()
+            with pytest.raises(ValueError, match="read-only"):
+                dist.probs[0] = 7.0
+            assert dist.expected_count() == before
+        given[0] = 7.0  # the caller's array stays its own
+        assert kept.probs[0] == 0.25
+
 
 class TestCountingIntensity:
     def test_all_strategies_agree_with_no_defaults(self, pool):

@@ -13,11 +13,14 @@ from clusterloss.loss_engine import (
     gpl_distribution,
 )
 from clusterloss.simulator import (
-    ShockEvent,
     SimulationError,
-    apply_strategy,
     empirical_distribution,
     empirical_distributions,
+)
+
+from reference_engines import (
+    ShockEvent,
+    apply_strategy,
     sample_shock_stream,
     single_name_default_times,
 )
@@ -199,6 +202,13 @@ class TestEmpiricalDistribution:
         means = [e.distribution.expected_count() for e in emps]
         assert means == sorted(means)  # counting process is non-decreasing
 
+    def test_distribution_is_read_only(self):
+        pool = PoolSpec(names=12)
+        sched = make_schedule(GPCL, (1, 3), (1.0,), [(1.0,), (0.3,)])
+        emp = empirical_distribution(pool, sched, "s2", 1.0, n_paths=500, seed=4)
+        with pytest.raises(ValueError, match="read-only"):
+            emp.distribution.probs[0] = 7.0
+
     def test_determinism(self):
         pool = PoolSpec(names=12)
         sched = make_schedule(GPCL, (1, 3), (1.0,), [(1.0,), (0.3,)])
@@ -361,3 +371,61 @@ class TestCountOnlySimulation:
             sd = math.sqrt(counts ** 2 @ exact - mean ** 2)
             z = (counts @ emp.distribution.probs - mean) / (sd / math.sqrt(n_paths))
             assert abs(z) <= 5.0, (strategy, t, z)
+
+
+class TestCells:
+    """s1 and s2 draw one Poisson total per path and cell, where the cells cut
+    [0, last time] at the observation times and at the knots, and mark each
+    event with a mode. Before knot 1 only 4-name clusters arrive and after it
+    only single names, so an s2 path must meet the clusters before the single
+    names inside the observation interval (0.6, 1.5]; cells cut at the
+    observation times alone would mix the two."""
+
+    POOL = PoolSpec(names=12)
+    TIMES = (0.0, 0.6, 1.5, 1.5, 2.0, 3.7)  # at 0, between knots, repeated, on a knot, beyond
+    N_PATHS = 200_000
+
+    @staticmethod
+    def switching_schedule(amplitudes=(1, 4, 20)):
+        # the single names have no rise before knot 1, the clusters none after
+        # it, and 20-name clusters are larger than the pool
+        rows = {1: (0.0, 3.0, 4.0), 4: (1.5, 1.5, 1.5), 20: (0.5, 1.0, 1.5)}
+        return make_schedule(GPCL, amplitudes, (1.0, 2.0, 3.0), [rows[a] for a in amplitudes])
+
+    def test_s2_matches_exact_engine(self):
+        sched = self.switching_schedule()
+        emps = empirical_distributions(self.POOL, sched, "s2", self.TIMES, self.N_PATHS,
+                                       seed=31)
+        assert [e.distribution.time for e in emps] == sorted(self.TIMES)
+        assert emps[0].distribution.probs[0] == 1.0
+        counts = np.arange(self.POOL.names + 1)
+        for emp in emps[1:]:
+            exact = gpcl_distribution(self.POOL, sched, emp.distribution.time).probs
+            freq = emp.distribution.probs
+            for stat in (counts, counts == 0):
+                mean = stat @ exact
+                sd = math.sqrt(stat ** 2 @ exact - mean ** 2)
+                z = (stat @ freq - mean) / (sd / math.sqrt(self.N_PATHS))
+                assert abs(z) <= 5.0, (emp.distribution.time, z)
+        np.testing.assert_array_equal(emps[2].distribution.probs, emps[3].distribution.probs)
+
+    def test_s1_matches_name_level_simulation(self):
+        # a cluster larger than the pool never fires, so the name-level
+        # reference runs without the 20-name mode
+        reference = self.switching_schedule((1, 4))
+        times = sorted(self.TIMES)
+        names = []
+        for seed in range(10_000):
+            traj = apply_strategy(sample_shock_stream(self.POOL, reference, times[-1], seed=seed),
+                                  "s1", self.POOL)
+            names.append([traj.count_at(t) for t in times])
+        names = np.asarray(names)
+        emps = empirical_distributions(self.POOL, self.switching_schedule(), "s1", self.TIMES,
+                                       self.N_PATHS, seed=37)
+        assert emps[0].distribution.probs[0] == 1.0
+        for row, emp in enumerate(emps[1:], start=1):
+            freq = emp.distribution.probs
+            simulated = np.repeat(np.arange(self.POOL.names + 1),
+                                  np.rint(freq * self.N_PATHS).astype(int))
+            assert abs(two_sample_z(simulated, names[:, row])) <= 5.0
+            assert abs(two_sample_z(simulated == 0, names[:, row] == 0)) <= 5.0

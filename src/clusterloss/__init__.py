@@ -17,7 +17,6 @@ from .loss_engine import (
     GPL,
     STRATEGIES,
     IntensitySchedule,
-    KnotMemo,
     LossDistribution,
     PoolSpec,
     cluster_cumulated_intensity,

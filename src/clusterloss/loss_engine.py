@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-import threading
-from collections import OrderedDict
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -59,14 +58,23 @@ class PoolSpec:
     recovery: float = 0.40
 
     def __post_init__(self):
+        if not _is_integer(self.names):
+            raise LossEngineError(f"pool size must be an integer, got {self.names!r}")
         if self.names < 1:
             raise LossEngineError("pool must contain at least one name")
+        # a Python int: numpy integers wrap around (uint8(255) + 1 == 0)
+        object.__setattr__(self, "names", int(self.names))
         if not 0.0 <= self.recovery <= 1.0:
             raise LossEngineError("recovery must lie in [0, 1]")
 
     @property
     def loss_per_default(self) -> float:
         return (1.0 - self.recovery) / self.names
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -294,45 +302,11 @@ class LossDistribution:
 # ---------------------------------------------------------------------------
 
 _POISSON_TAIL = 1e-16
-_MEMO_ENTRIES = 32  # knot intervals a KnotMemo holds
-
-
-class KnotMemo:
-    """Least-recently-used store of the kernel's per-knot-interval results.
-
-    ``distribution_term_structure`` keys each knot interval on everything its
-    rows and end state depend on, so one memo may serve any sequence of
-    calls; it pays off when calls share leading knot intervals, as the
-    calibrator's do. It holds at most ``_MEMO_ENTRIES`` intervals, few
-    enough that it costs little memory and does not outlive one run of
-    related calls. The lock is held only for a lookup or an insert, so
-    threads may share a memo.
-    """
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > _MEMO_ENTRIES:
-                self._entries.popitem(last=False)
+_MEMO_ENTRIES = 32  # knot intervals _interval_rows keeps
 
 
 def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
-                                times, memo: KnotMemo | None = None) -> np.ndarray:
+                                times) -> np.ndarray:
     """Counting distributions at several times, stacked as rows.
 
     ``times`` must be finite, non-negative and non-decreasing. Both models
@@ -347,13 +321,12 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     extrapolation beyond the last knot. Each row is renormalised to sum to
     one; a row whose sum strays from one by more than 1e-9 is an error.
 
-    The state at a knot depends only on the intervals before it. With a
-    ``memo``, each interval's rows and end state are stored under a key of
-    the model, the pool size, the interval's requested times and end, and
-    the (amplitude, density) pairs of its modes with non-zero density, for
-    it and every interval before it; a call whose leading intervals match an
-    earlier one's copies their results instead of solving them again, and
-    gets the same bits.
+    The state at a knot depends only on the intervals before it, so each
+    interval is solved by ``_interval_rows``, whose arguments name the
+    interval and, through the arguments of the interval before it, every
+    earlier one. Its bounded cache serves every caller in the process: a
+    call whose leading intervals match an earlier call's reads their
+    results instead of solving them again, and gets the same bits.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -363,13 +336,9 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     if len(times) and not (times[0] >= 0 and math.isfinite(times[-1])
                            and np.all(np.diff(times) >= 0)):
         raise LossEngineError("times must be finite, non-negative and non-decreasing")
-    n_states = pool.names + 1
-    out = np.empty((len(times), n_states))
-    state = np.zeros(n_states)
-    state[0] = 1.0
-    state.flags.writeable = False
+    out = np.zeros((len(times), pool.names + 1))
     lo = int(np.searchsorted(times, 0.0, side="right"))
-    out[:lo] = state
+    out[:lo, 0] = 1.0  # no defaults at time zero
     if lo == len(times):
         return out
     knots, rises, widths = schedule.knots, schedule.cumulated.copy(), schedule.knots.copy()
@@ -380,18 +349,11 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     # the final interval's slope carries on beyond the last knot
     his = np.searchsorted(times, knots[:-1], side="right").tolist() + [len(times)]
     ends = np.minimum(knots[:-1], times[-1]).tolist() + [float(times[-1])]
-    key = (schedule.model, pool.names)
-    for start, hi, end, slopes in zip([0.0] + knots.tolist(), his, ends, densities):
+    interval = None
+    for hi, end, slopes in zip(his, ends, densities):
         active = tuple((a, s) for a, s in zip(schedule.amplitudes, slopes) if s > 0.0)
-        key = (key, times[lo:hi].tobytes(), end, active)
-        found = memo.get(key) if memo is not None else None
-        if found is None:
-            found = _interval_rows(pool, schedule.model, active, state,
-                                   times[lo:hi] - start, end - start)
-            if memo is not None:
-                memo.put(key, found)
-        rows, state = found
-        out[lo:hi] = rows
+        interval = (schedule.model, pool.names, interval, times[lo:hi].tobytes(), end, active)
+        out[lo:hi] = _interval_rows(*interval)[0]
         lo = hi
         if lo == len(times):
             break
@@ -420,18 +382,34 @@ def gpcl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
     return LossDistribution(time=t, probs=distribution_term_structure(pool, schedule, [t])[0])
 
 
-def _interval_rows(pool: PoolSpec, model: str, active, state: np.ndarray,
-                   offsets: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """States at ``offsets`` years into one knot interval, and at its end
-    ``length`` years in, from ``state`` at its start; ``active`` holds the
-    (amplitude, intensity density) pairs of the interval's modes with
-    non-zero density. Both arrays are read-only, so a memo may hand them
-    out."""
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _interval_rows(model: str, names: int, previous: tuple | None, times: bytes,
+                   end: float, active: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """States at the requested ``times`` (float64 bytes) of one knot
+    interval, and at its ``end``; ``active`` holds the (amplitude, intensity
+    density) pairs of the interval's modes with non-zero density.
+
+    ``previous`` is the argument tuple of the interval before, whose end is
+    this interval's start and whose end state is this one's start state, or
+    None for the interval starting at time zero with no defaults. The
+    arguments thus name everything the result depends on, and the cache
+    keeps the ``_MEMO_ENTRIES`` intervals used last, for every caller and
+    thread in the process. Its ``cache_info()`` misses count the intervals
+    solved; its hits include each solve's lookup of the interval before it.
+    Both arrays are read-only, so the cache may hand them out.
+    """
+    if previous is None:
+        start, state = 0.0, np.zeros(names + 1)
+        state[0] = 1.0
+        state.flags.writeable = False
+    else:
+        start, state = previous[4], _interval_rows(*previous)[1]  # [4]: its end
+    offsets = np.frombuffer(times) - start
     if not active:
         return np.broadcast_to(state, (len(offsets), len(state))), state
     q = sum(s for _, s in active)
-    transition = _unit_transition_matrix(pool, model, [(a, s / q) for a, s in active])
-    weights = _poisson_weights(q * np.append(offsets, length))
+    transition = _unit_transition_matrix(names, model, [(a, s / q) for a, s in active])
+    weights = _poisson_weights(q * np.append(offsets, end - start))
     krylov = np.empty((weights.shape[1], len(state)))
     krylov[0] = state
     for j in range(1, len(krylov)):
@@ -441,7 +419,7 @@ def _interval_rows(pool: PoolSpec, model: str, active, state: np.ndarray,
     return rows[:-1], rows[-1]
 
 
-def _unit_transition_matrix(pool: PoolSpec, model: str, shares) -> np.ndarray:
+def _unit_transition_matrix(names: int, model: str, shares) -> np.ndarray:
     """P = I + G/q for one knot interval, indexed (to-state, from-state).
 
     ``shares`` are (amplitude, share) pairs, the shares being the modes'
@@ -451,7 +429,7 @@ def _unit_transition_matrix(pool: PoolSpec, model: str, shares) -> np.ndarray:
     column sums to one. Sub-diagonal a is the strided view starting at flat
     index a * n.
     """
-    m = pool.names
+    m = names
     n = m + 1
     p = np.zeros((n, n))
     flat = p.reshape(-1)
@@ -520,8 +498,8 @@ def counting_intensity(strategy: str, pool: PoolSpec, cluster_rates: dict[int, f
     if strategy not in STRATEGIES:
         raise LossEngineError(f"unknown strategy {strategy!r}")
     m = pool.names
-    if not 0 <= count <= m:
-        raise LossEngineError(f"count must lie in [0, {m}]")
+    if not (_is_integer(count) and 0 <= count <= m):
+        raise LossEngineError(f"count must be an integer in [0, {m}], got {count!r}")
     total = 0.0
     for amplitude, rate in cluster_rates.items():
         amplitude = int(amplitude)

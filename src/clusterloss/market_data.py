@@ -5,6 +5,7 @@ upfront quotes are converted to fractions of tranche notional on load.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -91,18 +92,20 @@ class DiscountCurve:
         return float(out) if out.ndim == 0 else out
 
 
+def _opened(source):
+    """A context manager yielding a text handle: the file at path ``source``,
+    closed on exit, or ``source`` itself, left open."""
+    if isinstance(source, (str, bytes)):
+        return open(source, newline="")
+    return contextlib.nullcontext(source)
+
+
 def load_curve(source, valuation_date: dt.date) -> DiscountCurve:
     """Load a discount curve from CSV with header ``date,zero_rate``.
 
     Rates may be decimals ('0.0341') or percent-suffixed ('3.41%').
     """
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, newline="")
-        close = True
-    else:
-        fh = source
-    try:
+    with _opened(source) as fh:
         reader = csv.reader(fh)
         dates, rates = [], []
         for lineno, row in enumerate(reader, start=1):
@@ -120,9 +123,6 @@ def load_curve(source, valuation_date: dt.date) -> DiscountCurve:
         if not dates:
             raise MarketDataError("no pillars")
         return DiscountCurve(valuation_date, tuple(dates), tuple(rates))
-    finally:
-        if close:
-            fh.close()
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,9 @@ class TrancheQuote:
         if not (0 < self.bid_ask_width < math.inf):
             raise MarketDataError(
                 f"bid-ask width must be positive and finite, got {self.bid_ask_width}")
+        if not (0 <= self.running_premium_if_upfront < math.inf):
+            raise MarketDataError(f"running premium must be non-negative and finite, "
+                                  f"got {self.running_premium_if_upfront}")
 
 
 @dataclass(frozen=True)
@@ -187,11 +190,6 @@ class QuotePanel:
         dates = {q.maturity for q in self.index_quotes}
         dates.update(q.maturity for q in self.tranche_quotes)
         return tuple(sorted(dates))
-
-    @property
-    def tranches(self) -> tuple[tuple[float, float], ...]:
-        seen = {(q.attachment, q.detachment) for q in self.tranche_quotes}
-        return tuple(sorted(seen))
 
     def __len__(self) -> int:
         return len(self.index_quotes) + len(self.tranche_quotes)
@@ -252,13 +250,7 @@ def load_quotes(source, valuation_date: dt.date) -> QuotePanel:
     points. Upfront rows are quoted in bp of tranche notional and stored
     as fractions.
     """
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, newline="")
-        close = True
-    else:
-        fh = source
-    try:
+    with _opened(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -297,9 +289,6 @@ def load_quotes(source, valuation_date: dt.date) -> QuotePanel:
                 raise MarketDataError(f"line {lineno}: {exc}") from exc
         return QuotePanel(pool_name, valuation_date,
                           tuple(index_quotes), tuple(tranche_quotes))
-    finally:
-        if close:
-            fh.close()
 
 
 def roll_weekend(d: dt.date) -> dt.date:

@@ -9,6 +9,11 @@ time integral is discretised on the payment dates plus a refinement grid
 (monthly by default) with midpoint discounting of each loss increment; index
 premium notional erodes with the default count (no recovery credit), while
 the index default leg pays loss increments net of recovery.
+
+A pricer holds only data fixed at construction, so threads may share one
+and a pickled copy is an ordinary one. Evaluations that share leading knot
+intervals, as the calibrator's do, are served by the kernel's process-wide
+cache of solved intervals.
 """
 from __future__ import annotations
 
@@ -19,7 +24,6 @@ import numpy as np
 
 from .loss_engine import (
     IntensitySchedule,
-    KnotMemo,
     LossDistribution,
     PoolSpec,
     distribution_term_structure,
@@ -209,22 +213,11 @@ class PanelPricer:
             self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
             self._payment_weights[np.ix_(pay_idx, cols)] = (
                 sched.year_fractions * curve.discount_factor(pay_times))[:, None]
-        self._memo = KnotMemo()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_memo"]  # holds a lock; a copy starts with an empty memo
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._memo = KnotMemo()
 
     def model_values(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
         """Model quotes of every instrument, or of those a boolean ``subset``
         mask selects; a subset is priced off the grid through its latest
-        maturity only. Distributions come from the kernel with this pricer's
-        memo, so calls that share leading knot intervals solve them once."""
+        maturity only."""
         if subset is None:
             cols, n_rows = slice(None), len(self.grid_times)
         else:
@@ -232,8 +225,7 @@ class PanelPricer:
             if cols.shape != (len(self.instruments),):
                 raise PricingError("subset must be one boolean per instrument")
             n_rows = int(self._rows_needed[cols].max(initial=1))
-        probs = distribution_term_structure(self.pool, schedule, self.grid_times[:n_rows],
-                                            memo=self._memo)
+        probs = distribution_term_structure(self.pool, schedule, self.grid_times[:n_rows])
         stats = probs @ self.payout_matrix  # (n_rows, n_cols)
         default_pv = np.einsum("ti,ti->i", self._increment_weights[:n_rows - 1, cols],
                                np.diff(stats[:, self._loss_cols[cols]], axis=0))

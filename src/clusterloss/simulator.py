@@ -52,6 +52,7 @@ from .loss_engine import (
     IntensitySchedule,
     LossDistribution,
     PoolSpec,
+    _is_integer,
 )
 
 
@@ -92,8 +93,9 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
     """
     if strategy not in STRATEGIES:
         raise SimulationError(f"unknown strategy {strategy!r}")
-    if n_paths < 1:
-        raise SimulationError("n_paths must be at least 1")
+    if not (_is_integer(n_paths) and n_paths >= 1):
+        raise SimulationError(f"n_paths must be an integer of at least 1, got {n_paths!r}")
+    n_paths = int(n_paths)
     times = sorted(float(t) for t in np.atleast_1d(times))
     if not times or not all(map(math.isfinite, times)) or times[0] < 0:
         raise SimulationError("need at least one time, all finite and non-negative")

@@ -8,12 +8,21 @@ from clusterloss import (
     load_curve,
     load_quotes,
 )
+from clusterloss import loss_engine
 from clusterloss.fixtures import (
     FIXTURE_VALUATION_DATE,
     curve_path,
     quotes_path,
     schedule_path,
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_interval_cache():
+    """Every test starts with the kernel's interval cache empty, so that it
+    neither reads rows an earlier test left (one made under a patched
+    Poisson tail, say) nor depends on what ran before it."""
+    loss_engine._interval_rows.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -328,10 +329,14 @@ class Trajectory:
         return 0 if idx < 0 else int(self.counts[idx])
 
 
+@lru_cache(maxsize=64)
 def _inverse_grid(schedule: IntensitySchedule, horizon: float):
-    """Breakpoints (times, cumulated rows) covering [0, horizon] for inversion."""
+    """Breakpoints (times, cumulated rows) covering [0, horizon] for inversion,
+    read-only: computed once per schedule and horizon, not once per seed."""
     times = np.concatenate([[0.0], schedule.knots[schedule.knots < horizon], [horizon]])
-    return times, schedule.aggregate_cumulated(times)  # (n_pts, n_modes)
+    values = schedule.aggregate_cumulated(times)  # (n_pts, n_modes)
+    times.flags.writeable = values.flags.writeable = False
+    return times, values
 
 
 def sample_shock_stream(pool: PoolSpec, schedule: IntensitySchedule, horizon: float,

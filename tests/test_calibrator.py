@@ -3,6 +3,7 @@ import datetime as dt
 import math
 import multiprocessing
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from clusterloss.calibrator import (
 from clusterloss.fixtures import FIXTURE_VALUATION_DATE, quotes_path, schedule_path
 from clusterloss import loss_engine
 from clusterloss import pricer as pricer_module
-from clusterloss.loss_engine import GPL, GPCL, IntensitySchedule, PoolSpec
+from clusterloss.loss_engine import (
+    GPL,
+    GPCL,
+    IntensitySchedule,
+    PoolSpec,
+    distribution_term_structure,
+)
 from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
@@ -204,33 +211,33 @@ def _with_zero_mode(schedule):
 
 
 class TestKnotPrefixMemo:
-    """Each PanelPricer keeps a bounded memo of the kernel's per-knot-interval
-    results; a memo hit must give the bits of a fresh solve."""
+    """The kernel keeps a bounded cache of its per-knot-interval results,
+    shared by every pricer; a cache hit must give the bits of a fresh solve."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        """Every kernel call the pricer makes, checked against the kernel
-        without a memo; counts the knot intervals actually solved."""
+        """Every kernel call the pricer makes, with the knot intervals it
+        actually solved (cache misses: a hit, including an interval's lookup
+        of the one before it, solves nothing). On teardown each call's rows
+        are checked against a fresh solve, made on an empty cache."""
         calls = {"calls": 0, "solved": 0}
+        made = []
         original = pricer_module.distribution_term_structure
-        solve = loss_engine._interval_rows
+        info = loss_engine._interval_rows.cache_info
 
-        def counting(*args, **kwargs):
-            calls["solved"] += 1
-            return solve(*args, **kwargs)
-
-        def checked(pool, schedule, times, memo=None):
-            assert memo is not None
-            out = original(pool, schedule, times, memo=memo)
-            solved = calls["solved"]
-            np.testing.assert_array_equal(out, original(pool, schedule, times))
-            calls["solved"] = solved
+        def counting(pool, schedule, times):
+            misses = info().misses
+            out = original(pool, schedule, times)
+            calls["solved"] += info().misses - misses
             calls["calls"] += 1
+            made.append((pool, schedule, times, out))
             return out
 
-        monkeypatch.setattr(pricer_module, "distribution_term_structure", checked)
-        monkeypatch.setattr(loss_engine, "_interval_rows", counting)
-        return calls
+        monkeypatch.setattr(pricer_module, "distribution_term_structure", counting)
+        yield calls
+        for pool, schedule, times, out in made:
+            loss_engine._interval_rows.cache_clear()
+            np.testing.assert_array_equal(out, original(pool, schedule, times))
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_memo_hits_are_bit_identical(self, spy, pool, curve, itraxx_panel, model):
@@ -263,44 +270,84 @@ class TestKnotPrefixMemo:
         pricer.model_values(flat)
         assert spy["solved"] == len(base.knots) + 2
 
-    def test_entry_count_never_exceeds_the_bound(self, pool, curve, itraxx_panel,
-                                                 monkeypatch):
+    def test_entry_count_never_exceeds_the_bound(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)
+        info = loss_engine._interval_rows.cache_info
+        assert info().maxsize == loss_engine._MEMO_ENTRIES
         sizes = []
-        put = loss_engine.KnotMemo.put
-
-        def recording(memo, key, value):
-            put(memo, key, value)
-            sizes.append(len(memo))
-
-        monkeypatch.setattr(loss_engine.KnotMemo, "put", recording)
         base = _load(GPCL)
         for n in range(3 * loss_engine._MEMO_ENTRIES):
             pricer.model_values(base.with_cumulated(
                 np.asarray(base.cumulated) * (1.0 + 1e-3 * n)))
+            sizes.append(info().currsize)
         assert max(sizes) == loss_engine._MEMO_ENTRIES
-        assert len(pricer._memo) == loss_engine._MEMO_ENTRIES
+        assert info().currsize == loss_engine._MEMO_ENTRIES
 
     def test_pickled_and_shared_pricers_agree(self, pool, curve, itraxx_panel):
         base = _load(GPCL)
         schedules = [base] + [_bumped(base, j, k, 0.03)
                               for j in range(base.n_modes) for k in range(len(base.knots))]
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        expected = [PanelPricer(itraxx_panel, curve, pool).model_values(s) for s in schedules]
+        expected = []
+        for s in schedules:  # fresh solves: a fresh pricer on an empty cache
+            loss_engine._interval_rows.cache_clear()
+            expected.append(PanelPricer(itraxx_panel, curve, pool).model_values(s))
         for s in schedules[:5]:
-            pricer.model_values(s)  # a copy must not carry the memo over
+            pricer.model_values(s)
         restored = pickle.loads(pickle.dumps(pricer))
-        assert len(restored._memo) == 0
         for s, values in zip(schedules, expected):
             np.testing.assert_array_equal(restored.model_values(s), values)
-        with concurrent.futures.ThreadPoolExecutor(4) as threads:
-            for _ in range(3):
-                shared = list(threads.map(pricer.model_values, schedules))
-                for got, values in zip(shared, expected):
-                    np.testing.assert_array_equal(got, values)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave inside cache lookups
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as threads:
+                for _ in range(3):
+                    shared = list(threads.map(pricer.model_values, schedules, timeout=300))
+                    for got, values in zip(shared, expected):
+                        np.testing.assert_array_equal(got, values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert loss_engine._interval_rows.cache_info().currsize <= loss_engine._MEMO_ENTRIES
+
+    def test_evicted_prefix_is_solved_again(self, pool, gpcl_schedule, monkeypatch):
+        # an interval whose predecessors have left the cache solves them
+        # again for its start state, with the bits of the first solve
+        solve, made = loss_engine._interval_rows, []
+
+        def recording(*args):
+            made.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(loss_engine, "_interval_rows", recording)
+        distribution_term_structure(pool, gpcl_schedule, np.linspace(0.0, 12.0, 49))
+        last = next(args for args in made if args[4] == 12.0)  # the last interval's
+        first = solve(*last)
+        solve.cache_clear()
+        again = solve(*last)
+        assert solve.cache_info().misses == len(gpcl_schedule.knots)
+        np.testing.assert_array_equal(again[0], first[0])
+        np.testing.assert_array_equal(again[1], first[1])
 
 
 class TestSubsetErrors:
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_subset_rows_are_the_full_rows(self, pool, curve, itraxx_panel, cdx_panel,
+                                           model, index):
+        # a subset grid ends on a knot, so its intervals are the full grid's
+        # leading ones: the same rows, and the same cache keys
+        schedule = _load(model, index)
+        pricer = PanelPricer(itraxx_panel if index == "itraxx" else cdx_panel, curve, pool)
+        grid, cache = pricer.grid_times, loss_engine._interval_rows
+        full = distribution_term_structure(pool, schedule, grid)
+        for mask in pricer.maturity_masks:
+            n = int(pricer._rows_needed[mask].max())
+            cache.cache_clear()
+            np.testing.assert_array_equal(
+                distribution_term_structure(pool, schedule, grid[:n]), full[:n])
+            np.testing.assert_array_equal(distribution_term_structure(pool, schedule, grid), full)
+            assert cache.cache_info().misses == len(schedule.knots)
+
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_each_maturity_matches_the_full_errors(self, pool, curve, itraxx_panel, model):
         schedule = _load(model)
@@ -310,6 +357,10 @@ class TestSubsetErrors:
         masks = pricer.maturity_masks + [pricer.maturity_masks[0] | pricer.maturity_masks[2]]
         for mask in masks:
             values = pricer.model_values(schedule, subset=mask)
+            # the rows are the full call's (test above); the last digits
+            # differ in the leg sums, which einsum adds over a column subset
+            # in another order: by up to 9e-16 relative, even for the last
+            # maturity's mask, which prices the whole grid
             np.testing.assert_allclose(values, full_values[mask], rtol=1e-13, atol=0.0)
             # an error is model minus mid over the width, so near zero it
             # keeps the quote's absolute rounding: 1e-13 widths at least
@@ -322,15 +373,17 @@ class TestSubsetErrors:
         seen = []
         original = pricer_module.distribution_term_structure
 
-        def recording(pool, schedule, times, memo=None):
+        def recording(pool, schedule, times):
             seen.append(times[-1])
-            return original(pool, schedule, times, memo=memo)
+            return original(pool, schedule, times)
 
         monkeypatch.setattr(pricer_module, "distribution_term_structure", recording)
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        for knot, mask in zip(pricer.knots, pricer.maturity_masks):
+        for k, (knot, mask) in enumerate(zip(pricer.knots, pricer.maturity_masks)):
+            loss_engine._interval_rows.cache_clear()
             pricer.errors(_load(GPL), subset=mask)
             assert seen[-1] == pytest.approx(knot, abs=1e-12)
+            assert loss_engine._interval_rows.cache_info().misses == k + 1
 
     @pytest.mark.parametrize("shift", [0.1, 0.001])
     @pytest.mark.parametrize("model", [GPL, GPCL])

@@ -61,6 +61,21 @@ class TestPoolSpec:
         with pytest.raises(LossEngineError):
             PoolSpec(recovery=1.01)
 
+    @pytest.mark.parametrize("names", [125.0, 125.5, True, np.float64(60.0), "125"])
+    def test_non_integer_size_rejected(self, names):
+        # 125.0 would hash equal to 125 in the kernel's cache; True would
+        # index the transition matrix by boolean
+        with pytest.raises(LossEngineError, match="pool size must be an integer"):
+            PoolSpec(names)
+
+    @pytest.mark.parametrize("names", [np.int64(60), np.uint8(255)])
+    def test_numpy_integer_size_is_a_python_int(self, gpcl_schedule, names):
+        pool = PoolSpec(names)  # a uint8 255 + 1 would wrap to 0
+        assert type(pool.names) is int and pool == PoolSpec(int(names))
+        np.testing.assert_array_equal(
+            gpcl_distribution(pool, gpcl_schedule, 5.0).probs,
+            gpcl_distribution(PoolSpec(int(names)), gpcl_schedule, 5.0).probs)
+
 
 class TestIntensitySchedule:
     def test_piecewise_linear_interpolation(self):
@@ -718,6 +733,15 @@ class TestCountingIntensity:
             counting_intensity("s1", pool, {1: 1e-3}, 126)
         with pytest.raises(LossEngineError):
             counting_intensity("bogus", pool, {1: 1e-3}, 0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, None])
+    def test_non_integer_count_rejected(self, pool, count):
+        with pytest.raises(LossEngineError, match="count must be an integer"):
+            counting_intensity("s1", pool, {1: 1e-3}, count)
+
+    def test_numpy_integer_count_accepted(self, pool):
+        assert counting_intensity("s1", pool, {1: 1e-3}, np.int64(3)) == \
+            counting_intensity("s1", pool, {1: 1e-3}, 3)
 
     @given(
         rates=st.dictionaries(

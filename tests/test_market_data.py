@@ -144,6 +144,12 @@ class TestQuotePanel:
         with pytest.raises(MarketDataError, match="finite"):
             TrancheQuote(0.03, 0.06, maturity, quote=10.0, bid_ask_width=value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.01])
+    def test_bad_running_premium_rejected(self, value):
+        with pytest.raises(MarketDataError, match="running premium"):
+            TrancheQuote(0.0, 0.03, dt.date(2011, 12, 20), quote=0.2, bid_ask_width=0.0025,
+                         is_upfront=True, running_premium_if_upfront=value)
+
     @pytest.mark.parametrize("row", ["X,20-Dec-11,3,6,nan,1,0", "X,20-Dec-11,3,6,10,inf,0",
                                      "X,20-Dec-11,,,nan,0.5,0", "X,20-Dec-11,0,3,nan,50,1"])
     def test_non_finite_quote_rows_name_their_line(self, row):

@@ -272,6 +272,21 @@ class TestEmpiricalDistribution:
         with pytest.raises(SimulationError):
             empirical_distribution(pool, sched, "bogus", 1.0, n_paths=10)
 
+    @pytest.mark.parametrize("n_paths", [2.5, 10.0, True, "10"])
+    def test_non_integer_path_count_rejected(self, n_paths):
+        pool = PoolSpec(names=5)
+        sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
+        with pytest.raises(SimulationError, match="n_paths must be an integer"):
+            empirical_distributions(pool, sched, "s2", [1.0], n_paths=n_paths)
+
+    def test_numpy_integer_path_count_accepted(self):
+        pool = PoolSpec(names=5)
+        sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
+        got = empirical_distribution(pool, sched, "s2", 1.0, n_paths=np.int64(100), seed=3)
+        want = empirical_distribution(pool, sched, "s2", 1.0, n_paths=100, seed=3)
+        assert type(got.n_paths) is int
+        np.testing.assert_array_equal(got.distribution.probs, want.distribution.probs)
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, strategy, bad):

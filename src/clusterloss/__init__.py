@@ -9,7 +9,6 @@ from .calibrator import (
     CalibrationResult,
     fit_intensities,
     greedy_calibrate,
-    objective,
     weighted_error,
 )
 from .loss_engine import (

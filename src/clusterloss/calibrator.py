@@ -9,8 +9,10 @@ Amplitudes are selected greedily: start from amplitude 1, then repeatedly
 scan every unused amplitude, refit all intensities warm-started from the
 incumbent, and keep the candidate with the lowest objective, until the
 objective threshold is met, the newest mode is negligible, or the mode
-budget is exhausted. The inner minimiser is a bounded Nelder-Mead simplex
-with seeded restarts.
+budget is exhausted. Every fit is one bounded least-squares solve over all
+increments under an evaluation budget; the candidates of a scan share the
+incumbent's errors and Jacobian columns as their start. The search draws no
+random numbers, so a calibration does not depend on its seed.
 """
 from __future__ import annotations
 
@@ -47,19 +49,33 @@ def weighted_error(model_value: float, quote) -> float:
     return (model_value - mid) / width
 
 
-def objective(schedule: IntensitySchedule, panel: QuotePanel, curve: DiscountCurve,
-              pool: PoolSpec, grid_step_days: float = 30.0) -> tuple[float, np.ndarray]:
-    """Objective f = sum of squared weighted errors, plus the error vector."""
-    return PanelPricer(panel, curve, pool, grid_step_days).objective(schedule)
-
-
 # ---------------------------------------------------------------------------
 # intensity fitting (amplitudes fixed)
 # ---------------------------------------------------------------------------
 
+# forward-difference step per unit of max(1, |x|): the square root of the
+# float64 epsilon, as in scipy's "2-point" scheme
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+
 def _schedule_from_increments(model: str, amplitudes, knots, x: np.ndarray) -> IntensitySchedule:
     inc = np.maximum(x.reshape(len(amplitudes), len(knots)), 0.0)
     return IntensitySchedule(model, amplitudes, knots, np.cumsum(inc, axis=1))
+
+
+def _forward_jacobian(residuals, x: np.ndarray, e: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Fill the nan columns of ``jac`` in place with forward differences of
+    ``residuals`` at ``x``, where ``residuals(x)`` is ``e``: one evaluation
+    per column. Steps go up only, so they never leave the bound at zero."""
+    for j in np.flatnonzero(np.isnan(jac).all(axis=0)):
+        bumped = x.copy()
+        bumped[j] += _DIFF_STEP * max(1.0, abs(x[j]))
+        jac[:, j] = (residuals(bumped) - e) / (bumped[j] - x[j])
+    return jac
+
+
+class _BudgetSpent(Exception):
+    """The evaluations left cannot pay for the solver's next step."""
 
 
 @dataclass
@@ -74,157 +90,84 @@ class FitResult:
 
 
 def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
-                    *, max_evaluations: int = 2500, seed: int = 0,
-                    restart_tol: float = 1e-6, focus_block: int | None = None) -> FitResult:
+                    *, max_evaluations: int = 2500, start=None) -> FitResult:
     """Fit all per-interval intensity increments with amplitudes held fixed.
 
-    Bounded (non-negative) Nelder-Mead with seeded restarts, organised around
-    the triangular structure of the problem: quotes at the k-th maturity
-    depend only on the first k knot-interval columns, so each cycle sweeps
-    the columns in maturity order (each column fitted against its own
-    maturity's quotes) and then polishes the full vector against the joint
-    objective. Converged when a full cycle improves the joint objective by
-    less than ``restart_tol``.
+    One bounded least-squares solve of the weighted quote errors over every
+    increment: scipy's dogbox trust region, increments at or above zero,
+    variables scaled by the Jacobian's column norms, with a forward-difference
+    Jacobian. Every pricer evaluation counts against ``max_evaluations``: the
+    solve stops once the evaluations left cannot pay for the next Jacobian
+    plus one trial point, and the best point evaluated is returned.
 
-    ``focus_block`` restricts a first search to one mode's row plus the final
-    column — the coordinates through which a freshly added amplitude can act —
-    and is used by the greedy candidate scan.
+    ``start`` is ``(errors, jacobian)`` at ``x0`` when they are known: the
+    errors, and the Jacobian with nan in the columns still to be computed.
+    The greedy scan passes each candidate the incumbent's errors and columns,
+    so that a candidate computes only its new mode's columns.
     """
     amplitudes = tuple(int(a) for a in amplitudes)
     knots = pricer.knots
-    n_knots = len(knots)
-    n_modes = len(amplitudes)
+    n_modes, n_knots = len(amplitudes), len(knots)
     x0 = np.clip(np.asarray(x0, dtype=float).ravel(), 0.0, None)
-    dim = n_modes * n_knots
-    if x0.size != dim:
-        raise CalibrationError(f"expected {dim} increments, got {x0.size}")
+    if x0.size != n_modes * n_knots:
+        raise CalibrationError(f"expected {n_modes * n_knots} increments, got {x0.size}")
+    if not max_evaluations >= 1:
+        raise CalibrationError(f"max_evaluations must be at least 1, got {max_evaluations}")
 
     evaluations = 0
+    best = None  # the best point evaluated, Jacobian steps included, and its errors
 
-    def eps_of(x: np.ndarray, subset=None) -> np.ndarray:
-        nonlocal evaluations
+    def residuals(x: np.ndarray) -> np.ndarray:
+        nonlocal evaluations, best
+        if evaluations >= max_evaluations:
+            raise _BudgetSpent
         evaluations += 1
-        return pricer.errors(_schedule_from_increments(model, amplitudes, knots, x), subset)
+        e = pricer.errors(_schedule_from_increments(model, amplitudes, knots, x))
+        if best is None or e @ e < best[1] @ best[1]:
+            best = (x.copy(), e)
+        return e
 
-    def joint_f(x: np.ndarray) -> float:
-        e = eps_of(x)
-        return float(e @ e)
+    if start is None:
+        e0 = residuals(x0)
+        jac0 = np.full((len(e0), x0.size), np.nan)
+    else:
+        e0, jac0 = np.asarray(start[0], dtype=float), np.array(start[1], dtype=float)
+        if jac0.shape != (len(e0), x0.size):
+            raise CalibrationError(f"start Jacobian must have shape {(len(e0), x0.size)}, "
+                                   f"got {jac0.shape}")
+        best = (x0, e0)
+    trial = (x0, e0)  # the last point the solver evaluated, and its errors
+    pending = [jac0]  # the solver's first Jacobian is at x0
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    def fun(x: np.ndarray) -> np.ndarray:
+        nonlocal trial
+        if not np.array_equal(x, trial[0]):
+            trial = (x.copy(), residuals(x))
+        return trial[1]
 
-    def nm_run(fun, z0: np.ndarray, budget: int, jitter: bool):
-        d = len(z0)
-        if budget < d + 2:
-            return z0, math.inf
-        steps = np.maximum(0.2 * np.abs(z0), 0.03)
-        if jitter:
-            steps = steps * (0.5 + rng.random(d))  # seeded restart jitter
-        # imported here, not at module level, so that a process which only
-        # prices or simulates never loads scipy
-        import scipy.optimize
+    def jac(x: np.ndarray) -> np.ndarray:
+        out = pending.pop() if pending else np.full((len(e0), x.size), np.nan)
+        if max_evaluations - evaluations <= np.isnan(out).all(axis=0).sum():
+            raise _BudgetSpent
+        return _forward_jacobian(residuals, x, fun(x), out)
 
-        result = scipy.optimize.minimize(
-            fun, z0, method="Nelder-Mead",
-            bounds=scipy.optimize.Bounds(np.zeros(d), np.full(d, np.inf)),
-            options={"maxfev": budget, "initial_simplex": np.vstack([z0, z0 + np.diag(steps)]),
-                     "xatol": 1e-6, "fatol": 1e-11, "adaptive": d > 8})
-        return np.clip(np.asarray(result.x), 0.0, None), float(result.fun)
-
-    def minimise_subspace(x: np.ndarray, idx: np.ndarray, subset_mask,
-                          budget: int, max_rounds: int = 6):
-        """Restarted NM over x[idx]; objective optionally restricted to a
-        quote subset. The first simplex is deterministic (stable candidate
-        rankings in the greedy scan); restarts are jittered. Returns the
-        updated vector and its (restricted) objective."""
-
-        def fun(z: np.ndarray) -> float:
-            xx = x.copy()
-            xx[idx] = np.clip(z, 0.0, None)
-            e = eps_of(xx, subset_mask)
-            return float(e @ e)
-
-        best_z = x[idx].copy()
-        best = fun(best_z)
-        spent_start = evaluations
-        per_run_cap = max(600, 50 * len(idx))
-        for round_no in range(max_rounds):
-            remaining = min(budget - (evaluations - spent_start),
-                            max_evaluations - evaluations)
-            z, f = nm_run(fun, best_z, min(per_run_cap, remaining), jitter=round_no > 0)
-            if f < best - 1e-10:
-                best_z, best = z, f
-            else:
-                break
-        out = x.copy()
-        out[idx] = best_z
-        return out, best
-
-    columns = [np.array([m * n_knots + k for m in range(n_modes)])
-               for k in range(n_knots)]
-    rows = [np.arange(m * n_knots, (m + 1) * n_knots) for m in range(n_modes)]
-    full_idx = np.arange(dim)
-    maturity_masks = pricer.maturity_masks
-
-    best_x = x0.copy()
-    start_errors = eps_of(best_x)
-    best_f = float(start_errors @ start_errors)
-
-    if focus_block is not None:
-        # fast path for the greedy scan: a new amplitude acts through its own
-        # row, and the shared final column lets the incumbent rebalance the
-        # longest maturity, which is where candidates differentiate
-        idx = np.unique(np.concatenate([rows[focus_block], columns[-1]]))
-        cand_x, cand_f = minimise_subspace(
-            best_x, idx, None, budget=max(60, max_evaluations // 2), max_rounds=3)
-        if cand_f < best_f:
-            best_x, best_f = cand_x, cand_f
+    # imported here, not at module level, so that a process which only
+    # prices or simulates never loads scipy
+    import scipy.optimize
 
     converged = False
-    sweep_helping = True
-    stalls = 0
-    while evaluations < max_evaluations and stalls < 3:
-        cycle_start_f = best_f
-        if sweep_helping and n_knots > 1:
-            # maturity-ordered column sweep: each column against its own
-            # maturity's quotes, applied cumulatively
-            scratch = best_x.copy()
-            column_budget = max(60, (max_evaluations - evaluations) // (n_knots + 2))
-            for k in range(n_knots):
-                if evaluations >= max_evaluations:
-                    break
-                scratch, _ = minimise_subspace(scratch, columns[k],
-                                               maturity_masks[k],
-                                               budget=column_budget, max_rounds=4)
-            scratch_f = joint_f(scratch)
-            if scratch_f < best_f:
-                best_x, best_f = scratch, scratch_f
-            else:
-                sweep_helping = False
-        joint_budget = max(400, (max_evaluations - evaluations) // 3)
-        cand_x, cand_f = minimise_subspace(best_x, full_idx, None,
-                                           budget=joint_budget, max_rounds=4)
-        if cand_f < best_f:
-            best_x, best_f = cand_x, cand_f
-        if n_knots > 1 and evaluations < max_evaluations:
-            # the final column moves only the longest maturity's quotes (the
-            # triangular structure), which is where the residual concentrates;
-            # hammer it with many jittered restarts
-            cand_x, cand_f = minimise_subspace(
-                best_x, columns[-1], None,
-                budget=max(400, (max_evaluations - evaluations) // 3),
-                max_rounds=10)
-            if cand_f < best_f:
-                best_x, best_f = cand_x, cand_f
-        # a stalled cycle still retries with fresh simplex jitter; converged
-        # only after several consecutive restarts fail to improve
-        stalls = stalls + 1 if cycle_start_f - best_f < restart_tol else 0
-    converged = stalls >= 3 or best_f < restart_tol
-
-    schedule = _schedule_from_increments(model, amplitudes, knots, best_x)
-    f, eps = pricer.objective(schedule)
-    warning = None if converged else "iteration budget exhausted; returning best-so-far"
-    return FitResult(schedule=schedule, objective=f, errors=eps,
-                     increments=best_x.reshape(n_modes, n_knots),
+    try:
+        # dogbox, unlike trf, starts from x0 as given: a zero increment stays
+        # zero, and a mode at zero stays out of the kernel's cache keys
+        converged = scipy.optimize.least_squares(
+            fun, x0, jac=jac, bounds=(0.0, np.inf), method="dogbox", x_scale="jac",
+            max_nfev=max_evaluations).status > 0
+    except _BudgetSpent:
+        pass
+    x, e = best
+    warning = None if converged else "evaluation budget exhausted; returning best-so-far"
+    return FitResult(schedule=_schedule_from_increments(model, amplitudes, knots, x),
+                     objective=float(e @ e), errors=e, increments=x.reshape(n_modes, n_knots),
                      n_evaluations=evaluations, converged=converged, warning=warning)
 
 
@@ -244,10 +187,36 @@ def _scan_init(pricer: PanelPricer) -> None:
 
 def _scan_candidate(task, pricer: PanelPricer | None = None
                     ) -> tuple[int, float, np.ndarray, int]:
-    model, amplitudes, x0, candidate, position, budget, seed = task
+    model, amplitudes, x0, candidate, budget, start = task
     fit = fit_intensities(pricer or _WORKER_PRICER, model, amplitudes, x0,
-                          max_evaluations=budget, seed=seed, focus_block=position)
+                          max_evaluations=budget, start=start)
     return candidate, fit.objective, fit.increments.ravel(), fit.n_evaluations
+
+
+def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: FitResult,
+                candidates, budget: int) -> tuple[list[tuple], int]:
+    """One scan task per candidate amplitude, and the evaluations spent on
+    their shared start.
+
+    Each candidate starts from the incumbent with its new mode at zero. The
+    kernel leaves zero-density modes out of its cache keys, so at that start
+    a candidate's errors are the incumbent's, and so are its Jacobian's
+    columns for the incumbent's increments, bit for bit: they are computed
+    once here, and each candidate computes only its new mode's columns.
+    """
+    x = fit.increments.ravel()
+    shared = _forward_jacobian(
+        lambda z: pricer.errors(_schedule_from_increments(model, amplitudes, pricer.knots, z)),
+        x, fit.errors, np.full((len(fit.errors), x.size), np.nan))
+    shared = shared.reshape(len(fit.errors), *fit.increments.shape)
+    tasks = []
+    for candidate in candidates:
+        position = int(np.searchsorted(amplitudes, candidate))
+        x0 = np.insert(fit.increments, position, 0.0, axis=0)
+        jac0 = np.insert(shared, position, np.nan, axis=1).reshape(len(fit.errors), -1)
+        tasks.append((model, tuple(sorted(amplitudes + [candidate])), x0.ravel(), candidate,
+                      budget, (fit.errors, jac0)))
+    return tasks, x.size
 
 
 @dataclass
@@ -264,12 +233,6 @@ class CalibrationResult:
     seed: int = 0
     settings: dict = field(default_factory=dict)
     n_evaluations: int = 0
-
-    def error_for(self, label: str) -> float:
-        for ins, eps in zip(self.instruments, self.errors):
-            if ins.label == label:
-                return float(eps)
-        raise KeyError(label)
 
     def objective_for_maturity(self, maturity: dt.date) -> float:
         mask = np.array([ins.maturity == maturity for ins in self.instruments])
@@ -311,6 +274,8 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
     Stops when the objective drops below ``objective_threshold``, the newest
     mode's total cumulated intensity is below ``negligible_intensity``, or
     ``max_modes`` is reached. Zero-intensity modes are dropped at the end.
+    ``seed`` is recorded in the result; the search itself draws no random
+    numbers.
     """
     if model not in (GPL, GPCL):
         raise CalibrationError(f"unknown model kind {model!r}")
@@ -332,7 +297,7 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
 
     amplitudes = [1]
     fit = fit_intensities(pricer, model, amplitudes, np.full(n_knots, 0.1),
-                          max_evaluations=refine_budget, seed=seed)
+                          max_evaluations=refine_budget)
     total_evals += fit.n_evaluations
     if fit.warning:
         warnings.append(f"step 1: {fit.warning}")
@@ -349,17 +314,8 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
             candidates = [a for a in range(1, pool.names + 1) if a not in amplitudes]
             if not candidates:
                 break
-            tasks = []
-            for candidate in candidates:
-                # zero-initialised new mode: the warm start prices exactly like the
-                # incumbent, so a refit can only improve or tie the objective
-                position = int(np.searchsorted(amplitudes, candidate))
-                x0 = np.insert(fit.increments, position, np.zeros(n_knots), axis=0)
-                child_seed = int(np.random.SeedSequence(seed, spawn_key=(step, candidate))
-                                 .generate_state(1)[0])
-                new_amps = sorted(amplitudes + [candidate])
-                tasks.append((model, tuple(new_amps), x0.ravel(), candidate, position,
-                              scan_budget, child_seed))
+            tasks, spent = _scan_tasks(pricer, model, amplitudes, fit, candidates, scan_budget)
+            total_evals += spent
             if n_jobs > 1 and len(tasks) > 1:
                 if workers is None:
                     import multiprocessing
@@ -374,21 +330,9 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
             best_candidate, _, best_x, _ = min(scan, key=lambda s: (s[1], s[0]))
 
             new_amplitudes = sorted(amplitudes + [best_candidate])
-            # refine the winner from the warm scan point and from scratch (the
-            # from-zero start lets the maturity-ordered sweep rebuild the whole
-            # surface around the new amplitude); keep the better fit
             refined = fit_intensities(pricer, model, new_amplitudes, best_x,
-                                      max_evaluations=refine_budget,
-                                      seed=int(np.random.SeedSequence(
-                                          seed, spawn_key=(step, 0)).generate_state(1)[0]))
-            rebuilt = fit_intensities(pricer, model, new_amplitudes,
-                                      np.zeros_like(best_x),
-                                      max_evaluations=refine_budget,
-                                      seed=int(np.random.SeedSequence(
-                                          seed, spawn_key=(step, 1)).generate_state(1)[0]))
-            total_evals += refined.n_evaluations + rebuilt.n_evaluations
-            if rebuilt.objective < refined.objective:
-                refined = rebuilt
+                                      max_evaluations=refine_budget)
+            total_evals += refined.n_evaluations
             if refined.warning:
                 warnings.append(f"step {step}: {refined.warning}")
             iterations.append({"step": step,
@@ -414,13 +358,10 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
             workers.join()
 
     if polish_budget > 0 and len(amplitudes) > 1:
-        polished = fit_intensities(pricer, model, amplitudes, fit.increments.ravel(),
-                                   max_evaluations=polish_budget,
-                                   seed=int(np.random.SeedSequence(
-                                       seed, spawn_key=(0, 0)).generate_state(1)[0]))
-        total_evals += polished.n_evaluations
-        if polished.objective < fit.objective:
-            fit = polished
+        # a fit returns its start unless it finds a lower objective
+        fit = fit_intensities(pricer, model, amplitudes, fit.increments.ravel(),
+                              max_evaluations=polish_budget)
+        total_evals += fit.n_evaluations
 
     # drop negligible modes and renumber (amplitudes stay sorted)
     keep = np.flatnonzero(fit.schedule.cumulated[:, -1] >= negligible_intensity)

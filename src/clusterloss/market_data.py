@@ -11,6 +11,7 @@ import datetime as dt
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,9 +94,10 @@ class DiscountCurve:
 
 
 def _opened(source):
-    """A context manager yielding a text handle: the file at path ``source``,
-    closed on exit, or ``source`` itself, left open."""
-    if isinstance(source, (str, bytes)):
+    """A context manager yielding a text handle: the file at path ``source``
+    (text, bytes or ``os.PathLike``), closed on exit, or ``source`` itself,
+    left open."""
+    if isinstance(source, (str, bytes, os.PathLike)):
         return open(source, newline="")
     return contextlib.nullcontext(source)
 

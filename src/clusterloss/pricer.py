@@ -185,11 +185,6 @@ class PanelPricer:
         self._upfront = np.array([ins.is_upfront for ins in self.instruments])
         self._running = np.array([ins.running if ins.is_upfront else 0.0
                                   for ins in self.instruments])
-        # one mask per knot (= per quoted maturity, in knot order)
-        self.maturity_masks = [
-            np.array([ins.maturity == m for ins in self.instruments])
-            for m in panel.maturities]
-
         # every leg is a weighted sum over the grid: the default leg weighs the
         # loss increment of each grid cell up to maturity by the discount
         # factor at the cell's midpoint, the annuity weighs the surviving
@@ -198,9 +193,7 @@ class PanelPricer:
         disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
         self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
         self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
-        # grid rows each instrument's legs read: through its maturity
-        self._rows_needed = np.zeros(len(self.instruments), dtype=int)
-        for maturity, mask in zip(panel.maturities, self.maturity_masks):
+        for maturity in panel.maturities:
             sched = schedules[maturity]
             pay_times = np.asarray(sched.times)
             pay_idx = np.searchsorted(self.grid_times, pay_times)
@@ -208,40 +201,27 @@ class PanelPricer:
                 raise PricingError("payment dates missing from the pricing grid")
             n_rows = int(np.searchsorted(
                 self.grid_times, year_fraction(panel.valuation_date, maturity) + 1e-12))
-            cols = np.flatnonzero(mask)
-            self._rows_needed[cols] = n_rows
+            cols = np.flatnonzero([ins.maturity == maturity for ins in self.instruments])
             self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
             self._payment_weights[np.ix_(pay_idx, cols)] = (
                 sched.year_fractions * curve.discount_factor(pay_times))[:, None]
 
-    def model_values(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
-        """Model quotes of every instrument, or of those a boolean ``subset``
-        mask selects; a subset is priced off the grid through its latest
-        maturity only."""
-        if subset is None:
-            cols, n_rows = slice(None), len(self.grid_times)
-        else:
-            cols = np.asarray(subset, dtype=bool)
-            if cols.shape != (len(self.instruments),):
-                raise PricingError("subset must be one boolean per instrument")
-            n_rows = int(self._rows_needed[cols].max(initial=1))
-        probs = distribution_term_structure(self.pool, schedule, self.grid_times[:n_rows])
-        stats = probs @ self.payout_matrix  # (n_rows, n_cols)
-        default_pv = np.einsum("ti,ti->i", self._increment_weights[:n_rows - 1, cols],
-                               np.diff(stats[:, self._loss_cols[cols]], axis=0))
-        annuity = np.einsum("ti,ti->i", self._payment_weights[:n_rows, cols],
-                            1.0 - stats[:, self._notional_cols[cols]])
-        values = default_pv - self._running[cols] * annuity  # upfront quotes
-        spreads = ~self._upfront[cols]
+    def model_values(self, schedule: IntensitySchedule) -> np.ndarray:
+        """Model quotes of every instrument, in ``instruments`` order."""
+        probs = distribution_term_structure(self.pool, schedule, self.grid_times)
+        stats = probs @ self.payout_matrix  # (grid, n_cols)
+        default_pv = np.einsum("ti,ti->i", self._increment_weights,
+                               np.diff(stats[:, self._loss_cols], axis=0))
+        annuity = np.einsum("ti,ti->i", self._payment_weights,
+                            1.0 - stats[:, self._notional_cols])
+        values = default_pv - self._running * annuity  # upfront quotes
+        spreads = ~self._upfront
         values[spreads] = 1e4 * default_pv[spreads] / annuity[spreads]
         return values
 
-    def errors(self, schedule: IntensitySchedule, subset=None) -> np.ndarray:
-        """Weighted quote errors of every instrument, or of the ``subset``."""
-        mids, widths = self.mids, self.widths
-        if subset is not None:
-            mids, widths = mids[subset], widths[subset]
-        return (self.model_values(schedule, subset) - mids) / widths
+    def errors(self, schedule: IntensitySchedule) -> np.ndarray:
+        """Weighted quote errors (model - mid) / width of every instrument."""
+        return (self.model_values(schedule) - self.mids) / self.widths
 
     def objective(self, schedule: IntensitySchedule) -> tuple[float, np.ndarray]:
         eps = self.errors(schedule)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from clusterloss.calibrator import (
     CalibrationError,
     fit_intensities,
+    _forward_jacobian,
+    _scan_tasks,
     greedy_calibrate,
-    objective,
     weighted_error,
 )
 from clusterloss.fixtures import FIXTURE_VALUATION_DATE, quotes_path, schedule_path
@@ -128,13 +129,13 @@ class TestObjective:
                              (2.2246575342465754, 4.219178082191781),
                              [(0.25, 0.55), (0.02, 0.05)])
         panel = synthetic_panel(pool, curve, true)
-        f, eps = objective(true, panel, curve, pool)
+        f, eps = PanelPricer(panel, curve, pool).objective(true)
         assert f == pytest.approx(0.0, abs=1e-18)
         assert np.all(eps == 0.0)
 
     def test_objective_is_sum_of_squared_errors(self, pool, curve, itraxx_panel,
                                                 gpl_schedule):
-        f, eps = objective(gpl_schedule, itraxx_panel, curve, pool)
+        f, eps = PanelPricer(itraxx_panel, curve, pool).objective(gpl_schedule)
         assert f == pytest.approx(float(eps @ eps), abs=1e-12)
         assert len(eps) == 25
 
@@ -329,19 +330,29 @@ class TestKnotPrefixMemo:
         np.testing.assert_array_equal(again[1], first[1])
 
 
+def _rows_through_each_maturity(pricer):
+    """Grid rows the legs of each maturity read: through that maturity."""
+    return [int(np.searchsorted(pricer.grid_times, knot + 1e-12)) for knot in pricer.knots]
+
+
 class TestSubsetErrors:
+    """Quotes of the k-th maturity depend only on the first k knot intervals.
+    The forward-difference Jacobian's zero rows and the greedy scan's shared
+    start rest on this: a grid prefix through a maturity has the full grid's
+    rows, and a bump at a later knot leaves the errors of the subset of
+    quotes maturing before it unchanged, bit for bit."""
+
     @pytest.mark.parametrize("index", ["itraxx", "cdx"])
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_subset_rows_are_the_full_rows(self, pool, curve, itraxx_panel, cdx_panel,
                                            model, index):
-        # a subset grid ends on a knot, so its intervals are the full grid's
+        # a prefix grid ends on a knot, so its intervals are the full grid's
         # leading ones: the same rows, and the same cache keys
         schedule = _load(model, index)
         pricer = PanelPricer(itraxx_panel if index == "itraxx" else cdx_panel, curve, pool)
         grid, cache = pricer.grid_times, loss_engine._interval_rows
         full = distribution_term_structure(pool, schedule, grid)
-        for mask in pricer.maturity_masks:
-            n = int(pricer._rows_needed[mask].max())
+        for n in _rows_through_each_maturity(pricer):
             cache.cache_clear()
             np.testing.assert_array_equal(
                 distribution_term_structure(pool, schedule, grid[:n]), full[:n])
@@ -350,62 +361,50 @@ class TestSubsetErrors:
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_each_maturity_matches_the_full_errors(self, pool, curve, itraxx_panel, model):
-        schedule = _load(model)
+        # the errors of the quotes maturing before a bumped knot are the
+        # unbumped ones, bit for bit; at and after it, some quote moves
+        base = _load(model)
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        fresh = PanelPricer(itraxx_panel, curve, pool)
-        full_values, full_errors = fresh.model_values(schedule), fresh.errors(schedule)
-        masks = pricer.maturity_masks + [pricer.maturity_masks[0] | pricer.maturity_masks[2]]
-        for mask in masks:
-            values = pricer.model_values(schedule, subset=mask)
-            # the rows are the full call's (test above); the last digits
-            # differ in the leg sums, which einsum adds over a column subset
-            # in another order: by up to 9e-16 relative, even for the last
-            # maturity's mask, which prices the whole grid
-            np.testing.assert_allclose(values, full_values[mask], rtol=1e-13, atol=0.0)
-            # an error is model minus mid over the width, so near zero it
-            # keeps the quote's absolute rounding: 1e-13 widths at least
-            got = pricer.errors(schedule, subset=mask)
-            assert got.shape == (mask.sum(),)
-            np.testing.assert_allclose(got, full_errors[mask], rtol=1e-13, atol=1e-13)
+        full_errors = pricer.errors(base)
+        maturity_index = np.searchsorted(
+            pricer.knots, [ins.maturity_time - 1e-9 for ins in pricer.instruments])
+        for j in range(base.n_modes):
+            for k in range(len(base.knots)):
+                errors = pricer.errors(_bumped(base, j, k, 0.02))
+                before = maturity_index < k
+                np.testing.assert_array_equal(errors[before], full_errors[before])
+                assert np.any(errors[~before] != full_errors[~before])
 
-    def test_solves_only_through_the_latest_maturity(self, pool, curve, itraxx_panel,
-                                                     monkeypatch):
-        seen = []
-        original = pricer_module.distribution_term_structure
-
-        def recording(pool, schedule, times):
-            seen.append(times[-1])
-            return original(pool, schedule, times)
-
-        monkeypatch.setattr(pricer_module, "distribution_term_structure", recording)
+    def test_solves_only_through_the_latest_maturity(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        for k, (knot, mask) in enumerate(zip(pricer.knots, pricer.maturity_masks)):
+        schedule, info = _load(GPL), loss_engine._interval_rows.cache_info
+        for k, n in enumerate(_rows_through_each_maturity(pricer)):
             loss_engine._interval_rows.cache_clear()
-            pricer.errors(_load(GPL), subset=mask)
-            assert seen[-1] == pytest.approx(knot, abs=1e-12)
-            assert loss_engine._interval_rows.cache_info().misses == k + 1
+            distribution_term_structure(pool, schedule, pricer.grid_times[:n])
+            assert info().misses == k + 1
+            # the pricer's full grid then solves only the intervals after it
+            pricer.errors(schedule)
+            assert info().misses == len(pricer.knots)
 
     @pytest.mark.parametrize("shift", [0.1, 0.001])
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_subset_then_full_matches_a_fresh_pricer(self, pool, curve, itraxx_panel,
                                                      model, shift):
-        # knots just after the maturities: a subset's last interval ends
+        # knots just after the maturities: a prefix grid's last interval ends
         # inside a knot interval, where the full grid's does not; 0.1 y on
         # holds grid times, 0.001 y on holds none
         base = _load(model)
         schedule = make_schedule(model, base.amplitudes, [t + shift for t in base.knots],
                                  base.cumulated)
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        for mask in pricer.maturity_masks:
-            pricer.errors(schedule, subset=mask)
+        for n in _rows_through_each_maturity(pricer):
+            distribution_term_structure(pool, schedule, pricer.grid_times[:n])
             np.testing.assert_array_equal(
                 pricer.errors(schedule),
                 PanelPricer(itraxx_panel, curve, pool).errors(schedule))
-
-    def test_mask_of_wrong_length_rejected(self, pool, curve, itraxx_panel):
-        pricer = PanelPricer(itraxx_panel, curve, pool)
-        with pytest.raises(PricingError):
-            pricer.model_values(_load(GPL), subset=np.ones(3, dtype=bool))
+        loss_engine._interval_rows.cache_clear()
+        np.testing.assert_array_equal(pricer.errors(schedule),
+                                      PanelPricer(itraxx_panel, curve, pool).errors(schedule))
 
 
 class TestFitIntensities:
@@ -431,8 +430,7 @@ class TestFitIntensities:
                 hi = mid
         bisected = 0.5 * (lo + hi)
 
-        fit = fit_intensities(pricer, GPL, (1,), np.array([0.1]),
-                              max_evaluations=600, seed=3)
+        fit = fit_intensities(pricer, GPL, (1,), np.array([0.1]), max_evaluations=600)
         assert abs(fit.errors[0]) < 0.05
         fitted = fit.schedule.cumulated[0][0]
         assert fitted == pytest.approx(bisected, rel=5e-3)
@@ -442,19 +440,123 @@ class TestFitIntensities:
         curve = flat_curve()
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 40.0, 0.5),), ())
         pricer = PanelPricer(panel, curve, pool)
-        first = fit_intensities(pricer, GPL, (1,), np.array([0.1]),
-                                max_evaluations=600, seed=3)
+        first = fit_intensities(pricer, GPL, (1,), np.array([0.1]), max_evaluations=600)
         again = fit_intensities(pricer, GPL, (1,), first.increments.ravel(),
-                                max_evaluations=600, seed=4)
+                                max_evaluations=600)
         assert again.objective <= first.objective + 1e-15
         assert abs(again.objective - first.objective) < 1e-8
 
     def test_budget_exhaustion_warns(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        fit = fit_intensities(pricer, GPL, (1,), np.full(4, 0.1),
-                              max_evaluations=10, seed=0)
+        fit = fit_intensities(pricer, GPL, (1,), np.full(4, 0.1), max_evaluations=10)
         assert not fit.converged
         assert "budget" in fit.warning
+        # one evaluation for the start leaves four, too few for a Jacobian's
+        # four columns plus a trial point: the start comes back
+        x0 = np.full(4, 0.1)
+        small = fit_intensities(pricer, GPL, (1,), x0, max_evaluations=5)
+        assert (small.n_evaluations, small.converged) == (1, False)
+        assert "budget" in small.warning
+        np.testing.assert_array_equal(small.increments.ravel(), x0)
+        np.testing.assert_array_equal(small.errors, pricer.errors(small.schedule))
+        # a known start costs nothing: four evaluations pay for no step
+        start = (small.errors, np.full((len(small.errors), 4), np.nan))
+        known = fit_intensities(pricer, GPL, (1,), x0, max_evaluations=4, start=start)
+        assert (known.n_evaluations, known.converged) == (0, False)
+        assert "budget" in known.warning
+        np.testing.assert_array_equal(known.increments.ravel(), x0)
+
+    def test_no_fit_exceeds_its_budget(self, pool, curve, itraxx_panel, monkeypatch):
+        calls = []
+        errors = PanelPricer.errors
+
+        def counting(self, schedule):
+            calls.append(schedule)
+            return errors(self, schedule)
+
+        monkeypatch.setattr(PanelPricer, "errors", counting)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        # from 0.01, (1, 12) spends its last evaluation of budget 37 on a
+        # trial point that the solver rejects, and would try another
+        for amplitudes, start in (((1,), 0.05), ((1, 12), 0.05), ((1, 12), 0.01)):
+            x0 = np.full(4 * len(amplitudes), start)
+            for budget in (1, 5, 6, 9, 10, 12, 37, 40, 150):
+                calls.clear()
+                fit = fit_intensities(pricer, GPCL, amplitudes, x0, max_evaluations=budget)
+                assert len(calls) == fit.n_evaluations <= budget
+                assert fit.converged or "budget" in fit.warning
+        # a greedy run counts every evaluation of its fits, its scans and their
+        # shared start; the final report prices the result once more
+        panel = synthetic_panel_single(PoolSpec(names=16), flat_curve(), make_schedule(
+            GPL, (1, 4), (2.2246575342465754,), [(0.30,), (0.05,)]))
+        calls.clear()
+        result = greedy_calibrate(panel, flat_curve(), PoolSpec(names=16), GPL, max_modes=3,
+                                  objective_threshold=0.0, scan_budget=7, refine_budget=40,
+                                  polish_budget=30, n_jobs=1)
+        assert len(result.iterations) == 3
+        assert len(calls) == result.n_evaluations + 1
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_scan_start_is_each_candidates_own(self, pool, curve, itraxx_panel, model):
+        # at a candidate's warm start (its new mode at zero) the shared errors
+        # and incumbent columns are the candidate's own residuals and forward
+        # differences, bit for bit, and only the new mode's columns are left
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        amplitudes = [1, 30]
+        incumbent = fit_intensities(pricer, model, amplitudes, np.full(8, 0.05),
+                                    max_evaluations=30)
+        candidates = (2, 17, 31, 125)
+        tasks, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
+        assert spent == 8
+        step = np.sqrt(np.finfo(float).eps)
+        for (_, new_amplitudes, x0, candidate, budget, (e, jac)), expected in zip(
+                tasks, candidates):
+            assert candidate == expected and budget == 20
+            assert new_amplitudes == tuple(sorted(amplitudes + [candidate]))
+
+            def own(x):
+                return pricer.errors(IntensitySchedule(
+                    model, new_amplitudes, pricer.knots, np.cumsum(x.reshape(3, 4), axis=1)))
+
+            errors = own(x0)
+            np.testing.assert_array_equal(e, errors)
+            new_row = new_amplitudes.index(candidate)
+            missing = np.zeros((3, 4), dtype=bool)
+            missing[new_row] = True
+            missing = missing.ravel()
+            np.testing.assert_array_equal(np.isnan(jac).all(axis=0), missing)
+            assert not np.isnan(jac[:, ~missing]).any()
+            assert not x0[missing].any()
+            for j in np.flatnonzero(~missing):
+                bumped = x0.copy()
+                bumped[j] += step * max(1.0, abs(x0[j]))
+                np.testing.assert_array_equal(
+                    jac[:, j], (own(bumped) - errors) / (bumped[j] - x0[j]))
+            # so the candidate's fit from the shared start is its fit from
+            # scratch, which pays one evaluation more per shared column and
+            # one for the start
+            shared = fit_intensities(pricer, model, new_amplitudes, x0,
+                                     max_evaluations=budget, start=(e, jac))
+            scratch = fit_intensities(pricer, model, new_amplitudes, x0,
+                                      max_evaluations=budget + spent + 1)
+            np.testing.assert_array_equal(shared.increments, scratch.increments)
+            assert shared.objective == scratch.objective
+            assert scratch.n_evaluations == shared.n_evaluations + spent + 1
+
+    def test_forward_jacobian_fills_only_missing_columns(self):
+        calls = []
+
+        def residuals(x):
+            calls.append(x.copy())
+            return np.array([x[0] ** 2, 3.0 * x[1]])
+
+        x = np.array([2.0, 0.0])
+        jac = np.array([[7.0, np.nan], [7.0, np.nan]])
+        _forward_jacobian(residuals, x, residuals(x), jac)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(jac[:, 0], [7.0, 7.0])
+        np.testing.assert_allclose(jac[:, 1], [0.0, 3.0], rtol=1e-7)
+        assert calls[1][1] > 0.0  # steps up, inside the bound at zero
 
     def test_wrong_parameter_count_rejected(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)
@@ -495,12 +597,16 @@ class TestGreedyCalibrate:
         knots = (2.2246575342465754,)
         true = make_schedule(GPL, (1, 4), knots, [(0.30,), (0.05,)])
         panel = synthetic_panel_single(pool, curve, true)
+        # the search draws no random numbers: another seed is only recorded
         runs = [greedy_calibrate(panel, curve, pool, GPL, max_modes=2,
                                  scan_budget=100, refine_budget=500,
-                                 polish_budget=400, seed=5, n_jobs=j)
-                for j in (1, 2)]
-        assert runs[0].schedule == runs[1].schedule
-        assert runs[0].objective == runs[1].objective
+                                 polish_budget=400, seed=seed, n_jobs=j)
+                for j, seed in ((1, 5), (2, 5), (1, 6))]
+        for run in runs[1:]:
+            assert run.schedule == runs[0].schedule
+            assert run.objective == runs[0].objective
+            assert run.iterations == runs[0].iterations
+        assert [run.seed for run in runs] == [5, 5, 6]
 
     def test_objective_non_increasing_across_steps(self):
         pool = PoolSpec(names=16)

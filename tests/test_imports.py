@@ -1,6 +1,6 @@
 """What a fresh interpreter loads: pricing, distributions, the dist command
 and simulation run without scipy and without multiprocessing; scipy.optimize
-comes in with the first Nelder-Mead fit. And what the package exports."""
+comes in with the first least-squares fit. And what the package exports."""
 import json
 import os
 import subprocess

@@ -2,12 +2,14 @@ import datetime as dt
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterloss.fixtures import curve_path, quotes_path
 from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
@@ -52,6 +54,20 @@ class TestCurveLoading:
         assert len(curve.pillar_dates) == 41
         assert curve.pillar_dates[0] == dt.date(2006, 12, 20)
         assert curve.zero_rates[-1] == 0.0388
+
+
+class TestPathSources:
+    """A path object loads like its text, a text handle like its file."""
+
+    def test_curve_from_path_object(self, curve):
+        assert load_curve(pathlib.Path(curve_path()), VAL) == curve
+
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    def test_quotes_from_path_object(self, index):
+        expected = load_quotes(quotes_path(index), VAL)
+        assert load_quotes(pathlib.Path(quotes_path(index)), VAL) == expected
+        with open(quotes_path(index), newline="") as fh:
+            assert load_quotes(fh, VAL) == expected
 
 
 class TestDiscountFactor:

@@ -9,7 +9,6 @@ from .calibrator import (
     CalibrationResult,
     fit_intensities,
     greedy_calibrate,
-    weighted_error,
 )
 from .loss_engine import (
     GPCL,
@@ -21,8 +20,7 @@ from .loss_engine import (
     cluster_cumulated_intensity,
     counting_intensity,
     distribution_term_structure,
-    gpcl_distribution,
-    gpl_distribution,
+    loss_distribution,
 )
 from .market_data import (
     DiscountCurve,
@@ -39,9 +37,6 @@ from .pricer import (
     expected_tranched_loss,
     tranched_loss,
 )
-from .simulator import (
-    empirical_distribution,
-    empirical_distributions,
-)
+from .simulator import empirical_distributions
 
 __version__ = "0.1.0"

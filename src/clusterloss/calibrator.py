@@ -1,9 +1,10 @@
 """Joint calibration of intensity schedules to index + tranche quote panels.
 
 The objective is the sum of squared bid-ask-weighted quote errors
-eps_i = (model_i - mid_i) / width_i. Free parameters are the non-negative
-per-knot-interval increments of each amplitude's cumulated intensity, so
-fitted schedules are non-decreasing by construction.
+eps_i = (model_i - mid_i) / width_i, from ``PanelPricer.errors``. Free
+parameters are the non-negative per-knot-interval increments of each
+amplitude's cumulated intensity, so fitted schedules are non-decreasing by
+construction.
 
 Amplitudes are selected greedily: start from amplitude 1, then repeatedly
 scan every unused amplitude, refit all intensities warm-started from the
@@ -31,22 +32,6 @@ from .pricer import Instrument, PanelPricer
 
 class CalibrationError(ValueError):
     pass
-
-
-def weighted_error(model_value: float, quote) -> float:
-    """Bid-ask-weighted quote error (model - mid) / width, sign preserved.
-
-    ``quote`` may be an IndexQuote, a TrancheQuote, or a (mid, width) pair.
-    """
-    if hasattr(quote, "spread_bp"):
-        mid, width = quote.spread_bp, quote.bid_ask_width_bp
-    elif hasattr(quote, "quote"):
-        mid, width = quote.quote, quote.bid_ask_width
-    else:
-        mid, width = quote
-    if not (0 < width < math.inf):  # a nan fails this too
-        raise CalibrationError(f"bid-ask width must be positive and finite, got {width}")
-    return (model_value - mid) / width
 
 
 # ---------------------------------------------------------------------------

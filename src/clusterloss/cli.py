@@ -26,9 +26,8 @@ from .loss_engine import (
     PoolSpec,
     STRATEGIES,
     counting_intensity,
-    gpcl_distribution,
-    gpl_distribution,
     log_binomial,
+    loss_distribution,
 )
 from .market_data import MarketDataError, format_date, load_curve, load_quotes, parse_date
 from .pricer import PanelPricer, PricingError
@@ -43,33 +42,19 @@ class InputError(Exception):
     pass
 
 
-def _read_schedule(path: str) -> IntensitySchedule:
+def _read(what: str, path: str, load, *args):
+    """``load(path, *args)``, with unreadable and invalid files as input errors
+    naming ``what``."""
     try:
-        text = Path(path).read_text()
+        return load(path, *args)
     except OSError as exc:
-        raise InputError(f"cannot read schedule file {path}: {exc}") from exc
-    try:
-        return IntensitySchedule.from_json(text)
-    except (json.JSONDecodeError, LossEngineError) as exc:
-        raise InputError(f"invalid schedule {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    except (json.JSONDecodeError, LossEngineError, MarketDataError) as exc:
+        raise InputError(f"invalid {what} {path}: {exc}") from exc
 
 
-def _read_curve(path: str, valuation_date):
-    try:
-        return load_curve(path, valuation_date)
-    except OSError as exc:
-        raise InputError(f"cannot read curve file {path}: {exc}") from exc
-    except MarketDataError as exc:
-        raise InputError(f"invalid curve {path}: {exc}") from exc
-
-
-def _read_quotes(path: str, valuation_date):
-    try:
-        return load_quotes(path, valuation_date)
-    except OSError as exc:
-        raise InputError(f"cannot read quotes file {path}: {exc}") from exc
-    except MarketDataError as exc:
-        raise InputError(f"invalid quotes {path}: {exc}") from exc
+def _load_schedule(path: str) -> IntensitySchedule:
+    return IntensitySchedule.from_json(Path(path).read_text())
 
 
 def _config_hash(config: dict) -> str:
@@ -91,8 +76,10 @@ def _write_meta(out_dir: Path, command: str, config: dict, outputs: list[str]) -
 
 
 def _pool_from_args(args) -> PoolSpec:
+    # dist and intensity-curve take no --recovery: counts use none
     try:
-        return PoolSpec(names=args.pool_size, recovery=args.recovery)
+        return PoolSpec(names=args.pool_size,
+                        recovery=getattr(args, "recovery", PoolSpec.recovery))
     except LossEngineError as exc:
         raise InputError(f"invalid pool: {exc}") from exc
 
@@ -110,8 +97,8 @@ def cmd_calibrate(args) -> int:
     if not math.isfinite(args.threshold):
         raise InputError(f"--threshold must be a finite number, got {args.threshold}")
     pool = _pool_from_args(args)
-    curve = _read_curve(args.curve, args.valuation_date)
-    panel = _read_quotes(args.quotes, args.valuation_date)
+    curve = _read("curve", args.curve, load_curve, args.valuation_date)
+    panel = _read("quotes", args.quotes, load_quotes, args.valuation_date)
     result = greedy_calibrate(
         panel, curve, pool, args.model,
         max_modes=args.max_modes, objective_threshold=args.threshold,
@@ -151,9 +138,9 @@ def cmd_calibrate(args) -> int:
 def cmd_price(args) -> int:
     _check_grid_step(args)
     pool = _pool_from_args(args)
-    curve = _read_curve(args.curve, args.valuation_date)
-    panel = _read_quotes(args.quotes, args.valuation_date)
-    schedule = _read_schedule(args.schedule)
+    curve = _read("curve", args.curve, load_curve, args.valuation_date)
+    panel = _read("quotes", args.quotes, load_quotes, args.valuation_date)
+    schedule = _read("schedule", args.schedule, _load_schedule)
     if args.model is not None and args.model != schedule.model:
         raise InputError(f"--model {args.model} does not match the schedule's model "
                          f"{schedule.model}")
@@ -166,7 +153,7 @@ def cmd_price(args) -> int:
     else:
         pricer = PanelPricer(panel, curve, pool, grid_step_days=args.grid_step)
         values = pricer.model_values(schedule)
-        eps = (values - pricer.mids) / pricer.widths
+        eps = pricer.errors(schedule)  # served by the kernel's cache, same bits
         report = {
             "instruments": [
                 {"label": ins.label, "kind": ins.kind,
@@ -188,7 +175,7 @@ def cmd_price(args) -> int:
 
 def cmd_dist(args) -> int:
     pool = _pool_from_args(args)
-    schedule = _read_schedule(args.schedule)
+    schedule = _read("schedule", args.schedule, _load_schedule)
     times = sorted(_parse_times(args.times) if args.times else [3.0, 5.0, 7.0, 10.0])
     if args.simulate and args.paths < 1:
         raise InputError(f"--paths must be at least 1, got {args.paths}")
@@ -200,8 +187,7 @@ def cmd_dist(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # each file equals what the library returns for its time
-    exact = gpcl_distribution if schedule.model == GPCL else gpl_distribution
-    probs = [exact(pool, schedule, t).probs for t in times]
+    probs = [loss_distribution(pool, schedule, t).probs for t in times]
     simulated = None
     if args.simulate:
         strategy = "s2" if schedule.model == GPCL else "s0"
@@ -231,7 +217,7 @@ def cmd_dist(args) -> int:
 
 def cmd_intensity_curve(args) -> int:
     pool = _pool_from_args(args)
-    schedule = _read_schedule(args.schedule)
+    schedule = _read("schedule", args.schedule, _load_schedule)
     at_time = args.at_time if args.at_time is not None else schedule.horizon
     if not (math.isfinite(at_time) and at_time >= 0):
         raise InputError(f"--at-time must be a finite, non-negative year fraction, "
@@ -282,17 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "tranche pricing, and quote-panel calibration.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, pool=True, seed=True):
+    def common(p, *, market=False, seed=True):
+        """The options shared by commands; ``market`` adds those that only
+        pricing reads, the recovery and the trade date."""
         p.add_argument("--out", default=".", help="output directory")
-        if pool:
-            p.add_argument("--pool-size", type=int, default=125)
+        p.add_argument("--pool-size", type=int, default=125)
+        if market:
             p.add_argument("--recovery", type=float, default=0.40)
+            p.add_argument("--valuation-date", type=parse_date, default="02-Oct-06",
+                           help="trade date anchoring all year fractions (DD-Mon-YY)")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--valuation-date", type=parse_date, default="02-Oct-06",
-                       help="trade date anchoring all year fractions (DD-Mon-YY)")
-        p.add_argument("--strict", action="store_true",
-                       help="treat warnings as failures")
 
     p = sub.add_parser("calibrate", help="fit a schedule to a quote panel")
     p.add_argument("--model", choices=[GPL, GPCL], required=True)
@@ -304,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop when the objective falls below this")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel workers for amplitude scans")
-    common(p)
+    p.add_argument("--strict", action="store_true",
+                   help="treat calibration warnings as failures")
+    common(p, market=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("price", help="price a panel off a schedule")
@@ -313,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotes", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--grid-step", type=float, default=30.0, metavar="DAYS")
-    common(p)
+    common(p, market=True)
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("dist", help="counting distributions at given times")
@@ -331,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-time", type=float, default=None,
                    help="evaluate cumulated intensities at this time "
                             "(default: last knot)")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_intensity_curve)
     return parser
 
@@ -339,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if isinstance(args.valuation_date, str):
-        args.valuation_date = parse_date(args.valuation_date)
     try:
         return args.func(args)
     except InputError as exc:

@@ -9,9 +9,8 @@ Two model kinds share one piecewise-linear cumulated-intensity schedule:
 
 Both counting processes are pure-birth Markov chains on {0..M} whose rates
 are constant between schedule knots, so the distributions of both models,
-at one time (``gpl_distribution``, ``gpcl_distribution``) or at many
-(``distribution_term_structure``), come from one uniformised forward-equation
-kernel.
+at one time (``loss_distribution``) or at many (``distribution_term_structure``),
+come from one uniformised forward-equation kernel.
 
 Schedules store, for each jump amplitude, the *aggregate* cumulated jump
 intensity: for ``gpl`` the mode's Poisson cumulated intensity, for ``gpcl``
@@ -86,8 +85,11 @@ def log_binomial(n: int, k: int) -> float:
 
 @lru_cache(maxsize=_BINOMIAL_CACHE_ENTRIES)
 def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
-    """C(names - y, amplitude) / C(names, amplitude) for y = 0..names,
-    read-only because the cache hands out the same array to every caller.
+    """C(names - y, amplitude) / C(names, amplitude) for y = 0..names: the
+    chance that a uniformly random amplitude-subset of the pool misses y
+    given names, which scales the gpcl transition rates and the simulator's
+    s2 firing chance. Read-only because the cache hands out the same array
+    to every caller.
 
     Computed in log space: C(125, 62) ~ 1e36 overflows nothing here because
     only the ratio is ever exponentiated.
@@ -366,19 +368,9 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     return out
 
 
-def gpl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
-    """Counting distribution of the capped model at time t: the kernel's row,
-    with all mass beyond the pool size at the cap."""
-    if schedule.model != GPL:
-        raise LossEngineError("gpl_distribution requires a gpl schedule")
-    return LossDistribution(time=t, probs=distribution_term_structure(pool, schedule, [t])[0])
-
-
-def gpcl_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
-    """Counting distribution of the cluster-adjusted model at time t: the
-    kernel's row."""
-    if schedule.model != GPCL:
-        raise LossEngineError("gpcl_distribution requires a gpcl schedule")
+def loss_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
+    """Counting distribution of the schedule's model at time t: the kernel's
+    row (for gpl, with all mass beyond the pool size at the cap)."""
     return LossDistribution(time=t, probs=distribution_term_structure(pool, schedule, [t])[0])
 
 

@@ -125,9 +125,6 @@ class PanelPricer:
         if len(panel) == 0:
             raise PricingError("empty quote panel")
         self.pool = pool
-        self.curve = curve
-        self.valuation_date = panel.valuation_date
-        self.grid_step_days = grid_step_days
 
         schedules = {m: PaymentSchedule.quarterly(panel.valuation_date, m)
                      for m in panel.maturities}

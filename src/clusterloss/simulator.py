@@ -29,13 +29,11 @@ marking of Poisson processes). Inside a cell the modes of successive events
 are independent and identically distributed, so events taken in the order
 they are drawn need no times and no sort. A cluster larger than the pool never
 fires under s1 and s2 and takes s0 to the cap, as in the exact engines. Each
-block of 2^15 paths draws from its own generator, spawned from the seed by
+block of 2^13 paths draws from its own generator, spawned from the seed by
 block index, so histograms are reproducible given the seed and the path
-count, and memory stays bounded. (Because no event times are drawn, the s1
-and s2 histograms of a seed differ bit for bit from those of versions that
-drew and sorted them; the s0 and repeated draws are unchanged.) Name
-identity, which names default and when, is tracked only by the tests'
-name-level reference simulation.
+count, and memory stays bounded: an s1 or s2 block holds its events, about
+40 bytes each. Name identity, which names default and when, is tracked only
+by the tests' name-level reference simulation.
 """
 from __future__ import annotations
 
@@ -52,6 +50,7 @@ from .loss_engine import (
     IntensitySchedule,
     LossDistribution,
     PoolSpec,
+    _binomial_ratio_column,
     _is_integer,
 )
 
@@ -62,7 +61,7 @@ class SimulationError(ValueError):
 
 # paths per generator stream in empirical_distributions; histograms for a
 # given seed depend on it, and it bounds the memory one block takes
-_BLOCK_PATHS = 2 ** 15
+_BLOCK_PATHS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
                             times, n_paths: int, seed: int = 0) -> list[EmpiricalDistribution]:
     """Simulate once, histogram the counting process at each requested time.
 
-    Paths are drawn in blocks of 2^15, each from its own generator spawned
+    Paths are drawn in blocks of 2^13, each from its own generator spawned
     from ``seed`` by block index, so the result depends on ``(seed,
     n_paths)`` alone and memory stays bounded. Only the default count is
     tracked (see the module docstring); one pass serves every time point, and
@@ -183,7 +182,9 @@ def _name_aware_counts(rng: np.random.Generator, n: int, strategy: str, names: i
     first = np.cumsum(per_path) - per_path
     defaulted = np.zeros(n, dtype=np.int64)
     increments = np.zeros(len(cell), dtype=np.int64)
-    avoidance = _avoidance_table(names, amplitudes)
+    # C(M - y, a) / C(M, a): the chance that a uniformly random a-subset
+    # misses all y defaulted names
+    avoidance = np.stack([_binomial_ratio_column(names, a) for a in amplitudes.tolist()])
     live = np.flatnonzero(per_path)
     rank = 0
     while live.size:
@@ -203,23 +204,3 @@ def _name_aware_counts(rng: np.random.Generator, n: int, strategy: str, names: i
     # the path's last event up to that cell, less the total before the path
     running = np.concatenate(([0], np.cumsum(increments)))
     return running[np.cumsum(per_cell)].reshape(n, cells) - running[first][:, None]
-
-
-def _avoidance_table(names: int, amplitudes: np.ndarray) -> np.ndarray:
-    """C(M - y, a) / C(M, a) for each amplitude a <= M (rows) and y = 0..M.
-
-    The chance that a uniformly random a-subset misses all y defaulted names
-    equals the chance that y names drawn without replacement all miss a fixed
-    a-subset: the product over l < y of (M - a - l) / (M - l), zero once
-    y > M - a.
-    """
-    a = np.asarray(amplitudes, dtype=float)[:, None]
-    drawn = np.arange(names, dtype=float)
-    factors = np.clip((names - a - drawn) / (names - drawn), 0.0, None)
-    return np.concatenate([np.ones((len(a), 1)), np.cumprod(factors, axis=1)], axis=1)
-
-
-def empirical_distribution(pool: PoolSpec, schedule: IntensitySchedule, strategy: str,
-                           t: float, n_paths: int, seed: int = 0) -> EmpiricalDistribution:
-    """Histogram of the counting process at a single time."""
-    return empirical_distributions(pool, schedule, strategy, [t], n_paths, seed)[0]

@@ -18,9 +18,8 @@ from clusterloss.loss_engine import (
     IntensitySchedule,
     PoolSpec,
     counting_intensity,
-    gpcl_distribution,
-    gpl_distribution,
     log_binomial,
+    loss_distribution,
 )
 from clusterloss.pricer import TrancheDef, expected_tranched_loss
 from clusterloss.simulator import empirical_distributions
@@ -39,10 +38,10 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _etl_table(pool, schedule, dist_fn):
+def _etl_table(pool, schedule):
     table = []
     for t in schedule.knots:
-        dist = dist_fn(pool, schedule, t)
+        dist = loss_distribution(pool, schedule, t)
         table.append([100 * expected_tranched_loss(dist, TrancheDef(a, b), pool)
                       for a, b in TRANCHE_LADDER])
     return np.asarray(table)
@@ -51,7 +50,7 @@ def _etl_table(pool, schedule, dist_fn):
 class TestCriterion1GpclExpectedTranchedLosses:
     def test_reference_schedule_reproduces_reference_losses(self, pool, gpcl_schedule):
         started = time.perf_counter()
-        table = _etl_table(pool, gpcl_schedule, gpcl_distribution)
+        table = _etl_table(pool, gpcl_schedule)
         elapsed = time.perf_counter() - started
         deviations = np.abs(table - np.asarray(REFERENCE_ETL_GPCL))
         ok = bool(deviations.max() <= 0.5) and elapsed < 5.0
@@ -69,7 +68,7 @@ class TestCriterion1GpclExpectedTranchedLosses:
 class TestCriterion2GplExpectedTranchedLosses:
     def test_reference_schedule_reproduces_reference_losses(self, pool, gpl_schedule):
         started = time.perf_counter()
-        table = _etl_table(pool, gpl_schedule, gpl_distribution)
+        table = _etl_table(pool, gpl_schedule)
         elapsed = time.perf_counter() - started
         deviations = np.abs(table - np.asarray(REFERENCE_ETL_GPL))
         report(2, bool(deviations.max() <= 0.5) and elapsed < 5.0,
@@ -85,12 +84,11 @@ class TestCriterion3OracleEquivalence:
         n_paths = 100_000
         times = [5.0, 10.0]
         worst = 0.0
-        for schedule, strategy, engine in ((gpcl_schedule, "s2", gpcl_distribution),
-                                           (gpl_schedule, "s0", gpl_distribution)):
+        for schedule, strategy in ((gpcl_schedule, "s2"), (gpl_schedule, "s0")):
             empirical = empirical_distributions(pool, schedule, strategy, times,
                                                 n_paths=n_paths, seed=2024)
             for emp, t in zip(empirical, times):
-                exact = engine(pool, schedule, t)
+                exact = loss_distribution(pool, schedule, t)
                 tv = 0.5 * float(np.abs(emp.distribution.probs - exact.probs).sum())
                 worst = max(worst, tv)
                 assert tv < 0.01, (strategy, t, tv)
@@ -113,7 +111,7 @@ class TestCriterion4SmallInstanceBruteForce:
             lams = rng.uniform(0.0, 2.0, size=n_modes)
             schedule = IntensitySchedule(model=GPL, amplitudes=amps, knots=(1.0,),
                                          cumulated=tuple((float(l),) for l in lams))
-            dist = gpl_distribution(PoolSpec(names=names), schedule, 1.0)
+            dist = loss_distribution(PoolSpec(names=names), schedule, 1.0)
             brute = _convolution_oracle(amps, lams, names)
             worst = max(worst, float(np.abs(dist.probs - brute).max()))
         assert worst < 1e-12
@@ -129,7 +127,7 @@ class TestCriterion4SmallInstanceBruteForce:
         for t in (0.4, 1.3, 2.0):
             hazard = stored / 125.0 * (t / 2.0)
             p = 1.0 - math.exp(-hazard)
-            dist = gpcl_distribution(pool, schedule, t)
+            dist = loss_distribution(pool, schedule, t)
             log_pmf = [log_binomial(125, k) + k * math.log(p) - (125 - k) * hazard
                        for k in range(126)]
             worst = max(worst, float(np.abs(dist.probs - np.exp(log_pmf)).max()))
@@ -205,11 +203,10 @@ class TestCriterion7DistributionInvariants:
                                                   gpcl_schedule):
         edges = [a for a, _ in TRANCHE_LADDER] + [1.0]
         checked = 0
-        for schedule, engine in ((gpl_schedule, gpl_distribution),
-                                 (gpcl_schedule, gpcl_distribution)):
+        for schedule in (gpl_schedule, gpcl_schedule):
             previous_survival = None
             for t in (0.5, 1.0, 3.0, 5.0, 7.0, 10.0, 12.0):
-                dist = engine(pool, schedule, t)
+                dist = loss_distribution(pool, schedule, t)
                 assert dist.probs.min() >= 0.0
                 assert abs(dist.probs.sum() - 1.0) <= 1e-10
                 survival = dist.survival_function()

@@ -16,7 +16,6 @@ from clusterloss.calibrator import (
     _forward_jacobian,
     _scan_tasks,
     greedy_calibrate,
-    weighted_error,
 )
 from clusterloss.fixtures import FIXTURE_VALUATION_DATE, quotes_path, schedule_path
 from clusterloss import loss_engine
@@ -31,6 +30,7 @@ from clusterloss.loss_engine import (
 from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
+    MarketDataError,
     PaymentSchedule,
     QuotePanel,
     TrancheQuote,
@@ -61,42 +61,74 @@ def flat_curve(rate=0.035):
 
 
 class TestWeightedError:
+    """``PanelPricer.errors`` is the one quote-error formula: on a panel whose
+    mids are the model's values less known multiples of each width, the
+    errors are those multiples."""
+
+    GPL_TRUE = make_schedule(GPL, (1, 5), (2.2246575342465754, 4.219178082191781),
+                             [(0.25, 0.55), (0.02, 0.05)])
+
+    def errors(self, shifts):
+        pool, curve = PoolSpec(names=24), flat_curve()
+        panel = synthetic_panel(pool, curve, self.GPL_TRUE, shifts=shifts)
+        return PanelPricer(panel, curve, pool).errors(self.GPL_TRUE)
+
     def test_zero_at_mid(self):
-        assert weighted_error(30.0, (30.0, 0.5)) == 0.0
+        assert np.all(self.errors(0.0) == 0.0)
 
     def test_one_width_above_mid(self):
-        assert weighted_error(30.5, (30.0, 0.5)) == pytest.approx(1.0)
+        np.testing.assert_allclose(self.errors(1.0), 1.0, rtol=0, atol=1e-9)
 
     def test_sign_preserved(self):
-        assert weighted_error(466.3, (474.0, 4.0)) == pytest.approx(-1.925)
+        shifts = np.array([-1.925, 2.0, -0.5, 3.0, -3.0, 0.75, -2.5, 1.5])
+        eps = self.errors(shifts)
+        np.testing.assert_allclose(eps, shifts, rtol=0, atol=1e-9)
+        assert np.array_equal(np.sign(eps), np.sign(shifts))
 
     def test_accepts_quote_objects(self):
-        idx = IndexQuote(MAT_4Y, 30.0, 0.5)
-        assert weighted_error(31.0, idx) == pytest.approx(2.0)
-        trq = TrancheQuote(0.0, 0.03, MAT_4Y, 0.1975, 0.0025, is_upfront=True)
-        assert weighted_error(0.2000, trq) == pytest.approx(1.0)
+        # index spreads, running tranche spreads and upfronts each divide by
+        # their own quote's width, in the quote's own units
+        shifts = np.arange(1.0, 9.0)
+        pool, curve = PoolSpec(names=24), flat_curve()
+        panel = synthetic_panel(pool, curve, self.GPL_TRUE, shifts=shifts)
+        pricer = PanelPricer(panel, curve, pool)
+        widths = {"index": 0.25, "running": 0.5, "upfront": 0.0005}
+        for ins, width, eps, shift in zip(pricer.instruments, pricer.widths,
+                                          pricer.errors(self.GPL_TRUE), shifts):
+            kind = ins.kind if ins.kind == "index" else (
+                "upfront" if ins.is_upfront else "running")
+            assert width == widths[kind]
+            assert eps == pytest.approx(shift, abs=1e-9)
 
     def test_zero_width_rejected(self):
-        with pytest.raises(CalibrationError):
-            weighted_error(1.0, (1.0, 0.0))
+        for quote in (IndexQuote, TrancheQuote):
+            with pytest.raises(MarketDataError, match="bid-ask width"):
+                _quote_with_width(quote, 0.0)
 
     @pytest.mark.parametrize("width", [float("nan"), float("inf")])
     def test_non_finite_width_rejected(self, width):
-        with pytest.raises(CalibrationError, match="finite"):
-            weighted_error(1.0, (1.0, width))
+        for quote in (IndexQuote, TrancheQuote):
+            with pytest.raises(MarketDataError, match="finite"):
+                _quote_with_width(quote, width)
 
-    @given(st.floats(min_value=-50, max_value=50),
-           st.floats(min_value=0.1, max_value=10))
-    @settings(max_examples=50, deadline=None)
-    def test_antisymmetric_around_mid(self, d, width):
-        mid = 100.0
-        up = weighted_error(mid + d, (mid, width))
-        down = weighted_error(mid - d, (mid, width))
-        assert up == pytest.approx(-down, abs=1e-12)
+    @given(st.floats(min_value=-20, max_value=20))
+    @settings(max_examples=25, deadline=None)
+    def test_antisymmetric_around_mid(self, d):
+        up, down = self.errors(d), self.errors(-d)
+        np.testing.assert_allclose(up, d, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(up, -down, rtol=0, atol=1e-9)
 
 
-def synthetic_panel(pool, curve, schedule, widths=(0.25, 0.5, 0.0005)):
-    """Panel whose mids are the model's own prices for ``schedule``."""
+def _quote_with_width(quote, width):
+    if quote is IndexQuote:
+        return IndexQuote(MAT_4Y, 30.0, width)
+    return TrancheQuote(0.0, 0.03, MAT_4Y, 0.1975, width, is_upfront=True)
+
+
+def synthetic_panel(pool, curve, schedule, widths=(0.25, 0.5, 0.0005), shifts=0.0):
+    """Panel whose mids are the model's own prices for ``schedule``, less
+    ``shifts`` (a number, or one per instrument in pricer order) times each
+    instrument's width."""
     index_w, tranche_w, upfront_w = widths
     maturities = [MAT_2Y, MAT_4Y]
     skeleton = QuotePanel(
@@ -109,15 +141,16 @@ def synthetic_panel(pool, curve, schedule, widths=(0.25, 0.5, 0.0005)):
             + [TrancheQuote(0.15, 1.0, m, 10.0, tranche_w) for m in maturities]))
     pricer = PanelPricer(skeleton, curve, pool)
     values = pricer.model_values(schedule)
+    shifts = np.broadcast_to(shifts, values.shape)
     index_quotes, tranche_quotes = [], []
-    for ins, v in zip(pricer.instruments, values):
+    for ins, v, shift in zip(pricer.instruments, values, shifts):
         if ins.kind == "index":
-            index_quotes.append(IndexQuote(ins.maturity, float(v), index_w))
+            index_quotes.append(IndexQuote(ins.maturity, float(v - shift * index_w), index_w))
         else:
+            width = upfront_w if ins.is_upfront else tranche_w
             tranche_quotes.append(TrancheQuote(
-                ins.attachment, ins.detachment, ins.maturity, float(v),
-                upfront_w if ins.is_upfront else tranche_w,
-                is_upfront=ins.is_upfront))
+                ins.attachment, ins.detachment, ins.maturity, float(v - shift * width),
+                width, is_upfront=ins.is_upfront))
     return QuotePanel("synthetic", VAL, tuple(index_quotes), tuple(tranche_quotes))
 
 
@@ -140,7 +173,7 @@ class TestObjective:
         assert len(eps) == 25
 
     def test_intensity_bump_raises_expected_tranched_loss(self, pool, gpl_schedule):
-        from clusterloss.loss_engine import gpl_distribution
+        from clusterloss.loss_engine import loss_distribution
         from clusterloss.pricer import TrancheDef, expected_tranched_loss
         bumped_rows = [list(r) for r in gpl_schedule.cumulated]
         for k in range(1, len(bumped_rows[0])):
@@ -148,8 +181,8 @@ class TestObjective:
         bumped = gpl_schedule.with_cumulated(bumped_rows)
         t = gpl_schedule.knots[1]
         tranche = TrancheDef(0.0, 0.03)
-        low = expected_tranched_loss(gpl_distribution(pool, gpl_schedule, t), tranche, pool)
-        high = expected_tranched_loss(gpl_distribution(pool, bumped, t), tranche, pool)
+        low = expected_tranched_loss(loss_distribution(pool, gpl_schedule, t), tranche, pool)
+        high = expected_tranched_loss(loss_distribution(pool, bumped, t), tranche, pool)
         assert high > low
 
     def test_empty_panel_rejected(self, pool, curve):

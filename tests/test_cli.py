@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clusterloss.cli import main
+from clusterloss.cli import build_parser, main
 from clusterloss.fixtures import curve_path, quotes_path, schedule_path
 from clusterloss.loss_engine import IntensitySchedule
 
@@ -88,7 +88,7 @@ class TestDistCommand:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--pool-size", "0"), ("--recovery", "1.5")])
+    @pytest.mark.parametrize("flag, value", [("--pool-size", "0")])
     def test_invalid_pool_is_input_error(self, tmp_path, capsys, flag, value):
         code = run(["dist", "--schedule", schedule_path("gpcl"), flag, value,
                     "--out", tmp_path / "out"])
@@ -123,10 +123,10 @@ class TestDistCommand:
         assert code == 0
         rows = read_csv(tmp_path / "dist_5y.csv")
         probs = np.array([float(r["probability"]) for r in rows])
-        from clusterloss.loss_engine import PoolSpec, gpl_distribution
+        from clusterloss.loss_engine import PoolSpec, loss_distribution
         with open(schedule_path("gpl")) as fh:
             schedule = IntensitySchedule.from_json(fh.read())
-        exact = gpl_distribution(PoolSpec(), schedule, 5.0)
+        exact = loss_distribution(PoolSpec(), schedule, 5.0)
         np.testing.assert_array_equal(probs, exact.probs)
 
 
@@ -244,6 +244,14 @@ class TestPriceCommand:
         assert "quotes.csv" in err and "line 3" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--recovery", "1.5")])
+    def test_invalid_pool_is_input_error(self, tmp_path, capsys, flag, value):
+        code = run(["price", "--curve", curve_path(), "--quotes", quotes_path(),
+                    "--schedule", schedule_path("gpl"), flag, value, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "invalid pool" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-30"])
     def test_invalid_grid_step_is_input_error(self, tmp_path, capsys, step):
         code = run(["price", "--curve", curve_path(), "--quotes", quotes_path(),
@@ -320,3 +328,21 @@ class TestDeterminism:
         csv_a = (out_a / "dist_1y.csv").read_text()
         csv_b = (out_b / "dist_1y.csv").read_text()
         assert csv_a == csv_b
+
+
+class TestOptions:
+    REQUIRED = {"price": ["--curve", "c.csv", "--quotes", "q.csv", "--schedule", "s.json"],
+                "dist": ["--schedule", "s.json"],
+                "intensity-curve": ["--schedule", "s.json"]}
+
+    @pytest.mark.parametrize("command, option", [
+        ("price", "--strict"), ("dist", "--strict"), ("intensity-curve", "--strict"),
+        ("dist", "--recovery"), ("dist", "--valuation-date"),
+        ("intensity-curve", "--recovery"), ("intensity-curve", "--valuation-date"),
+        ("intensity-curve", "--seed")])
+    def test_option_the_command_does_not_read_is_rejected(self, capsys, command, option):
+        value = [] if option == "--strict" else ["1"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *self.REQUIRED[command], option, *value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err

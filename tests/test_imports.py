@@ -21,8 +21,8 @@ import numpy as np
 import clusterloss
 import clusterloss.cli
 from clusterloss import (PanelPricer, PoolSpec, distribution_term_structure,
-                         empirical_distributions, fit_intensities, gpcl_distribution,
-                         gpl_distribution, load_curve, load_quotes)
+                         empirical_distributions, fit_intensities, load_curve,
+                         load_quotes, loss_distribution)
 from clusterloss.fixtures import (FIXTURE_VALUATION_DATE, curve_path, quotes_path,
                                   schedule_path)
 from clusterloss.loss_engine import IntensitySchedule
@@ -45,13 +45,13 @@ pricer = PanelPricer(panel, curve, pool)
 for schedule in schedules.values():
     assert np.all(np.isfinite(pricer.model_values(schedule)))
     assert distribution_term_structure(pool, schedule, [1.0, 5.0]).shape == (2, 126)
-gpl_distribution(pool, schedules["gpl"], 5.0)
+loss_distribution(pool, schedules["gpl"], 5.0)
 empirical_distributions(pool, schedules["gpl"], "s0", [5.0], n_paths=200, seed=1)
 empirical_distributions(pool, schedules["gpcl"], "s2", [5.0], n_paths=200, seed=1)
 stages = {"price_and_simulate": loaded()}
 
-gpcl_distribution(pool, schedules["gpcl"], 5.0)
-stages["gpcl_distribution"] = loaded()
+loss_distribution(pool, schedules["gpcl"], 5.0)
+stages["loss_distribution"] = loaded()
 
 with tempfile.TemporaryDirectory() as out:
     assert clusterloss.cli.main(["dist", "--schedule", str(schedule_path("gpcl", "itraxx")),
@@ -72,7 +72,7 @@ def test_scipy_and_multiprocessing_load_only_where_used():
     assert done.returncode == 0, done.stderr
     stages = json.loads(done.stdout.splitlines()[-1])  # after the dist command's line
     assert stages["price_and_simulate"] == []
-    assert stages["gpcl_distribution"] == []
+    assert stages["loss_distribution"] == []
     assert stages["dist"] == []
     assert "scipy.optimize" in stages["fit_intensities"]
 

@@ -23,9 +23,8 @@ from clusterloss.loss_engine import (
     cluster_cumulated_intensity,
     counting_intensity,
     distribution_term_structure,
-    gpcl_distribution,
-    gpl_distribution,
     log_binomial,
+    loss_distribution,
 )
 
 from reference_engines import (
@@ -73,8 +72,8 @@ class TestPoolSpec:
         pool = PoolSpec(names)  # a uint8 255 + 1 would wrap to 0
         assert type(pool.names) is int and pool == PoolSpec(int(names))
         np.testing.assert_array_equal(
-            gpcl_distribution(pool, gpcl_schedule, 5.0).probs,
-            gpcl_distribution(PoolSpec(int(names)), gpcl_schedule, 5.0).probs)
+            loss_distribution(pool, gpcl_schedule, 5.0).probs,
+            loss_distribution(PoolSpec(int(names)), gpcl_schedule, 5.0).probs)
 
 
 class TestIntensitySchedule:
@@ -398,7 +397,7 @@ class TestMatrixExponential:
 
 class TestGpclDistribution:
     def test_zero_schedule_point_mass(self, pool):
-        dist = gpcl_distribution(pool, zero_schedule(), 1.0)
+        dist = loss_distribution(pool, zero_schedule(), 1.0)
         assert dist.probs[0] == 1.0
         assert dist.probs[1:].max() == 0.0
 
@@ -406,7 +405,7 @@ class TestGpclDistribution:
         c = 0.3
         pool = PoolSpec(names=125)
         sched = make_schedule(GPCL, (125,), (1.0,), [(c,)])
-        dist = gpcl_distribution(pool, sched, 1.0)
+        dist = loss_distribution(pool, sched, 1.0)
         assert dist.probs[0] == pytest.approx(math.exp(-c), abs=1e-12)
         assert dist.probs[125] == pytest.approx(1 - math.exp(-c), abs=1e-12)
         assert dist.probs[1:125].max() == pytest.approx(0.0, abs=1e-15)
@@ -420,7 +419,7 @@ class TestGpclDistribution:
         for t in (0.7, 2.0):
             lam = stored / 125.0 * (t / 2.0)
             p_default = 1.0 - math.exp(-lam)
-            dist = gpcl_distribution(pool, sched, t)
+            dist = loss_distribution(pool, sched, t)
             k = np.arange(126)
             log_pmf = np.array([
                 log_binomial(125, int(ki)) + ki * math.log(p_default)
@@ -437,7 +436,7 @@ class TestGpclDistribution:
     def test_survival_monotone_in_time(self, gpcl_schedule, pool):
         previous = None
         for t in (0.5, 2.0, 5.0, 9.0, 12.0):
-            survival = gpcl_distribution(pool, gpcl_schedule, t).survival_function()
+            survival = loss_distribution(pool, gpcl_schedule, t).survival_function()
             if previous is not None:
                 assert np.all(survival >= previous - 1e-12)
             previous = survival
@@ -448,7 +447,7 @@ class TestGplDistribution:
         pool = PoolSpec(names=200)
         c = 2.3
         sched = make_schedule(GPL, (1,), (1.0,), [(c,)])
-        dist = gpl_distribution(pool, sched, 1.0)
+        dist = loss_distribution(pool, sched, 1.0)
         for n in (0, 1, 5, 40):
             assert dist.probs[n] == pytest.approx(
                 math.exp(-c) * c ** n / math.factorial(n), rel=1e-12)
@@ -458,24 +457,16 @@ class TestGplDistribution:
         lams = (0.8, 0.3)
         amps = (2, 5)
         sched = make_schedule(GPL, amps, (1.0,), [(lams[0],), (lams[1],)])
-        dist = gpl_distribution(pool, sched, 1.0)
+        dist = loss_distribution(pool, sched, 1.0)
         brute = _brute_force_capped(amps, lams, pool.names)
         np.testing.assert_allclose(dist.probs, brute, atol=1e-12)
 
     def test_cap_collects_tail_mass(self):
         pool = PoolSpec(names=5)
         sched = make_schedule(GPL, (2,), (1.0,), [(4.0,)])
-        dist = gpl_distribution(pool, sched, 1.0)
+        dist = loss_distribution(pool, sched, 1.0)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert dist.probs[5] > 0.5  # heavy tail lumped at the cap
-
-    def test_gpcl_schedule_rejected(self, gpcl_schedule, pool):
-        with pytest.raises(LossEngineError):
-            gpl_distribution(pool, gpcl_schedule, 1.0)
-
-    def test_gpl_schedule_rejected_by_gpcl_engine(self, gpl_schedule, pool):
-        with pytest.raises(LossEngineError):
-            gpcl_distribution(pool, gpl_schedule, 1.0)
 
     def test_term_structure_matches_single_time(self, gpl_schedule, pool):
         times = [0.5, 4.0, 10.0]
@@ -497,7 +488,7 @@ class TestGplDistribution:
         pool = PoolSpec(names=names)
         sched = make_schedule(GPL, amps, (1.0,), [(l,) for l in lams])
         brute = _brute_force_capped(amps, lams, names)
-        for engine in (panjer_distribution, gpl_distribution):
+        for engine in (panjer_distribution, loss_distribution):
             np.testing.assert_allclose(engine(pool, sched, 1.0).probs, brute, atol=1e-12)
 
 
@@ -604,12 +595,11 @@ class TestUniformisedTermStructure:
     def test_single_time_distributions_are_kernel_rows(self, model):
         with open(schedule_path(model, "cdx")) as fh:
             schedule = IntensitySchedule.from_json(fh.read())
-        engine = gpl_distribution if model == GPL else gpcl_distribution
         for names in (60, 125):
             pool = PoolSpec(names=names)
             for t in (0.0, 0.7, schedule.knots[0], 5.0, 12.0):
                 row = distribution_term_structure(pool, schedule, [t])[0]
-                np.testing.assert_array_equal(engine(pool, schedule, t).probs, row)
+                np.testing.assert_array_equal(loss_distribution(pool, schedule, t).probs, row)
 
 
 class TestBinomialRatioCache:
@@ -642,9 +632,9 @@ class TestNonFiniteTimes:
     def test_single_time_engines(self, gpl_schedule, gpcl_schedule, bad):
         pool = PoolSpec(names=20)
         with pytest.raises(LossEngineError, match="finite"):
-            gpl_distribution(pool, gpl_schedule, bad)
+            loss_distribution(pool, gpl_schedule, bad)
         with pytest.raises(LossEngineError, match="finite"):
-            gpcl_distribution(pool, gpcl_schedule, bad)
+            loss_distribution(pool, gpcl_schedule, bad)
 
 
 class TestPanjerRecursion:
@@ -687,8 +677,8 @@ class TestLossDistribution:
         given = np.array([0.25, 0.5, 0.25])
         kept = LossDistribution(time=1.0, probs=given)
         clamped = LossDistribution(time=1.0, probs=np.array([1.0 + 1e-14, -1e-14]))
-        for dist in (gpl_distribution(pool, gpl_schedule, 5.0),
-                     gpcl_distribution(pool, gpcl_schedule, 5.0), clamped, kept):
+        for dist in (loss_distribution(pool, gpl_schedule, 5.0),
+                     loss_distribution(pool, gpcl_schedule, 5.0), clamped, kept):
             before = dist.expected_count()
             with pytest.raises(ValueError, match="read-only"):
                 dist.probs[0] = 7.0

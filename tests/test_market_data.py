@@ -1,15 +1,19 @@
+import contextlib
 import datetime as dt
 import io
 import json
 import math
 import pathlib
+import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterloss.fixtures import curve_path, quotes_path
+from clusterloss import cli
+from clusterloss.fixtures import curve_path, quotes_path, schedule_path
 from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
@@ -243,3 +247,101 @@ def test_parse_date_variants():
     assert parse_date("2-Oct-2006") == dt.date(2006, 10, 2)
     with pytest.raises(MarketDataError):
         parse_date("2006-12-20")
+
+
+# spellings of a nan or an infinity that float() reads, 1e999 overflowing
+_NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999"]
+_CURVE_ROWS = ["date,zero_rate", "20-Dec-07,3.41%", "20-Dec-11,0.0380"]
+_QUOTE_ROWS = ["pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront",
+               "X,20-Dec-11,,,40,0.5,0", "X,20-Dec-11,3,6,120,2,0",
+               "X,20-Dec-11,0,3,1975,25,1"]
+# the words each column's error names it by
+_QUOTE_FIELDS = {2: "attach", 3: "detach", 4: "spread|quote", 5: "bid-ask width"}
+
+
+@st.composite
+def non_finite_curve(draw):
+    """Curve CSV lines with a non-finite rate on one line; its field's name."""
+    lines = list(_CURVE_ROWS)
+    k = draw(st.integers(1, len(lines) - 1))
+    rate = draw(st.sampled_from(_NON_FINITE)) + draw(st.sampled_from(["", "%"]))
+    lines[k] = f"{lines[k].split(',')[0]},{rate}"
+    return lines, "zero rate"
+
+
+@st.composite
+def non_finite_quotes(draw):
+    """Quote CSV lines with a non-finite number in one numeric field of one
+    row (an index row has no attach or detach); that field's name."""
+    lines = list(_QUOTE_ROWS)
+    k = draw(st.integers(1, len(lines) - 1))
+    cells = lines[k].split(",")
+    column = draw(st.sampled_from(sorted(c for c in _QUOTE_FIELDS if cells[c] or c > 3)))
+    cells[column] = draw(st.sampled_from(_NON_FINITE))
+    lines[k] = ",".join(cells)
+    return lines, f"line {k + 1}: .*({_QUOTE_FIELDS[column]})"
+
+
+class TestNonFiniteFields:
+    """A nan or an infinity in any numeric field is an error naming the field."""
+
+    @given(field=st.sampled_from(["spread_bp", "bid_ask_width_bp"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_index_quote(self, field, bad):
+        fields = {"spread_bp": 30.0, "bid_ask_width_bp": 0.5, field: bad}
+        name = "index spread" if field == "spread_bp" else "bid-ask width"
+        with pytest.raises(MarketDataError, match=name):
+            IndexQuote(dt.date(2011, 12, 20), **fields)
+
+    @given(field=st.sampled_from(["attachment", "detachment", "quote", "bid_ask_width",
+                                  "running_premium_if_upfront"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           is_upfront=st.booleans())
+    def test_tranche_quote(self, field, bad, is_upfront):
+        fields = {"attachment": 0.0, "detachment": 0.03, "quote": 0.2, "bid_ask_width": 0.0025,
+                  "running_premium_if_upfront": 0.05, field: bad}
+        name = {"attachment": "attachment", "detachment": "detachment",
+                "quote": "tranche quote", "bid_ask_width": "bid-ask width",
+                "running_premium_if_upfront": "running premium"}[field]
+        with pytest.raises(MarketDataError, match=name):
+            TrancheQuote(maturity=dt.date(2011, 12, 20), is_upfront=is_upfront, **fields)
+
+    @given(rates=st.lists(st.floats(-0.05, 0.2), min_size=1, max_size=4), data=st.data())
+    def test_discount_curve(self, rates, data):
+        rates[data.draw(st.integers(0, len(rates) - 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        dates = tuple(dt.date(2007 + i, 12, 20) for i in range(len(rates)))
+        with pytest.raises(MarketDataError, match="zero rates must be finite"):
+            DiscountCurve(VAL, dates, tuple(rates))
+
+    @given(case=non_finite_curve())
+    def test_load_curve(self, case):
+        lines, name = case
+        with pytest.raises(MarketDataError, match=name):
+            load_curve(io.StringIO("\n".join(lines) + "\n"), VAL)
+
+    @given(case=non_finite_quotes())
+    def test_load_quotes(self, case):
+        lines, name = case
+        with pytest.raises(MarketDataError, match=name):
+            load_quotes(io.StringIO("\n".join(lines) + "\n"), VAL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.one_of(non_finite_curve().map(lambda c: ("curve",) + c),
+                          non_finite_quotes().map(lambda c: ("quotes",) + c)))
+    def test_cli_exits_2_and_writes_nothing(self, case):
+        what, lines, name = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            files = {"curve": tmp / "curve.csv", "quotes": tmp / "quotes.csv"}
+            files["curve"].write_text("\n".join(_CURVE_ROWS) + "\n")
+            files["quotes"].write_text("\n".join(_QUOTE_ROWS) + "\n")
+            files[what].write_text("\n".join(lines) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["price", "--curve", str(files["curve"]),
+                                 "--quotes", str(files["quotes"]),
+                                 "--schedule", schedule_path("gpl"), "--out", str(tmp / "out")])
+            assert code == 2
+            assert re.search(f"invalid {what} .*{name}", err.getvalue())
+            assert not (tmp / "out").exists()

@@ -106,19 +106,19 @@ class TestExpectedTranchedLoss:
         assert value == pytest.approx((0.6 - 0.22) / 0.78)
 
     def test_tranche_additivity(self, pool, gpcl_schedule):
-        from clusterloss.loss_engine import gpcl_distribution
+        from clusterloss.loss_engine import loss_distribution
         edges = (0.0, 0.03, 0.06, 0.09, 0.12, 0.22, 1.0)
         for t in (2.0, 7.0):
-            dist = gpcl_distribution(pool, gpcl_schedule, t)
+            dist = loss_distribution(pool, gpcl_schedule, t)
             total = sum((b - a) * expected_tranched_loss(dist, TrancheDef(a, b), pool)
                         for a, b in zip(edges, edges[1:]))
             pool_loss = 0.6 * dist.expected_count() / 125
             assert total == pytest.approx(pool_loss, abs=1e-10)
 
     def test_monotone_in_maturity(self, pool, gpl_schedule):
-        from clusterloss.loss_engine import gpl_distribution
+        from clusterloss.loss_engine import loss_distribution
         tranche = TrancheDef(0.03, 0.06)
-        values = [expected_tranched_loss(gpl_distribution(pool, gpl_schedule, t),
+        values = [expected_tranched_loss(loss_distribution(pool, gpl_schedule, t),
                                          tranche, pool)
                   for t in (1.0, 3.0, 6.0, 10.0)]
         assert values == sorted(values)
@@ -257,8 +257,8 @@ class TestIndexSpread:
         lam = 0.02
         pool = PoolSpec(names=1, recovery=0.0)
         sched = make_schedule(GPL, (1,), (5.0,), [(lam * 5.0,)])
-        from clusterloss.loss_engine import gpl_distribution
-        dist = gpl_distribution(pool, sched, 2.0)
+        from clusterloss.loss_engine import loss_distribution
+        dist = loss_distribution(pool, sched, 2.0)
         assert dist.probs[1] == pytest.approx(1 - math.exp(-lam * 2.0), abs=1e-12)
 
 

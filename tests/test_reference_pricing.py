@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from clusterloss.calibrator import PanelPricer
-from clusterloss.loss_engine import gpl_distribution
+from clusterloss.loss_engine import loss_distribution
 from clusterloss.pricer import TrancheDef, expected_tranched_loss
 
 from reference_values import (
@@ -28,7 +28,7 @@ MAT_10Y = dt.date(2016, 12, 20)
 
 class TestCappedModelReference:
     def test_expected_tranched_losses_match_reference(self, pool, gpl_schedule):
-        dist = gpl_distribution(pool, gpl_schedule, gpl_schedule.knots[-1])
+        dist = loss_distribution(pool, gpl_schedule, gpl_schedule.knots[-1])
         for (a, b), expected in zip(TRANCHE_LADDER, REFERENCE_ETL_GPL[-1]):
             value = 100 * expected_tranched_loss(dist, TrancheDef(a, b), pool)
             assert value == pytest.approx(expected, abs=0.5)

@@ -9,12 +9,11 @@ from clusterloss.loss_engine import (
     STRATEGIES,
     IntensitySchedule,
     PoolSpec,
-    gpcl_distribution,
-    gpl_distribution,
+    loss_distribution,
 )
 from clusterloss.simulator import (
+    _BLOCK_PATHS,
     SimulationError,
-    empirical_distribution,
     empirical_distributions,
 )
 
@@ -182,15 +181,15 @@ class TestEmpiricalDistribution:
     def test_single_path_zero_schedule(self):
         pool = PoolSpec(names=6)
         sched = make_schedule(GPCL, (1,), (1.0,), [(0.0,)])
-        emp = empirical_distribution(pool, sched, "s2", 1.0, n_paths=1, seed=0)
+        emp = empirical_distributions(pool, sched, "s2", [1.0], n_paths=1, seed=0)[0]
         assert emp.distribution.probs[0] == 1.0
         assert not emp.overflow
 
     def test_matches_exact_engine_on_small_pool(self):
         pool = PoolSpec(names=12)
         sched = make_schedule(GPCL, (1, 2), (1.0,), [(1.8,), (0.6,)])
-        emp = empirical_distribution(pool, sched, "s2", 1.0, n_paths=20_000, seed=9)
-        exact = gpcl_distribution(pool, sched, 1.0)
+        emp = empirical_distributions(pool, sched, "s2", [1.0], n_paths=20_000, seed=9)[0]
+        exact = loss_distribution(pool, sched, 1.0)
         tv = 0.5 * np.abs(emp.distribution.probs - exact.probs).sum()
         assert tv < 0.02
 
@@ -205,22 +204,22 @@ class TestEmpiricalDistribution:
     def test_distribution_is_read_only(self):
         pool = PoolSpec(names=12)
         sched = make_schedule(GPCL, (1, 3), (1.0,), [(1.0,), (0.3,)])
-        emp = empirical_distribution(pool, sched, "s2", 1.0, n_paths=500, seed=4)
+        emp = empirical_distributions(pool, sched, "s2", [1.0], n_paths=500, seed=4)[0]
         with pytest.raises(ValueError, match="read-only"):
             emp.distribution.probs[0] = 7.0
 
     def test_determinism(self):
         pool = PoolSpec(names=12)
         sched = make_schedule(GPCL, (1, 3), (1.0,), [(1.0,), (0.3,)])
-        a = empirical_distribution(pool, sched, "s2", 1.0, n_paths=500, seed=4)
-        b = empirical_distribution(pool, sched, "s2", 1.0, n_paths=500, seed=4)
+        a = empirical_distributions(pool, sched, "s2", [1.0], n_paths=500, seed=4)[0]
+        b = empirical_distributions(pool, sched, "s2", [1.0], n_paths=500, seed=4)[0]
         np.testing.assert_array_equal(a.distribution.probs, b.distribution.probs)
 
     def test_repeated_strategy_flags_overflow_bucket(self):
         pool = PoolSpec(names=3)
         sched = make_schedule(GPCL, (2,), (1.0,), [(4.0,)])  # ~4 events of size 2
-        emp = empirical_distribution(pool, sched, "repeated", 1.0,
-                                     n_paths=3000, seed=8)
+        emp = empirical_distributions(pool, sched, "repeated", [1.0],
+                                      n_paths=3000, seed=8)[0]
         assert emp.overflow
         assert emp.distribution.probs.sum() == pytest.approx(1.0)
         # counts jump by twos without bound; bucket 3 holds everything >= 3
@@ -230,7 +229,7 @@ class TestEmpiricalDistribution:
     def test_standard_errors_shape_and_scale(self):
         pool = PoolSpec(names=12)
         sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
-        emp = empirical_distribution(pool, sched, "s1", 1.0, n_paths=1000, seed=1)
+        emp = empirical_distributions(pool, sched, "s1", [1.0], n_paths=1000, seed=1)[0]
         assert emp.std_err.shape == emp.distribution.probs.shape
         assert np.all(emp.std_err <= 0.5 / math.sqrt(1000) + 1e-12)
 
@@ -238,7 +237,7 @@ class TestEmpiricalDistribution:
     def test_time_zero_has_no_defaults(self, strategy):
         pool = PoolSpec(names=12)
         sched = make_schedule(GPCL, (1, 3), (1.0,), [(1.0,), (0.3,)])
-        emp = empirical_distribution(pool, sched, strategy, 0.0, n_paths=100, seed=4)
+        emp = empirical_distributions(pool, sched, strategy, [0.0], n_paths=100, seed=4)[0]
         assert emp.distribution.probs[0] == 1.0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -247,7 +246,7 @@ class TestEmpiricalDistribution:
         sched = make_schedule(GPCL, (1, 3, 5), (1.0, 2.0),
                               [(1.2, 2.0), (0.5, 1.1), (0.2, 0.5)])
         times = [0.7, 2.0]
-        n_paths = 2 ** 15 + 3
+        n_paths = _BLOCK_PATHS + 3
 
         def path_counts(n, seed):
             emps = empirical_distributions(pool, sched, strategy, times, n, seed=seed)
@@ -261,16 +260,16 @@ class TestEmpiricalDistribution:
         np.testing.assert_array_equal(path_counts(n_paths, 6), counts)
         assert not np.array_equal(path_counts(n_paths, 7), counts)
         # the first block's paths do not depend on how many follow them
-        tail = counts - path_counts(2 ** 15, 6)
+        tail = counts - path_counts(_BLOCK_PATHS, 6)
         assert np.all(tail >= 0) and np.all(tail.sum(axis=1) == 3)
 
     def test_invalid_arguments(self):
         pool = PoolSpec(names=5)
         sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
         with pytest.raises(SimulationError):
-            empirical_distribution(pool, sched, "s2", 1.0, n_paths=0)
+            empirical_distributions(pool, sched, "s2", [1.0], n_paths=0)
         with pytest.raises(SimulationError):
-            empirical_distribution(pool, sched, "bogus", 1.0, n_paths=10)
+            empirical_distributions(pool, sched, "bogus", [1.0], n_paths=10)
 
     @pytest.mark.parametrize("n_paths", [2.5, 10.0, True, "10"])
     def test_non_integer_path_count_rejected(self, n_paths):
@@ -282,8 +281,8 @@ class TestEmpiricalDistribution:
     def test_numpy_integer_path_count_accepted(self):
         pool = PoolSpec(names=5)
         sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
-        got = empirical_distribution(pool, sched, "s2", 1.0, n_paths=np.int64(100), seed=3)
-        want = empirical_distribution(pool, sched, "s2", 1.0, n_paths=100, seed=3)
+        got = empirical_distributions(pool, sched, "s2", [1.0], n_paths=np.int64(100), seed=3)[0]
+        want = empirical_distributions(pool, sched, "s2", [1.0], n_paths=100, seed=3)[0]
         assert type(got.n_paths) is int
         np.testing.assert_array_equal(got.distribution.probs, want.distribution.probs)
 
@@ -366,12 +365,9 @@ class TestCountOnlySimulation:
             assert abs(two_sample_z(simulated, names)) <= 5.0
             assert abs(two_sample_z(simulated == 0, names == 0)) <= 5.0
 
-    @pytest.mark.parametrize("model, strategy, engine", [
-        (GPCL, "s2", gpcl_distribution),
-        (GPL, "s0", gpl_distribution),
-    ])
+    @pytest.mark.parametrize("model, strategy", [(GPCL, "s2"), (GPL, "s0")])
     def test_clusters_larger_than_pool_match_exact_engines(self, gpcl_schedule, gpl_schedule,
-                                                           model, strategy, engine):
+                                                           model, strategy):
         # gpcl gives clusters larger than the pool rate zero; gpl jumps to the cap
         schedule = gpcl_schedule if model == GPCL else gpl_schedule
         assert max(schedule.amplitudes) > 60
@@ -381,7 +377,7 @@ class TestCountOnlySimulation:
         emps = empirical_distributions(pool, schedule, strategy, times, n_paths, seed=23)
         counts = np.arange(pool.names + 1)
         for emp, t in zip(emps, times):
-            exact = engine(pool, schedule, t).probs
+            exact = loss_distribution(pool, schedule, t).probs
             mean = counts @ exact
             sd = math.sqrt(counts ** 2 @ exact - mean ** 2)
             z = (counts @ emp.distribution.probs - mean) / (sd / math.sqrt(n_paths))
@@ -415,7 +411,7 @@ class TestCells:
         assert emps[0].distribution.probs[0] == 1.0
         counts = np.arange(self.POOL.names + 1)
         for emp in emps[1:]:
-            exact = gpcl_distribution(self.POOL, sched, emp.distribution.time).probs
+            exact = loss_distribution(self.POOL, sched, emp.distribution.time).probs
             freq = emp.distribution.probs
             for stat in (counts, counts == 0):
                 mean = stat @ exact

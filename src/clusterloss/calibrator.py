@@ -11,9 +11,11 @@ scan every unused amplitude, refit all intensities warm-started from the
 incumbent, and keep the candidate with the lowest objective, until the
 objective threshold is met, the newest mode is negligible, or the mode
 budget is exhausted. Every fit is one bounded least-squares solve over all
-increments under an evaluation budget; the candidates of a scan share the
-incumbent's errors and Jacobian columns as their start. The search draws no
-random numbers, so a calibration does not depend on its seed.
+increments with exact Jacobians from the loss engine's tangent pass, under
+an evaluation budget that charges a Jacobian one evaluation per column. The
+candidates of a scan start from the incumbent's errors and their slices of
+one tangent pass at the incumbent. The search draws no random numbers, so
+a calibration does not depend on its seed.
 """
 from __future__ import annotations
 
@@ -38,25 +40,19 @@ class CalibrationError(ValueError):
 # intensity fitting (amplitudes fixed)
 # ---------------------------------------------------------------------------
 
-# forward-difference step per unit of max(1, |x|): the square root of the
-# float64 epsilon, as in scipy's "2-point" scheme
-_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+# the largest increment a fit tries. A mode whose errors saturate in its
+# intensity (gpcl amplitude 125 fires only while every name survives) has a
+# Jacobian column near zero, which ``x_scale="jac"`` turns into steps of a
+# million and more: intervals whose uniformised series the kernel cannot sum
+# within its mass tolerance, and whose Krylov block takes a gigabyte. A rise
+# of 1e4 over one knot interval is thousands of times any fitted value, and
+# its series already runs to about 1e4 terms.
+_MAX_INCREMENT = 1e4
 
 
 def _schedule_from_increments(model: str, amplitudes, knots, x: np.ndarray) -> IntensitySchedule:
     inc = np.maximum(x.reshape(len(amplitudes), len(knots)), 0.0)
     return IntensitySchedule(model, amplitudes, knots, np.cumsum(inc, axis=1))
-
-
-def _forward_jacobian(residuals, x: np.ndarray, e: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Fill the nan columns of ``jac`` in place with forward differences of
-    ``residuals`` at ``x``, where ``residuals(x)`` is ``e``: one evaluation
-    per column. Steps go up only, so they never leave the bound at zero."""
-    for j in np.flatnonzero(np.isnan(jac).all(axis=0)):
-        bumped = x.copy()
-        bumped[j] += _DIFF_STEP * max(1.0, abs(x[j]))
-        jac[:, j] = (residuals(bumped) - e) / (bumped[j] - x[j])
-    return jac
 
 
 class _BudgetSpent(Exception):
@@ -79,28 +75,31 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
     """Fit all per-interval intensity increments with amplitudes held fixed.
 
     One bounded least-squares solve of the weighted quote errors over every
-    increment: scipy's dogbox trust region, increments at or above zero,
-    variables scaled by the Jacobian's column norms, with a forward-difference
-    Jacobian. Every pricer evaluation counts against ``max_evaluations``: the
-    solve stops once the evaluations left cannot pay for the next Jacobian
-    plus one trial point, and the best point evaluated is returned.
+    increment: scipy's dogbox trust region, increments from zero to 1e4,
+    variables scaled by the Jacobian's column norms, with the exact Jacobian
+    of ``PanelPricer.jacobian``. Evaluations count against
+    ``max_evaluations``: one per pricing of the errors, and one per column
+    of each Jacobian, the pricings forward differences would take, so that a
+    budget buys the same steps however the Jacobian is computed. The solve stops
+    once the evaluations left cannot pay for the next Jacobian plus one
+    trial point, and the best point evaluated is returned.
 
-    ``start`` is ``(errors, jacobian)`` at ``x0`` when they are known: the
-    errors, and the Jacobian with nan in the columns still to be computed.
-    The greedy scan passes each candidate the incumbent's errors and columns,
-    so that a candidate computes only its new mode's columns.
+    ``start`` is ``(errors, jacobian, charge)`` at ``x0`` when they are
+    known: the errors, the Jacobian, and the evaluations its use is charged.
+    The greedy scan passes each candidate the incumbent's errors and its
+    slice of one tangent pass, charged as the candidate's new columns.
     """
     amplitudes = tuple(int(a) for a in amplitudes)
     knots = pricer.knots
     n_modes, n_knots = len(amplitudes), len(knots)
-    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), 0.0, None)
+    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), 0.0, _MAX_INCREMENT)
     if x0.size != n_modes * n_knots:
         raise CalibrationError(f"expected {n_modes * n_knots} increments, got {x0.size}")
     if not max_evaluations >= 1:
         raise CalibrationError(f"max_evaluations must be at least 1, got {max_evaluations}")
 
     evaluations = 0
-    best = None  # the best point evaluated, Jacobian steps included, and its errors
+    best = None  # the best point evaluated and its errors
 
     def residuals(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations, best
@@ -112,17 +111,17 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
             best = (x.copy(), e)
         return e
 
+    pending = []  # the solver's first Jacobian, at x0, when the caller knows it
     if start is None:
         e0 = residuals(x0)
-        jac0 = np.full((len(e0), x0.size), np.nan)
     else:
         e0, jac0 = np.asarray(start[0], dtype=float), np.array(start[1], dtype=float)
         if jac0.shape != (len(e0), x0.size):
             raise CalibrationError(f"start Jacobian must have shape {(len(e0), x0.size)}, "
                                    f"got {jac0.shape}")
         best = (x0, e0)
+        pending.append((jac0, int(start[2])))
     trial = (x0, e0)  # the last point the solver evaluated, and its errors
-    pending = [jac0]  # the solver's first Jacobian is at x0
 
     def fun(x: np.ndarray) -> np.ndarray:
         nonlocal trial
@@ -131,10 +130,15 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
         return trial[1]
 
     def jac(x: np.ndarray) -> np.ndarray:
-        out = pending.pop() if pending else np.full((len(e0), x.size), np.nan)
-        if max_evaluations - evaluations <= np.isnan(out).all(axis=0).sum():
+        nonlocal evaluations
+        out, charge = pending.pop() if pending else (None, x.size)
+        if max_evaluations - evaluations <= charge:
             raise _BudgetSpent
-        return _forward_jacobian(residuals, x, fun(x), out)
+        evaluations += charge
+        if out is None:
+            out = pricer.jacobian(_schedule_from_increments(model, amplitudes, knots, x),
+                                  amplitudes).reshape(len(e0), x.size)
+        return out
 
     # imported here, not at module level, so that a process which only
     # prices or simulates never loads scipy
@@ -145,7 +149,7 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
         # dogbox, unlike trf, starts from x0 as given: a zero increment stays
         # zero, and a mode at zero stays out of the kernel's cache keys
         converged = scipy.optimize.least_squares(
-            fun, x0, jac=jac, bounds=(0.0, np.inf), method="dogbox", x_scale="jac",
+            fun, x0, jac=jac, bounds=(0.0, _MAX_INCREMENT), method="dogbox", x_scale="jac",
             max_nfev=max_evaluations).status > 0
     except _BudgetSpent:
         pass
@@ -185,23 +189,21 @@ def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: Fit
 
     Each candidate starts from the incumbent with its new mode at zero. The
     kernel leaves zero-density modes out of its cache keys, so at that start
-    a candidate's errors are the incumbent's, and so are its Jacobian's
-    columns for the incumbent's increments, bit for bit: they are computed
-    once here, and each candidate computes only its new mode's columns.
+    a candidate's errors are the incumbent's, bit for bit, and its Jacobian
+    is a slice of one tangent pass at the incumbent over the incumbent's and
+    every candidate's amplitudes. That pass is charged as the incumbent's
+    columns, and each candidate as its new mode's columns.
     """
-    x = fit.increments.ravel()
-    shared = _forward_jacobian(
-        lambda z: pricer.errors(_schedule_from_increments(model, amplitudes, pricer.knots, z)),
-        x, fit.errors, np.full((len(fit.errors), x.size), np.nan))
-    shared = shared.reshape(len(fit.errors), *fit.increments.shape)
+    everything = sorted(set(amplitudes) | set(candidates))
+    shared = pricer.jacobian(fit.schedule, everything)  # (instruments, amplitudes, knots)
     tasks = []
     for candidate in candidates:
-        position = int(np.searchsorted(amplitudes, candidate))
-        x0 = np.insert(fit.increments, position, 0.0, axis=0)
-        jac0 = np.insert(shared, position, np.nan, axis=1).reshape(len(fit.errors), -1)
-        tasks.append((model, tuple(sorted(amplitudes + [candidate])), x0.ravel(), candidate,
-                      budget, (fit.errors, jac0)))
-    return tasks, x.size
+        new_amplitudes = tuple(sorted(amplitudes + [candidate]))
+        x0 = np.insert(fit.increments, new_amplitudes.index(candidate), 0.0, axis=0)
+        jac0 = shared[:, np.searchsorted(everything, new_amplitudes)]
+        tasks.append((model, new_amplitudes, x0.ravel(), candidate, budget,
+                      (fit.errors, jac0.reshape(len(fit.errors), -1), x0.shape[1])))
+    return tasks, fit.increments.size
 
 
 @dataclass

@@ -144,14 +144,20 @@ def cmd_price(args) -> int:
     if args.model is not None and args.model != schedule.model:
         raise InputError(f"--model {args.model} does not match the schedule's model "
                          f"{schedule.model}")
+    pricer = None
+    if len(panel):
+        try:
+            pricer = PanelPricer(panel, curve, pool, grid_step_days=args.grid_step)
+        except PricingError as exc:
+            raise InputError(f"cannot price {args.quotes} on the curve {args.curve}: "
+                             f"{exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _resolved_config(args)
-    if len(panel) == 0:
+    if pricer is None:
         report = {"instruments": [], "objective": 0.0,
                   "config_hash": _config_hash(config), "seed": args.seed}
     else:
-        pricer = PanelPricer(panel, curve, pool, grid_step_days=args.grid_step)
         values = pricer.model_values(schedule)
         eps = pricer.errors(schedule)  # served by the kernel's cache, same bits
         report = {

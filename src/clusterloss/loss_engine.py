@@ -330,6 +330,24 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     call whose leading intervals match an earlier call's reads their
     results instead of solving them again, and gets the same bits.
     """
+    times = _checked_times(times)
+    out = np.zeros((len(times), pool.names + 1))
+    lo = int(np.searchsorted(times, 0.0, side="right"))
+    out[:lo, 0] = 1.0  # no defaults at time zero
+    if lo == len(times):
+        return out
+    for lo, hi, _, interval in _interval_walk(pool, schedule, times, lo):
+        out[lo:hi] = _interval_rows(*interval)[0]
+    sums = out.sum(axis=1)
+    deficits = np.abs(sums - 1.0)
+    if not np.all(deficits <= _MASS_TOL):  # a nan fails this too
+        raise LossEngineError(f"forward equation lost probability mass: worst row sum "
+                              f"{float(sums[np.argmax(deficits)])!r}")
+    out /= sums[:, None]
+    return out
+
+
+def _checked_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise LossEngineError("times must be a one-dimensional sequence")
@@ -338,34 +356,30 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     if len(times) and not (times[0] >= 0 and math.isfinite(times[-1])
                            and np.all(np.diff(times) >= 0)):
         raise LossEngineError("times must be finite, non-negative and non-decreasing")
-    out = np.zeros((len(times), pool.names + 1))
-    lo = int(np.searchsorted(times, 0.0, side="right"))
-    out[:lo, 0] = 1.0  # no defaults at time zero
-    if lo == len(times):
-        return out
+    return times
+
+
+def _interval_walk(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray, lo: int):
+    """The knot intervals, first to the one holding the last of ``times``:
+    (lo, hi, width, interval) each, where times[lo:hi] fall in the interval,
+    ``width`` is its length between knots and ``interval`` is the argument
+    tuple of ``_interval_rows`` that names it. ``times[lo:]`` must be
+    positive. The final interval's slope carries on beyond the last knot."""
     knots, rises, widths = schedule.knots, schedule.cumulated.copy(), schedule.knots.copy()
     rises[:, 1:] -= schedule.cumulated[:, :-1]  # in place: np.diff's prepend= is slower
     widths[1:] -= knots[:-1]
     # schedules may dip by roundoff between knots; a rate is never negative
     densities = (np.maximum(rises, 0.0) / widths).T.tolist()
-    # the final interval's slope carries on beyond the last knot
     his = np.searchsorted(times, knots[:-1], side="right").tolist() + [len(times)]
     ends = np.minimum(knots[:-1], times[-1]).tolist() + [float(times[-1])]
     interval = None
-    for hi, end, slopes in zip(his, ends, densities):
+    for hi, end, width, slopes in zip(his, ends, widths.tolist(), densities):
         active = tuple((a, s) for a, s in zip(schedule.amplitudes, slopes) if s > 0.0)
         interval = (schedule.model, pool.names, interval, times[lo:hi].tobytes(), end, active)
-        out[lo:hi] = _interval_rows(*interval)[0]
+        yield lo, hi, width, interval
         lo = hi
         if lo == len(times):
-            break
-    sums = out.sum(axis=1)
-    deficits = np.abs(sums - 1.0)
-    if not np.all(deficits <= _MASS_TOL):  # a nan fails this too
-        raise LossEngineError(f"forward equation lost probability mass: worst row sum "
-                              f"{float(sums[np.argmax(deficits)])!r}")
-    out /= sums[:, None]
-    return out
+            return
 
 
 def loss_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
@@ -409,6 +423,121 @@ def _interval_rows(model: str, names: int, previous: tuple | None, times: bytes,
     rows = weights @ krylov
     rows.flags.writeable = False
     return rows[:-1], rows[-1]
+
+
+def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
+                          amplitudes, columns) -> np.ndarray:
+    """Exact derivatives of ``distribution_term_structure(pool, schedule,
+    times) @ columns`` with respect to the rise of each of ``amplitudes``'
+    cumulated intensity over each knot interval, shaped (times, columns,
+    amplitudes, knots). An amplitude need not be in the schedule: its
+    derivative is taken at density zero. ``columns`` has one row per count.
+
+    A rise of r over an interval of width w adds the density r/w, so the
+    generator G of the interval moves along G_b / w for amplitude b, where
+    G_b is the generator of b at unit density. In an interval with active
+    modes, P = I + G/q and x_k = P^k v as in the value kernel, the tangents
+    follow the series with q held fixed: Y_{k+1} = P Y_k + (G_b / (q w)) x_k
+    for the interval's own columns, and Y_{k+1} = P Y_k for the columns of
+    earlier intervals, which start from their values at the interval's start
+    (the block-triangular form of Van Loan, IEEE TAC 23(3), 1978). The
+    Poisson-weighted sums of the terms are accumulated as they come, after
+    projection onto ``columns``, so memory does not grow with the number of
+    terms. In an interval with no active mode, the state v stands still and
+    its tangent s years in is s G_b v / w.
+
+    The rows' renormalisation is left out: their total mass has zero
+    derivative. Start states are read from ``_interval_rows``, so a call
+    after the values costs no solve; tangents are not cached.
+    """
+    times = _checked_times(times)
+    amplitudes = tuple(int(a) for a in amplitudes)
+    if not amplitudes or min(amplitudes) < 1:
+        raise LossEngineError("tangents need one or more amplitudes, each at least 1")
+    columns = np.asarray(columns, dtype=float)
+    if columns.ndim != 2 or len(columns) != pool.names + 1:
+        raise LossEngineError(f"columns must have {pool.names + 1} rows, one per count")
+    n_amps, n_cols = len(amplitudes), columns.shape[1]
+    result = np.zeros((len(times), n_cols, len(schedule.knots), n_amps))
+    # a view with (interval, amplitude) flattened, interval-major
+    out = result.reshape(len(times), n_cols, len(schedule.knots) * n_amps)
+    lo = int(np.searchsorted(times, 0.0, side="right"))
+    if lo == len(times):
+        return result.transpose(0, 1, 3, 2)
+    project = np.ascontiguousarray(columns.T)
+    generators = _stacked_generators(pool.names, schedule.model, amplitudes)
+    # tangents of the state at an interval's start, one column per
+    # (interval, amplitude), interval-major; later intervals' columns are zero
+    tangents = np.zeros((pool.names + 1, out.shape[2]))
+    for k, (lo, hi, width, interval) in enumerate(_interval_walk(pool, schedule, times, lo)):
+        previous, end, active = interval[2], interval[4], interval[5]
+        if previous is None:
+            start, state = 0.0, np.eye(1, pool.names + 1)[0]  # no defaults at time zero
+        else:
+            start, state = previous[4], _interval_rows(*previous)[1]
+        offsets = np.frombuffer(interval[3]) - start
+        own, used = slice(k * n_amps, (k + 1) * n_amps), (k + 1) * n_amps
+        if not active:
+            source = generators(state) / width
+            out[lo:hi, :, :used] = project @ tangents[:, :used]
+            out[lo:hi, :, own] += offsets[:, None, None] * (project @ source)
+            tangents[:, own] = (end - start) * source
+            continue
+        q = sum(s for _, s in active)
+        transition = _unit_transition_matrix(pool.names, schedule.model,
+                                             [(a, s / q) for a, s in active])
+        weights = _poisson_weights(q * np.append(offsets, end - start))
+        out[lo:hi, :, :used], tangents[:, :used] = _tangent_series(
+            transition, weights, state, tangents[:, :used], own,
+            lambda x: generators(x) / (q * width), project)
+    return result.transpose(0, 1, 3, 2)
+
+
+_TANGENT_CHUNK = 64  # series terms projected before they are summed
+
+
+def _tangent_series(transition, weights, state, start, own, source, project):
+    """The Poisson-weighted sums of one interval's tangent series: their
+    projections at the requested times, shaped (times, projections,
+    columns), and the tangents at the interval's end. ``weights`` are the
+    Poisson weights of the requested times and, last, of the end; ``start``
+    holds the tangents at the interval's start, zero in the interval's
+    ``own`` columns, which gain ``source(x_k)`` after term k. Projections
+    are kept for at most ``_TANGENT_CHUNK`` terms at a time."""
+    n_terms = weights.shape[1]
+    x, y = state.copy(), start.copy()
+    projected = np.empty((min(n_terms, _TANGENT_CHUNK), len(project), y.shape[1]))
+    sums = np.zeros((len(weights) - 1, projected[0].size))
+    end = np.zeros_like(y)
+    for k in range(n_terms):
+        j = k % _TANGENT_CHUNK
+        np.dot(project, y, out=projected[j])
+        end += weights[-1, k] * y
+        if j == len(projected) - 1 or k == n_terms - 1:
+            sums += weights[:-1, k - j:k + 1] @ projected[:j + 1].reshape(j + 1, -1)
+        if k < n_terms - 1:
+            y = transition @ y
+            y[:, own] += source(x)
+            x = transition @ x
+    return sums.reshape(len(sums), *projected[0].shape), end
+
+
+def _stacked_generators(names: int, model: str, amplitudes):
+    """A function of a state x giving the columns G_b x, (names + 1,
+    amplitudes), where G_b = P - I is the generator of amplitude b at unit
+    density, P being ``_unit_transition_matrix`` of b alone."""
+    n = names + 1
+    rows, cols, rates = [], [], []
+    for j, amplitude in enumerate(amplitudes):
+        generator = _unit_transition_matrix(names, model, [(amplitude, 1.0)])
+        generator.flat[::n + 1] -= 1.0
+        entries = np.flatnonzero(generator.ravel() != 0.0)  # faster than on floats
+        rows.append(entries // n * len(amplitudes) + j)
+        cols.append(entries % n)
+        rates.append(generator.ravel()[entries])
+    rows, cols, rates = np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
+    size = n * len(amplitudes)
+    return lambda x: np.bincount(rows, rates * x[cols], size).reshape(n, len(amplitudes))
 
 
 def _unit_transition_matrix(names: int, model: str, shares) -> np.ndarray:

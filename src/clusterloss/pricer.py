@@ -13,7 +13,8 @@ the index default leg pays loss increments net of recovery.
 A pricer holds only data fixed at construction, so threads may share one
 and a pickled copy is an ordinary one. Evaluations that share leading knot
 intervals, as the calibrator's do, are served by the kernel's process-wide
-cache of solved intervals.
+cache of solved intervals. ``PanelPricer.jacobian`` differentiates the
+quote errors exactly, from one tangent pass of the kernel.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .loss_engine import (
     IntensitySchedule,
     LossDistribution,
     PoolSpec,
+    distribution_tangents,
     distribution_term_structure,
 )
 from .market_data import (
@@ -187,7 +189,8 @@ class PanelPricer:
         # factor at the cell's midpoint, the annuity weighs the surviving
         # notional at each payment date by its discounted year fraction; the
         # weights depend on the maturity alone
-        disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
+        with np.errstate(over="ignore"):  # an infinite factor is an error below
+            disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
         self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
         self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
         for maturity in panel.maturities:
@@ -198,19 +201,34 @@ class PanelPricer:
                 raise PricingError("payment dates missing from the pricing grid")
             n_rows = int(np.searchsorted(
                 self.grid_times, year_fraction(panel.valuation_date, maturity) + 1e-12))
+            # a zero rate of 1e300 drives the factors to zero, and a spread to 0/0
+            with np.errstate(over="ignore"):
+                pay_discount = curve.discount_factor(pay_times)
+            factors = np.concatenate([disc_mid[:n_rows - 1], pay_discount])
+            if not (np.isfinite(factors).all() and factors.min() > 0.0):
+                raise PricingError(f"discount factors up to the maturity "
+                                   f"{format_date(maturity)} must be finite and positive")
+            pay_weights = sched.year_fractions * pay_discount
+            if not pay_weights.sum() > 0.0:
+                raise PricingError(f"payment weights of the maturity {format_date(maturity)} "
+                                   f"sum to zero")
             cols = np.flatnonzero([ins.maturity == maturity for ins in self.instruments])
             self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
-            self._payment_weights[np.ix_(pay_idx, cols)] = (
-                sched.year_fractions * curve.discount_factor(pay_times))[:, None]
+            self._payment_weights[np.ix_(pay_idx, cols)] = pay_weights[:, None]
 
-    def model_values(self, schedule: IntensitySchedule) -> np.ndarray:
-        """Model quotes of every instrument, in ``instruments`` order."""
+    def _legs(self, schedule: IntensitySchedule) -> tuple[np.ndarray, np.ndarray]:
+        """Default-leg and annuity values of every instrument."""
         probs = distribution_term_structure(self.pool, schedule, self.grid_times)
         stats = probs @ self.payout_matrix  # (grid, n_cols)
         default_pv = np.einsum("ti,ti->i", self._increment_weights,
                                np.diff(stats[:, self._loss_cols], axis=0))
         annuity = np.einsum("ti,ti->i", self._payment_weights,
                             1.0 - stats[:, self._notional_cols])
+        return default_pv, annuity
+
+    def model_values(self, schedule: IntensitySchedule) -> np.ndarray:
+        """Model quotes of every instrument, in ``instruments`` order."""
+        default_pv, annuity = self._legs(schedule)
         values = default_pv - self._running * annuity  # upfront quotes
         spreads = ~self._upfront
         values[spreads] = 1e4 * default_pv[spreads] / annuity[spreads]
@@ -220,6 +238,38 @@ class PanelPricer:
         """Weighted quote errors (model - mid) / width of every instrument."""
         return (self.model_values(schedule) - self.mids) / self.widths
 
+    def jacobian(self, schedule: IntensitySchedule, amplitudes) -> np.ndarray:
+        """Exact derivatives of ``errors`` with respect to the rise of each of
+        ``amplitudes``' cumulated intensity over each knot interval, shaped
+        (instruments, amplitudes, knots); an amplitude outside the schedule
+        is taken at zero. One tangent pass of the loss engine, chained
+        through the legs, with the quotient rule for spreads; the legs at
+        the point come from the kernel's cached rows."""
+        default_pv, annuity = self._legs(schedule)
+        tangents = distribution_tangents(self.pool, schedule, self.grid_times, amplitudes,
+                                         self.payout_matrix)
+        tangents = tangents.reshape(*tangents.shape[:2], -1)  # (grid, n_cols, parameters)
+        d_default_pv = _leg_tangents(self._increment_weights, np.diff(tangents, axis=0),
+                                     self._loss_cols)
+        d_annuity = -_leg_tangents(self._payment_weights, tangents, self._notional_cols)
+        d_values = d_default_pv - self._running[:, None] * d_annuity
+        spreads = ~self._upfront
+        d_values[spreads] = 1e4 * (d_default_pv[spreads] * annuity[spreads, None]
+                                   - default_pv[spreads, None] * d_annuity[spreads]
+                                   ) / annuity[spreads, None] ** 2
+        return (d_values / self.widths[:, None]).reshape(len(self.instruments),
+                                                         len(amplitudes), -1)
+
     def objective(self, schedule: IntensitySchedule) -> tuple[float, np.ndarray]:
         eps = self.errors(schedule)
         return float(eps @ eps), eps
+
+
+def _leg_tangents(weights: np.ndarray, tangents: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_t weights[t, i] * tangents[t, cols[i]] for every instrument i:
+    one product per payout column."""
+    out = np.empty((weights.shape[1], tangents.shape[2]))
+    for col in np.unique(cols):
+        rows = cols == col
+        out[rows] = weights[:, rows].T @ tangents[:, col]
+    return out

@@ -11,6 +11,10 @@ Each computes what the package computes by a different route:
   product of matrix exponentials of the integrated transition-rate matrix,
   one per knot-to-knot piece, with binomial ratios in exact integer
   arithmetic;
+* ``expm_tangent``: the derivative of a distribution with respect to one
+  amplitude's rise over one knot interval, from the matrix exponential of
+  the block-triangular generator [[G, G_b], [0, G]] (Van Loan, IEEE TAC
+  23(3), 1978), for both models;
 * ``sample_shock_stream`` and ``apply_strategy``: the name-level simulation,
   one path at a time. Each mode's events get times by inverting uniforms
   under its piecewise-linear cumulated intensity, and each event hits a
@@ -24,9 +28,10 @@ Each computes what the package computes by a different route:
   depend on the seed and the path count alone, but not with the bits of
   the versions that drew event times.
 
-Both distribution engines solve one time at a time and share no code with
-the uniformised forward-equation kernel; the name-level simulation draws
-the names and event times that the count-only one never draws.
+The distribution and tangent engines solve one time at a time and share
+no code with the uniformised forward-equation kernel; the name-level
+simulation draws the names and event times that the count-only one never
+draws.
 """
 from __future__ import annotations
 
@@ -286,6 +291,58 @@ def expm_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
         for a, b in _knot_pieces(schedule, t):
             state = matrix_exponential(cumulated_generator(pool, schedule, a, b)) @ state
     return LossDistribution(time=t, probs=state)
+
+
+# ---------------------------------------------------------------------------
+# tangents: block-triangular matrix exponentials
+# ---------------------------------------------------------------------------
+
+def unit_generator(model: str, names: int, amplitude: int) -> np.ndarray:
+    """Transition-rate matrix (to-state, from-state) of one amplitude at unit
+    aggregate density. gpcl: state y jumps to y + amplitude at rate
+    C(names - y, amplitude) / C(names, amplitude), in exact integers; gpl:
+    every state below the cap jumps to min(y + amplitude, names) at rate one."""
+    gen = np.zeros((names + 1, names + 1))
+    for y in range(names):
+        if model == GPCL:
+            if y + amplitude > names:
+                continue
+            to, rate = y + amplitude, math.comb(names - y, amplitude) / math.comb(names, amplitude)
+        else:
+            to, rate = min(y + amplitude, names), 1.0
+        gen[to, y] += rate
+        gen[y, y] -= rate
+    return gen
+
+
+def expm_tangent(pool: PoolSpec, schedule: IntensitySchedule, t: float, amplitude: int,
+                 knot: int) -> np.ndarray:
+    """Derivative of the counting distribution at time t with respect to the
+    rise of ``amplitude``'s cumulated intensity over knot interval ``knot``
+    (the amplitude need not be in the schedule).
+
+    Piece by piece of [0, t], the state moves by exp(G s). On the pieces of
+    the bumped interval, of width w, the upper right block of
+    exp([[G s, G_b s / w], [0, G s]]) is the derivative of exp(G s) along
+    G_b / w, and carries the state into the tangent.
+    """
+    n = pool.names + 1
+    widths = np.diff(schedule.knots, prepend=0.0)
+    densities = np.maximum(np.diff(schedule.cumulated, axis=1, prepend=0.0), 0.0) / widths
+    bump = unit_generator(schedule.model, pool.names, amplitude) / widths[knot]
+    state, tangent = np.eye(1, n)[0], np.zeros(n)
+    for a, b in (_knot_pieces(schedule, t) if t > 0 else []):
+        k = min(int(np.searchsorted(schedule.knots, b)), len(schedule.knots) - 1)
+        gen = sum(d * unit_generator(schedule.model, pool.names, amp)
+                  for amp, d in zip(schedule.amplitudes, densities[:, k]))
+        if k == knot:
+            block = np.block([[gen, bump], [np.zeros((n, n)), gen]])
+            exp = scipy.linalg.expm(block * (b - a))
+            state, tangent = exp[:n, :n] @ state, exp[:n, :n] @ tangent + exp[:n, n:] @ state
+        else:
+            exp = scipy.linalg.expm(gen * (b - a))
+            state, tangent = exp @ state, exp @ tangent
+    return tangent
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterloss.calibrator import (
+    _MAX_INCREMENT,
     CalibrationError,
     fit_intensities,
-    _forward_jacobian,
     _scan_tasks,
     greedy_calibrate,
 )
@@ -492,22 +492,31 @@ class TestFitIntensities:
         assert "budget" in small.warning
         np.testing.assert_array_equal(small.increments.ravel(), x0)
         np.testing.assert_array_equal(small.errors, pricer.errors(small.schedule))
-        # a known start costs nothing: four evaluations pay for no step
-        start = (small.errors, np.full((len(small.errors), 4), np.nan))
+        # a known start charged its four columns: four evaluations pay for
+        # no step
+        start = (small.errors, pricer.jacobian(small.schedule, (1,)).reshape(-1, 4), 4)
         known = fit_intensities(pricer, GPL, (1,), x0, max_evaluations=4, start=start)
         assert (known.n_evaluations, known.converged) == (0, False)
         assert "budget" in known.warning
         np.testing.assert_array_equal(known.increments.ravel(), x0)
 
     def test_no_fit_exceeds_its_budget(self, pool, curve, itraxx_panel, monkeypatch):
+        # every pricing of the errors costs one evaluation, every Jacobian
+        # its column count
         calls = []
-        errors = PanelPricer.errors
+        errors, jacobian = PanelPricer.errors, PanelPricer.jacobian
 
-        def counting(self, schedule):
-            calls.append(schedule)
+        def counting_errors(self, schedule):
+            calls.append(("errors", schedule.amplitudes, 1))
             return errors(self, schedule)
 
-        monkeypatch.setattr(PanelPricer, "errors", counting)
+        def counting_jacobian(self, schedule, amplitudes):
+            out = jacobian(self, schedule, amplitudes)
+            calls.append(("jacobian", tuple(amplitudes), out[0].size))
+            return out
+
+        monkeypatch.setattr(PanelPricer, "errors", counting_errors)
+        monkeypatch.setattr(PanelPricer, "jacobian", counting_jacobian)
         pricer = PanelPricer(itraxx_panel, curve, pool)
         # from 0.01, (1, 12) spends its last evaluation of budget 37 on a
         # trial point that the solver rejects, and would try another
@@ -516,24 +525,33 @@ class TestFitIntensities:
             for budget in (1, 5, 6, 9, 10, 12, 37, 40, 150):
                 calls.clear()
                 fit = fit_intensities(pricer, GPCL, amplitudes, x0, max_evaluations=budget)
-                assert len(calls) == fit.n_evaluations <= budget
+                assert sum(charge for _, _, charge in calls) == fit.n_evaluations <= budget
                 assert fit.converged or "budget" in fit.warning
-        # a greedy run counts every evaluation of its fits, its scans and their
-        # shared start; the final report prices the result once more
-        panel = synthetic_panel_single(PoolSpec(names=16), flat_curve(), make_schedule(
+        # a greedy run counts every evaluation of its fits and its scans; a
+        # scan's one tangent pass over every amplitude is charged as the
+        # incumbent's columns plus each candidate's new ones, and the final
+        # report prices the result once more
+        names = 16
+        panel = synthetic_panel_single(PoolSpec(names=names), flat_curve(), make_schedule(
             GPL, (1, 4), (2.2246575342465754,), [(0.30,), (0.05,)]))
         calls.clear()
-        result = greedy_calibrate(panel, flat_curve(), PoolSpec(names=16), GPL, max_modes=3,
+        result = greedy_calibrate(panel, flat_curve(), PoolSpec(names=names), GPL, max_modes=3,
                                   objective_threshold=0.0, scan_budget=7, refine_budget=40,
                                   polish_budget=30, n_jobs=1)
         assert len(result.iterations) == 3
-        assert len(calls) == result.n_evaluations + 1
+        scans = [amplitudes for kind, amplitudes, _ in calls
+                 if kind == "jacobian" and len(amplitudes) == names]
+        assert len(scans) == 2
+        fits = sum(charge for kind, amplitudes, charge in calls if len(amplitudes) < names)
+        # n_knots = 1: the incumbents have one and two columns, and each of
+        # the names - 1 and names - 2 candidates one
+        assert fits - 1 + (1 + names - 1) + (2 + names - 2) == result.n_evaluations
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_scan_start_is_each_candidates_own(self, pool, curve, itraxx_panel, model):
         # at a candidate's warm start (its new mode at zero) the shared errors
-        # and incumbent columns are the candidate's own residuals and forward
-        # differences, bit for bit, and only the new mode's columns are left
+        # are the candidate's own, bit for bit, and its slice of the shared
+        # tangent pass is its own Jacobian
         pricer = PanelPricer(itraxx_panel, curve, pool)
         amplitudes = [1, 30]
         incumbent = fit_intensities(pricer, model, amplitudes, np.full(8, 0.05),
@@ -541,55 +559,47 @@ class TestFitIntensities:
         candidates = (2, 17, 31, 125)
         tasks, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
         assert spent == 8
-        step = np.sqrt(np.finfo(float).eps)
-        for (_, new_amplitudes, x0, candidate, budget, (e, jac)), expected in zip(
+        for (_, new_amplitudes, x0, candidate, budget, (e, jac, charge)), expected in zip(
                 tasks, candidates):
-            assert candidate == expected and budget == 20
+            assert candidate == expected and budget == 20 and charge == 4
             assert new_amplitudes == tuple(sorted(amplitudes + [candidate]))
-
-            def own(x):
-                return pricer.errors(IntensitySchedule(
-                    model, new_amplitudes, pricer.knots, np.cumsum(x.reshape(3, 4), axis=1)))
-
-            errors = own(x0)
-            np.testing.assert_array_equal(e, errors)
-            new_row = new_amplitudes.index(candidate)
-            missing = np.zeros((3, 4), dtype=bool)
-            missing[new_row] = True
-            missing = missing.ravel()
-            np.testing.assert_array_equal(np.isnan(jac).all(axis=0), missing)
-            assert not np.isnan(jac[:, ~missing]).any()
-            assert not x0[missing].any()
-            for j in np.flatnonzero(~missing):
-                bumped = x0.copy()
-                bumped[j] += step * max(1.0, abs(x0[j]))
-                np.testing.assert_array_equal(
-                    jac[:, j], (own(bumped) - errors) / (bumped[j] - x0[j]))
+            assert not x0.reshape(3, 4)[new_amplitudes.index(candidate)].any()
+            schedule = IntensitySchedule(model, new_amplitudes, pricer.knots,
+                                         np.cumsum(x0.reshape(3, 4), axis=1))
+            np.testing.assert_array_equal(e, pricer.errors(schedule))
+            own = pricer.jacobian(schedule, new_amplitudes).reshape(len(e), -1)
+            np.testing.assert_allclose(jac, own, rtol=1e-12, atol=1e-12 * np.abs(own).max())
             # so the candidate's fit from the shared start is its fit from
-            # scratch, which pays one evaluation more per shared column and
-            # one for the start
+            # scratch, which pays for the start and the shared columns itself
             shared = fit_intensities(pricer, model, new_amplitudes, x0,
-                                     max_evaluations=budget, start=(e, jac))
+                                     max_evaluations=budget, start=(e, jac, charge))
             scratch = fit_intensities(pricer, model, new_amplitudes, x0,
                                       max_evaluations=budget + spent + 1)
-            np.testing.assert_array_equal(shared.increments, scratch.increments)
-            assert shared.objective == scratch.objective
             assert scratch.n_evaluations == shared.n_evaluations + spent + 1
+            np.testing.assert_allclose(shared.increments, scratch.increments, rtol=1e-9,
+                                       atol=1e-9 * np.abs(scratch.increments).max())
+            assert shared.objective == pytest.approx(scratch.objective, rel=1e-9)
 
-    def test_forward_jacobian_fills_only_missing_columns(self):
-        calls = []
+    def test_saturating_mode_stops_at_the_increment_bound(self, pool, curve, itraxx_panel,
+                                                          monkeypatch):
+        # gpcl amplitude 125 fires only while every name survives, so over
+        # the last interval its errors barely move with its intensity, and
+        # the solver's column scaling steps towards a million
+        rises = []
+        errors = PanelPricer.errors
 
-        def residuals(x):
-            calls.append(x.copy())
-            return np.array([x[0] ** 2, 3.0 * x[1]])
+        def spy(self, schedule):
+            rises.append(np.diff(schedule.cumulated, axis=1, prepend=0.0).max())
+            return errors(self, schedule)
 
-        x = np.array([2.0, 0.0])
-        jac = np.array([[7.0, np.nan], [7.0, np.nan]])
-        _forward_jacobian(residuals, x, residuals(x), jac)
-        assert len(calls) == 2
-        np.testing.assert_array_equal(jac[:, 0], [7.0, 7.0])
-        np.testing.assert_allclose(jac[:, 1], [0.0, 3.0], rtol=1e-7)
-        assert calls[1][1] > 0.0  # steps up, inside the bound at zero
+        monkeypatch.setattr(PanelPricer, "errors", spy)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        x0 = np.array([0.0, 3.3, 2.45, 3.99, 0.007, 0.0, 0.339, 0.01])
+        fit = fit_intensities(pricer, GPCL, (1, 125), x0, max_evaluations=400)
+        assert max(rises) == pytest.approx(_MAX_INCREMENT, rel=1e-12)
+        assert fit.increments.max() == _MAX_INCREMENT
+        assert fit.objective < pricer.objective(fit_intensities(
+            pricer, GPCL, (1, 125), x0, max_evaluations=1).schedule)[0]
 
     def test_wrong_parameter_count_rejected(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)

@@ -214,6 +214,22 @@ class TestPriceCommand:
         assert code == 2
         assert "no_curve.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["1e300", "-1e300"])
+    def test_absurd_curve_is_input_error(self, tmp_path, capsys, rate):
+        # finite rates that drive the discount factors to zero or infinity
+        # would price every spread as 0/0 or inf/inf
+        curve = tmp_path / "curve.csv"
+        rows = Path(curve_path()).read_text().splitlines()
+        curve.write_text("\n".join([rows[0]] + [f"{r.split(',')[0]},{rate}" for r in rows[1:]])
+                         + "\n")
+        out = tmp_path / "out"
+        code = run(["price", "--curve", curve, "--quotes", quotes_path(),
+                    "--schedule", schedule_path("gpl"), "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "discount factors up to the maturity 21-Dec-09" in err
+        assert not out.exists()
+
     def test_model_matching_schedule_is_accepted(self, tmp_path):
         code = run(["price", "--model", "gpcl", "--curve", curve_path(),
                     "--quotes", quotes_path(), "--schedule", schedule_path("gpcl"),

@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from clusterloss.loss_engine import (
     PoolSpec,
     cluster_cumulated_intensity,
     counting_intensity,
+    distribution_tangents,
     distribution_term_structure,
     log_binomial,
     loss_distribution,
@@ -31,6 +33,7 @@ from reference_engines import (
     compound_poisson_panjer,
     cumulated_generator,
     expm_distribution,
+    expm_tangent,
     matrix_exponential,
     panjer_distribution,
 )
@@ -600,6 +603,121 @@ class TestUniformisedTermStructure:
             for t in (0.0, 0.7, schedule.knots[0], 5.0, 12.0):
                 row = distribution_term_structure(pool, schedule, [t])[0]
                 np.testing.assert_array_equal(loss_distribution(pool, schedule, t).probs, row)
+
+
+class TestDistributionTangents:
+    """The kernel's tangent pass against block-triangular matrix
+    exponentials, and its slices, zero rows and memory."""
+
+    @staticmethod
+    def awkward_schedule(model, names):
+        # mode 3 has zero density over the first two intervals, no mode is
+        # active over the second, and modes at and above the pool size jump
+        # to the gpl cap or, under gpcl, never fire
+        return make_schedule(model, (1, 3, names, names + 5), (1.0, 2.5, 4.0),
+                             [(0.2, 0.2, 0.5), (0.0, 0.0, 0.1), (0.05, 0.05, 0.05),
+                              (0.01, 0.01, 0.03)])
+
+    @pytest.mark.parametrize("names", [12, 30])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_matches_block_expm(self, model, names):
+        pool = PoolSpec(names=names)
+        schedule = self.awkward_schedule(model, names)
+        times = [0.0, 0.3, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5]
+        # 2: not in the schedule; names - 1, names, names + 9: below, at and
+        # above the pool size
+        amplitudes = (1, 2, 3, names - 1, names, names + 5, names + 9)
+        tangents = distribution_tangents(pool, schedule, times, amplitudes, np.eye(names + 1))
+        assert tangents.shape == (len(times), names + 1, len(amplitudes), 3)
+        for i, t in enumerate(times):
+            for j, amplitude in enumerate(amplitudes):
+                for k in range(3):
+                    np.testing.assert_allclose(
+                        tangents[i, :, j, k], expm_tangent(pool, schedule, t, amplitude, k),
+                        rtol=0.0, atol=1e-10)
+        # a rise after a time leaves the state at that time alone
+        assert not tangents[2, :, :, 1:].any() and not tangents[0].any()
+        if model == GPCL:  # clusters larger than the pool never fire
+            assert not tangents[:, :, amplitudes.index(names + 9)].any()
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_long_series_matches_block_expm(self, model):
+        # a Poisson mean of 90 over the second interval: 179 terms, summed in
+        # chunks of projections, the last of them partial and holding 1e-4
+        # of the Poisson mass at its end; 125 names keep the count off the cap
+        pool = PoolSpec()
+        schedule = make_schedule(model, (1, 2), (1.0, 2.0), [(0.5, 60.5), (0.2, 30.2)])
+        times = [0.5, 1.0, 1.3, 2.0, 2.5]
+        tangents = distribution_tangents(pool, schedule, times, (1, 2, 5), np.eye(126))
+        for i, t in enumerate(times):
+            for j, amplitude in enumerate((1, 2, 5)):
+                for k in range(2):
+                    np.testing.assert_allclose(
+                        tangents[i, :, j, k], expm_tangent(pool, schedule, t, amplitude, k),
+                        rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_mass_has_zero_derivative(self, model):
+        with open(schedule_path(model, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        times = np.linspace(0.0, 11.0, 23)
+        tangents = distribution_tangents(PoolSpec(), schedule, times, range(1, 126),
+                                         np.ones((126, 1)))
+        np.testing.assert_allclose(tangents, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_slice_of_a_wider_pass_is_its_own_pass(self, model):
+        with open(schedule_path(model, "cdx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        pool = PoolSpec()
+        times = np.linspace(0.0, 10.5, 31)
+        columns = np.random.default_rng(5).random((126, 6))
+        everything = distribution_tangents(pool, schedule, times, range(1, 126), columns)
+        amplitudes = schedule.amplitudes[:2] + (50,) + schedule.amplitudes[2:]
+        own = distribution_tangents(pool, schedule, times, amplitudes, columns)
+        np.testing.assert_allclose(everything[:, :, [a - 1 for a in amplitudes]], own,
+                                   rtol=1e-12, atol=1e-12 * np.abs(own).max())
+
+    def test_values_come_from_the_cache_untouched(self, gpcl_schedule, pool):
+        times = np.linspace(0.0, 10.0, 21)
+        rows = distribution_term_structure(pool, gpcl_schedule, times)
+        info = loss_engine._interval_rows.cache_info()
+        distribution_tangents(pool, gpcl_schedule, times, (1, 2), np.eye(126))
+        assert loss_engine._interval_rows.cache_info().misses == info.misses
+        np.testing.assert_array_equal(
+            distribution_term_structure(pool, gpcl_schedule, times), rows)
+
+    def test_memory_does_not_grow_with_the_series(self):
+        # one knot interval of Poisson mean 1e4: about 11,000 terms, whose
+        # tangents over every amplitude would take about 1.4 GB if kept
+        pool = PoolSpec()
+        schedule = make_schedule(GPL, (1, 5), (1.0,), [(6e3,), (4e3,)])
+        times = np.linspace(0.05, 1.0, 20)
+        columns = np.ones((126, 8))
+        distribution_term_structure(pool, schedule, times)
+        tracemalloc.start()
+        try:
+            distribution_tangents(pool, schedule, times, range(1, 126), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_zero_and_empty_times(self, gpl_schedule, pool):
+        columns = np.eye(126)
+        assert distribution_tangents(pool, gpl_schedule, [], (1,), columns).shape == (
+            0, 126, 1, 4)
+        assert not distribution_tangents(pool, gpl_schedule, [0.0, 0.0], (1, 3),
+                                         columns).any()
+
+    def test_invalid_requests_rejected(self, gpl_schedule, pool):
+        with pytest.raises(LossEngineError, match="one per count"):
+            distribution_tangents(pool, gpl_schedule, [1.0], (1,), np.eye(125))
+        with pytest.raises(LossEngineError, match="non-decreasing"):
+            distribution_tangents(pool, gpl_schedule, [2.0, 1.0], (1,), np.eye(126))
+        for amplitudes in ((), (0, 1)):
+            with pytest.raises(LossEngineError, match="at least 1"):
+                distribution_tangents(pool, gpl_schedule, [1.0], amplitudes, np.eye(126))
 
 
 class TestBinomialRatioCache:

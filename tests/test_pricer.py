@@ -13,8 +13,10 @@ from clusterloss.loss_engine import (
     PoolSpec,
     distribution_term_structure,
 )
+from clusterloss.fixtures import schedule_path
 from clusterloss.market_data import DiscountCurve, PaymentSchedule
 from clusterloss.pricer import (
+    PanelPricer,
     PricingError,
     TrancheDef,
     expected_tranched_loss,
@@ -284,3 +286,55 @@ class TestLossGrid:
         for step in (0.0, math.nan, math.inf):
             with pytest.raises(PricingError, match="finite"):
                 pricing_times(pay, grid_step_days=step)
+
+
+class TestJacobian:
+    """``PanelPricer.jacobian`` against differences of ``errors``."""
+
+    @staticmethod
+    def differences(pricer, schedule, j, k, h):
+        """Central differences of the errors in the rise of mode j over knot
+        interval k; second-order one-sided ones where the rise is zero, since
+        the derivative there is taken upwards."""
+        def errors(step):
+            cumulated = np.array(schedule.cumulated)
+            cumulated[j, k:] += step
+            return pricer.errors(schedule.with_cumulated(cumulated))
+
+        rise = schedule.cumulated[j, k] - (schedule.cumulated[j, k - 1] if k else 0.0)
+        if rise > 2 * h:
+            return (errors(h) - errors(-h)) / (2 * h)
+        return (-3 * errors(0.0) + 4 * errors(h) - errors(2 * h)) / (2 * h)
+
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_matches_differences_on_the_shipped_schedules(self, model, index, pool, curve,
+                                                          itraxx_panel, cdx_panel):
+        with open(schedule_path(model, index)) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        panel = itraxx_panel if index == "itraxx" else cdx_panel
+        pricer = PanelPricer(panel, curve, pool)
+        jacobian = pricer.jacobian(schedule, schedule.amplitudes)
+        assert jacobian.shape == (len(pricer.instruments), schedule.n_modes, 4)
+        for j in range(schedule.n_modes):
+            for k in range(4):
+                expected = self.differences(pricer, schedule, j, k, 1e-5)
+                np.testing.assert_allclose(jacobian[:, j, k], expected, rtol=1e-5,
+                                           atol=1e-5 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_new_amplitude_is_taken_at_zero(self, model, pool, curve, itraxx_panel):
+        with open(schedule_path(model, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        jacobian = pricer.jacobian(schedule, (2,) + schedule.amplitudes)
+        own = pricer.jacobian(schedule, schedule.amplitudes)
+        np.testing.assert_allclose(jacobian[:, 1:], own, rtol=1e-12,
+                                   atol=1e-12 * np.abs(own).max())
+        wider = IntensitySchedule(model, (1, 2) + schedule.amplitudes[1:], schedule.knots,
+                                  np.insert(schedule.cumulated, 1, 0.0, axis=0))
+        np.testing.assert_array_equal(pricer.errors(wider), pricer.errors(schedule))
+        for k in range(4):
+            expected = self.differences(pricer, wider, 1, k, 1e-5)
+            np.testing.assert_allclose(jacobian[:, 0, k], expected, rtol=1e-5,
+                                       atol=1e-5 * np.abs(expected).max())

@@ -44,9 +44,9 @@ class CalibrationError(ValueError):
 # intensity (gpcl amplitude 125 fires only while every name survives) has a
 # Jacobian column near zero, which ``x_scale="jac"`` turns into steps of a
 # million and more: intervals whose uniformised series the kernel cannot sum
-# within its mass tolerance, and whose Krylov block takes a gigabyte. A rise
-# of 1e4 over one knot interval is thousands of times any fitted value, and
-# its series already runs to about 1e4 terms.
+# within its mass tolerance, and whose Poisson weights take hundreds of
+# megabytes. A rise of 1e4 over one knot interval is thousands of times any
+# fitted value, and its series already runs to about 1e4 terms.
 _MAX_INCREMENT = 1e4
 
 

@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Commands write delimited/JSON artifacts into --out and a run_meta.json that
-embeds the resolved configuration, its hash, and the seed, so every run is
-reproducible from its outputs.
+embeds the resolved configuration, its hash, and the seed of ``dist``, so
+every run is reproducible from its outputs.
 
 Exit codes: 0 success, 1 numerical failure, 2 input error.
 """
@@ -102,7 +102,7 @@ def cmd_calibrate(args) -> int:
     result = greedy_calibrate(
         panel, curve, pool, args.model,
         max_modes=args.max_modes, objective_threshold=args.threshold,
-        grid_step_days=args.grid_step, seed=args.seed, n_jobs=args.jobs)
+        grid_step_days=args.grid_step, n_jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _resolved_config(args)
@@ -145,18 +145,13 @@ def cmd_price(args) -> int:
         raise InputError(f"--model {args.model} does not match the schedule's model "
                          f"{schedule.model}")
     pricer = None
-    if len(panel):
-        try:
-            pricer = PanelPricer(panel, curve, pool, grid_step_days=args.grid_step)
-        except PricingError as exc:
-            raise InputError(f"cannot price {args.quotes} on the curve {args.curve}: "
-                             f"{exc}") from exc
+    if len(panel):  # a curve the panel cannot be priced on raises MarketDataError
+        pricer = PanelPricer(panel, curve, pool, grid_step_days=args.grid_step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _resolved_config(args)
     if pricer is None:
-        report = {"instruments": [], "objective": 0.0,
-                  "config_hash": _config_hash(config), "seed": args.seed}
+        report = {"instruments": [], "objective": 0.0, "config_hash": _config_hash(config)}
     else:
         values = pricer.model_values(schedule)
         eps = pricer.errors(schedule)  # served by the kernel's cache, same bits
@@ -169,7 +164,6 @@ def cmd_price(args) -> int:
                 for ins, v, e in zip(pricer.instruments, values, eps)],
             "objective": float(eps @ eps),
             "config_hash": _config_hash(config),
-            "seed": args.seed,
         }
     (out_dir / "pricing_report.json").write_text(json.dumps(report, indent=2) + "\n")
     (out_dir / "panel_audit.json").write_text(panel.to_json() + "\n")
@@ -274,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "tranche pricing, and quote-panel calibration.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, market=False, seed=True):
+    def common(p, *, market=False):
         """The options shared by commands; ``market`` adds those that only
         pricing reads, the recovery and the trade date."""
         p.add_argument("--out", default=".", help="output directory")
@@ -283,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--recovery", type=float, default=0.40)
             p.add_argument("--valuation-date", type=parse_date, default="02-Oct-06",
                            help="trade date anchoring all year fractions (DD-Mon-YY)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("calibrate", help="fit a schedule to a quote panel")
     p.add_argument("--model", choices=[GPL, GPCL], required=True)
@@ -316,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true",
                    help="add Monte Carlo frequency and standard-error columns")
     p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     common(p)
     p.set_defaults(func=cmd_dist)
 
@@ -325,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-time", type=float, default=None,
                    help="evaluate cumulated intensities at this time "
                             "(default: last knot)")
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=cmd_intensity_curve)
     return parser
 

@@ -305,6 +305,7 @@ class LossDistribution:
 
 _POISSON_TAIL = 1e-16
 _MEMO_ENTRIES = 32  # knot intervals _interval_rows keeps
+_SERIES_CHUNK = 64  # series terms held at once
 
 
 def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
@@ -319,9 +320,10 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     the state s years into the interval is sum_k Poisson(k; q s) P^k v,
     where v is the state at its start and P = I + G/q. The series runs until
     its Poisson tail over the interval is below 1e-16, and every term is
-    non-negative, so nothing cancels. The final interval's slope also covers
-    extrapolation beyond the last knot. Each row is renormalised to sum to
-    one; a row whose sum strays from one by more than 1e-9 is an error.
+    non-negative, so nothing cancels; its terms are made 64 at a time in one
+    buffer. The final interval's slope also covers extrapolation beyond the
+    last knot. Each row is renormalised to sum to one; a row whose sum
+    strays from one by more than 1e-9 is an error.
 
     The state at a knot depends only on the intervals before it, so each
     interval is solved by ``_interval_rows``, whose arguments name the
@@ -392,8 +394,9 @@ def loss_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
 def _interval_rows(model: str, names: int, previous: tuple | None, times: bytes,
                    end: float, active: tuple) -> tuple[np.ndarray, np.ndarray]:
     """States at the requested ``times`` (float64 bytes) of one knot
-    interval, and at its ``end``; ``active`` holds the (amplitude, intensity
-    density) pairs of the interval's modes with non-zero density.
+    interval and at its ``end``, summed over the series chunk by chunk;
+    ``active`` holds the (amplitude, intensity density) pairs of the
+    interval's modes with non-zero density.
 
     ``previous`` is the argument tuple of the interval before, whose end is
     this interval's start and whose end state is this one's start state, or
@@ -404,25 +407,48 @@ def _interval_rows(model: str, names: int, previous: tuple | None, times: bytes,
     solved; its hits include each solve's lookup of the interval before it.
     Both arrays are read-only, so the cache may hand them out.
     """
-    if previous is None:
-        start, state = 0.0, np.zeros(names + 1)
-        state[0] = 1.0
+    state, offsets, series = _interval_series(model, names, previous, times, end, active)
+    if series is None:
+        return np.broadcast_to(state, (len(offsets) - 1, len(state))), state
+    _, transition, weights = series
+    rows = None  # the first chunk's sum is taken as it is, with no pass over zeros
+    for k, terms in _series_terms(transition, state, weights.shape[1]):
+        part = weights[:, k:k + len(terms)] @ terms
+        rows = part if rows is None else rows + part
+    rows.flags.writeable = False
+    return rows[:-1], rows[-1]
+
+
+def _interval_series(model: str, names: int, previous: tuple | None, times: bytes,
+                     end: float, active: tuple):
+    """The knot interval named by ``_interval_rows``' arguments: its start
+    state v, the offsets into it of ``times`` and, last, of its ``end``, and
+    (q, P, weights) if a mode is active, else None: the total density q,
+    P = I + G/q and the Poisson weights of q times each offset, one row each."""
+    if previous is None:  # no defaults at time zero
+        start, state = 0.0, np.eye(1, names + 1)[0]
         state.flags.writeable = False
     else:
         start, state = previous[4], _interval_rows(*previous)[1]  # [4]: its end
-    offsets = np.frombuffer(times) - start
+    offsets = np.append(np.frombuffer(times), end) - start
     if not active:
-        return np.broadcast_to(state, (len(offsets), len(state))), state
+        return state, offsets, None
     q = sum(s for _, s in active)
     transition = _unit_transition_matrix(names, model, [(a, s / q) for a, s in active])
-    weights = _poisson_weights(q * np.append(offsets, end - start))
-    krylov = np.empty((weights.shape[1], len(state)))
-    krylov[0] = state
-    for j in range(1, len(krylov)):
-        np.dot(transition, krylov[j - 1], out=krylov[j])
-    rows = weights @ krylov
-    rows.flags.writeable = False
-    return rows[:-1], rows[-1]
+    return state, offsets, (q, transition, _poisson_weights(q * offsets))
+
+
+def _series_terms(transition: np.ndarray, state: np.ndarray, n_terms: int):
+    """The series terms x_k = P^k v, k < ``n_terms``, as (k, block) pairs
+    whose block's rows are x_k, x_{k+1}, ..., at most ``_SERIES_CHUNK`` of
+    them: views of one buffer, so memory does not grow with the series."""
+    terms = np.empty((min(n_terms, _SERIES_CHUNK), len(state)))
+    for k in range(0, n_terms, _SERIES_CHUNK):
+        block = terms[:n_terms - k]
+        block[0] = transition @ terms[-1] if k else state  # [-1]: the last block's end
+        for j in range(1, len(block)):
+            np.dot(transition, block[j - 1], out=block[j])
+        yield k, block
 
 
 def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
@@ -440,15 +466,15 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     follow the series with q held fixed: Y_{k+1} = P Y_k + (G_b / (q w)) x_k
     for the interval's own columns, and Y_{k+1} = P Y_k for the columns of
     earlier intervals, which start from their values at the interval's start
-    (the block-triangular form of Van Loan, IEEE TAC 23(3), 1978). The
-    Poisson-weighted sums of the terms are accumulated as they come, after
-    projection onto ``columns``, so memory does not grow with the number of
-    terms. In an interval with no active mode, the state v stands still and
-    its tangent s years in is s G_b v / w.
+    (the block-triangular form of Van Loan, IEEE TAC 23(3), 1978). The x_k
+    come from the value kernel's chunks, and the tangents' Poisson-weighted
+    sums, projected onto ``columns``, are taken chunk by chunk too. In an
+    interval with no active mode, the state v stands still and its tangent
+    s years in is s G_b v / w.
 
     The rows' renormalisation is left out: their total mass has zero
-    derivative. Start states are read from ``_interval_rows``, so a call
-    after the values costs no solve; tangents are not cached.
+    derivative. Start states come from ``_interval_rows``, so a call after
+    the values costs no solve; tangents are not cached.
     """
     times = _checked_times(times)
     amplitudes = tuple(int(a) for a in amplitudes)
@@ -470,56 +496,29 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     # (interval, amplitude), interval-major; later intervals' columns are zero
     tangents = np.zeros((pool.names + 1, out.shape[2]))
     for k, (lo, hi, width, interval) in enumerate(_interval_walk(pool, schedule, times, lo)):
-        previous, end, active = interval[2], interval[4], interval[5]
-        if previous is None:
-            start, state = 0.0, np.eye(1, pool.names + 1)[0]  # no defaults at time zero
-        else:
-            start, state = previous[4], _interval_rows(*previous)[1]
-        offsets = np.frombuffer(interval[3]) - start
+        state, offsets, series = _interval_series(*interval)
         own, used = slice(k * n_amps, (k + 1) * n_amps), (k + 1) * n_amps
-        if not active:
+        if series is None:
             source = generators(state) / width
             out[lo:hi, :, :used] = project @ tangents[:, :used]
-            out[lo:hi, :, own] += offsets[:, None, None] * (project @ source)
-            tangents[:, own] = (end - start) * source
+            out[lo:hi, :, own] += offsets[:-1, None, None] * (project @ source)
+            tangents[:, own] = offsets[-1] * source
             continue
-        q = sum(s for _, s in active)
-        transition = _unit_transition_matrix(pool.names, schedule.model,
-                                             [(a, s / q) for a, s in active])
-        weights = _poisson_weights(q * np.append(offsets, end - start))
-        out[lo:hi, :, :used], tangents[:, :used] = _tangent_series(
-            transition, weights, state, tangents[:, :used], own,
-            lambda x: generators(x) / (q * width), project)
+        q, transition, weights = series
+        y, end = tangents[:, :used].copy(), np.zeros((pool.names + 1, used))
+        projected = np.empty((min(weights.shape[1], _SERIES_CHUNK), n_cols, used))
+        flat, sums = projected.reshape(len(projected), -1), np.zeros((hi - lo, n_cols * used))
+        for first, terms in _series_terms(transition, state, weights.shape[1]):
+            for j, x in enumerate(terms):
+                np.dot(project, y, out=projected[j])
+                end += weights[-1, first + j] * y
+                if first + j < weights.shape[1] - 1:  # no step past the last term
+                    y = transition @ y
+                    y[:, own] += generators(x) / (q * width)
+            sums += weights[:-1, first:first + len(terms)] @ flat[:len(terms)]
+        out[lo:hi, :, :used] = sums.reshape(hi - lo, n_cols, used)
+        tangents[:, :used] = end
     return result.transpose(0, 1, 3, 2)
-
-
-_TANGENT_CHUNK = 64  # series terms projected before they are summed
-
-
-def _tangent_series(transition, weights, state, start, own, source, project):
-    """The Poisson-weighted sums of one interval's tangent series: their
-    projections at the requested times, shaped (times, projections,
-    columns), and the tangents at the interval's end. ``weights`` are the
-    Poisson weights of the requested times and, last, of the end; ``start``
-    holds the tangents at the interval's start, zero in the interval's
-    ``own`` columns, which gain ``source(x_k)`` after term k. Projections
-    are kept for at most ``_TANGENT_CHUNK`` terms at a time."""
-    n_terms = weights.shape[1]
-    x, y = state.copy(), start.copy()
-    projected = np.empty((min(n_terms, _TANGENT_CHUNK), len(project), y.shape[1]))
-    sums = np.zeros((len(weights) - 1, projected[0].size))
-    end = np.zeros_like(y)
-    for k in range(n_terms):
-        j = k % _TANGENT_CHUNK
-        np.dot(project, y, out=projected[j])
-        end += weights[-1, k] * y
-        if j == len(projected) - 1 or k == n_terms - 1:
-            sums += weights[:-1, k - j:k + 1] @ projected[:j + 1].reshape(j + 1, -1)
-        if k < n_terms - 1:
-            y = transition @ y
-            y[:, own] += source(x)
-            x = transition @ x
-    return sums.reshape(len(sums), *projected[0].shape), end
 
 
 def _stacked_generators(names: int, model: str, amplitudes):

@@ -33,6 +33,7 @@ from .loss_engine import (
 from .market_data import (
     DAYS_PER_YEAR,
     DiscountCurve,
+    MarketDataError,
     PaymentSchedule,
     QuotePanel,
     format_date,
@@ -206,12 +207,12 @@ class PanelPricer:
                 pay_discount = curve.discount_factor(pay_times)
             factors = np.concatenate([disc_mid[:n_rows - 1], pay_discount])
             if not (np.isfinite(factors).all() and factors.min() > 0.0):
-                raise PricingError(f"discount factors up to the maturity "
-                                   f"{format_date(maturity)} must be finite and positive")
+                raise MarketDataError(f"discount factors up to the maturity "
+                                      f"{format_date(maturity)} must be finite and positive")
             pay_weights = sched.year_fractions * pay_discount
             if not pay_weights.sum() > 0.0:
-                raise PricingError(f"payment weights of the maturity {format_date(maturity)} "
-                                   f"sum to zero")
+                raise MarketDataError(f"payment weights of the maturity "
+                                      f"{format_date(maturity)} sum to zero")
             cols = np.flatnonzero([ins.maturity == maturity for ins in self.instruments])
             self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
             self._payment_weights[np.ix_(pay_idx, cols)] = pay_weights[:, None]

@@ -215,7 +215,8 @@ class TestPriceCommand:
         assert "no_curve.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", ["1e300", "-1e300"])
-    def test_absurd_curve_is_input_error(self, tmp_path, capsys, rate):
+    @pytest.mark.parametrize("command", ["price", "calibrate"])
+    def test_absurd_curve_is_input_error(self, tmp_path, capsys, command, rate):
         # finite rates that drive the discount factors to zero or infinity
         # would price every spread as 0/0 or inf/inf
         curve = tmp_path / "curve.csv"
@@ -223,8 +224,8 @@ class TestPriceCommand:
         curve.write_text("\n".join([rows[0]] + [f"{r.split(',')[0]},{rate}" for r in rows[1:]])
                          + "\n")
         out = tmp_path / "out"
-        code = run(["price", "--curve", curve, "--quotes", quotes_path(),
-                    "--schedule", schedule_path("gpl"), "--out", out])
+        inputs = ["--schedule", schedule_path("gpl")] if command == "price" else ["--model", "gpl"]
+        code = run([command, "--curve", curve, "--quotes", quotes_path(), *inputs, "--out", out])
         assert code == 2
         err = capsys.readouterr().err
         assert "discount factors up to the maturity 21-Dec-09" in err
@@ -347,7 +348,8 @@ class TestDeterminism:
 
 
 class TestOptions:
-    REQUIRED = {"price": ["--curve", "c.csv", "--quotes", "q.csv", "--schedule", "s.json"],
+    REQUIRED = {"calibrate": ["--model", "gpl", "--curve", "c.csv", "--quotes", "q.csv"],
+                "price": ["--curve", "c.csv", "--quotes", "q.csv", "--schedule", "s.json"],
                 "dist": ["--schedule", "s.json"],
                 "intensity-curve": ["--schedule", "s.json"]}
 
@@ -355,7 +357,7 @@ class TestOptions:
         ("price", "--strict"), ("dist", "--strict"), ("intensity-curve", "--strict"),
         ("dist", "--recovery"), ("dist", "--valuation-date"),
         ("intensity-curve", "--recovery"), ("intensity-curve", "--valuation-date"),
-        ("intensity-curve", "--seed")])
+        ("intensity-curve", "--seed"), ("price", "--seed"), ("calibrate", "--seed")])
     def test_option_the_command_does_not_read_is_rejected(self, capsys, command, option):
         value = [] if option == "--strict" else ["1"]
         with pytest.raises(SystemExit) as exc:

@@ -520,6 +520,21 @@ def _single_time_engine(model):
     return panjer_distribution if model == GPL else expm_distribution
 
 
+def _mean_with_terms(n_terms):
+    """A Poisson mean whose uniformised series runs to exactly ``n_terms``
+    terms: midway between the smallest means giving n_terms and n_terms + 1."""
+    def smallest(n):  # bisection; the term count rises with the mean
+        lo, hi = 0.0, float(n)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if loss_engine._poisson_weights(np.array([mid])).shape[1] < n:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+    return 0.5 * (smallest(n_terms) + smallest(n_terms + 1))
+
+
 def _knot_times(schedule):
     """t = 0 twice, times between, at (twice) and beyond the knots."""
     k = schedule.knots
@@ -559,6 +574,40 @@ class TestUniformisedTermStructure:
         for row, t in zip(rows, times):
             exact = _single_time_engine(model)(pool, schedule, t).probs
             np.testing.assert_allclose(row, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_terms", [64, 65, 129])  # one chunk, one term more, two more
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_series_at_chunk_boundaries(self, model, n_terms, monkeypatch):
+        mean = _mean_with_terms(n_terms)
+        schedule = make_schedule(model, (1, 3), (1.0,), [(0.7 * mean,), (0.3 * mean,)])
+        pool = PoolSpec()
+        lengths, series_terms = [], loss_engine._series_terms
+
+        def counted(transition, state, n):
+            lengths.append(n)
+            return series_terms(transition, state, n)
+
+        monkeypatch.setattr(loss_engine, "_series_terms", counted)
+        times = [0.1, 0.5, 0.9, 1.0]
+        rows = distribution_term_structure(pool, schedule, times)
+        assert lengths == [n_terms]
+        for row, t in zip(rows, times):
+            exact = _single_time_engine(model)(pool, schedule, t).probs
+            np.testing.assert_allclose(row, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_value_memory_does_not_grow_with_the_series(self, model):
+        # one knot interval of Poisson mean 2e4: about 21,500 terms of 251
+        # states, 43 MB if all were kept at once
+        schedule = make_schedule(model, (1, 5), (1.0,), [(1.2e4,), (8e3,)])
+        tracemalloc.start()
+        try:
+            distribution_term_structure(PoolSpec(names=250), schedule,
+                                        np.linspace(0.05, 1.0, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_interval_with_zero_increment_holds_the_state(self, model):

@@ -164,6 +164,10 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
 # greedy amplitude selection
 # ---------------------------------------------------------------------------
 
+# a mode whose total cumulated intensity at the last knot is below this is
+# dropped, and a greedy step whose new mode ends below it stops the search
+_NEGLIGIBLE_INTENSITY = 1e-7
+
 # a scan pool worker's pricer, set once by the pool's initializer; the serial
 # scan passes its own pricer instead, so calibrations in threads stay apart
 _WORKER_PRICER: PanelPricer | None = None
@@ -249,9 +253,8 @@ class CalibrationResult:
 
 def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, model: str,
                      *, max_modes: int = 8, objective_threshold: float = 1.0,
-                     negligible_intensity: float = 1e-7, scan_budget: int = 200,
-                     refine_budget: int = 2500, polish_budget: int = 6000,
-                     grid_step_days: float = 30.0, seed: int = 0,
+                     scan_budget: int = 200, refine_budget: int = 2500,
+                     polish_budget: int = 6000, grid_step_days: float = 30.0, seed: int = 0,
                      n_jobs: int | None = None) -> CalibrationResult:
     """Greedy joint calibration across tranche seniority and maturity.
 
@@ -259,8 +262,8 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
     amplitude in [1, names], refits all intensities warm-started from the
     incumbent under the scan budget, keeps the best candidate and refines it.
     Stops when the objective drops below ``objective_threshold``, the newest
-    mode's total cumulated intensity is below ``negligible_intensity``, or
-    ``max_modes`` is reached. Zero-intensity modes are dropped at the end.
+    mode's total cumulated intensity is below 1e-7, or ``max_modes`` is
+    reached. Modes whose total is below 1e-7 are dropped at the end.
     ``seed`` is recorded in the result; the search itself draws no random
     numbers.
     """
@@ -269,10 +272,8 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
     if max_modes < 1:
         raise CalibrationError("max_modes must be at least 1")
     # a nan fails every comparison of the search's stopping rules
-    for name, value in (("objective_threshold", objective_threshold),
-                        ("negligible_intensity", negligible_intensity)):
-        if not math.isfinite(value):
-            raise CalibrationError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(objective_threshold):
+        raise CalibrationError(f"objective_threshold must be finite, got {objective_threshold!r}")
     pricer = PanelPricer(panel, curve, pool, grid_step_days)
     n_knots = len(pricer.knots)
     if n_jobs is None:
@@ -328,7 +329,7 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
 
             new_index = new_amplitudes.index(best_candidate)
             new_total = refined.schedule.cumulated[new_index, -1]
-            if new_total < negligible_intensity:
+            if new_total < _NEGLIGIBLE_INTENSITY:
                 warnings.append(
                     f"step {step}: best new mode {best_candidate} has negligible "
                     f"intensity; stopping")
@@ -351,7 +352,7 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
         total_evals += fit.n_evaluations
 
     # drop negligible modes and renumber (amplitudes stay sorted)
-    keep = np.flatnonzero(fit.schedule.cumulated[:, -1] >= negligible_intensity)
+    keep = np.flatnonzero(fit.schedule.cumulated[:, -1] >= _NEGLIGIBLE_INTENSITY)
     if not keep.size:
         keep = [0]
     schedule = IntensitySchedule(model, tuple(amplitudes[j] for j in keep), pricer.knots,
@@ -365,7 +366,6 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
         iterations=iterations, warnings=warnings, seed=seed,
         settings={"model": model, "max_modes": max_modes,
                   "objective_threshold": objective_threshold,
-                  "negligible_intensity": negligible_intensity,
                   "scan_budget": scan_budget, "refine_budget": refine_budget,
                   "polish_budget": polish_budget, "grid_step_days": grid_step_days,
                   "pool_names": pool.names, "pool_recovery": pool.recovery},

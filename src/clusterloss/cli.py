@@ -30,7 +30,7 @@ from .loss_engine import (
     loss_distribution,
 )
 from .market_data import MarketDataError, format_date, load_curve, load_quotes, parse_date
-from .pricer import PanelPricer, PricingError
+from .pricer import PanelPricer, PricingError, TrancheDef
 from .simulator import SimulationError, empirical_distributions
 
 EXIT_OK = 0
@@ -85,8 +85,8 @@ def _pool_from_args(args) -> PoolSpec:
 
 
 def _check_grid_step(args) -> None:
-    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
-        raise InputError(f"--grid-step must be a positive, finite number of days, "
+    if not (math.isfinite(args.grid_step) and args.grid_step >= 1):
+        raise InputError(f"--grid-step must be a finite number of days, at least 1, "
                          f"got {args.grid_step}")
 
 
@@ -116,7 +116,7 @@ def cmd_calibrate(args) -> int:
     layers: dict[str, dict] = {}
     for ins, eps in zip(result.instruments, result.errors):
         key = "index" if ins.kind == "index" else \
-            f"{100 * ins.attachment:g}-{100 * ins.detachment:g}"
+            TrancheDef(ins.attachment, ins.detachment).label()
         layers.setdefault(key, {})[ins.maturity] = float(eps)
     with open(out_dir / "epsilon_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -179,6 +179,8 @@ def cmd_dist(args) -> int:
     times = sorted(_parse_times(args.times) if args.times else [3.0, 5.0, 7.0, 10.0])
     if args.simulate and args.paths < 1:
         raise InputError(f"--paths must be at least 1, got {args.paths}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     outputs = [f"dist_{t:g}y.csv" for t in times]
     for i in range(1, len(times)):
         if outputs[i] == outputs[i - 1]:

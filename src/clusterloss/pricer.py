@@ -91,9 +91,10 @@ def expected_tranched_loss(dist: LossDistribution, tranche: TrancheDef, pool: Po
 
 def pricing_times(payment_schedule: PaymentSchedule, grid_step_days: float = 30.0) -> np.ndarray:
     """Time grid for leg integrals: zero, every payment date, and a refinement
-    grid of the given step, up to maturity."""
-    if not (0 < grid_step_days < np.inf):  # a nan fails this too
-        raise PricingError(f"grid step must be positive and finite, got {grid_step_days}")
+    grid of the given step, up to maturity. Payment dates and maturities are
+    whole days, and the step must be at least one day."""
+    if not (1.0 <= grid_step_days < np.inf):  # a nan fails this too
+        raise PricingError(f"grid step must be finite and at least one day, got {grid_step_days}")
     maturity = payment_schedule.maturity_time
     step = grid_step_days / DAYS_PER_YEAR
     refinement = np.arange(step, maturity, step)
@@ -119,67 +120,39 @@ class Instrument:
 class PanelPricer:
     """Prices every instrument of a panel off one distribution term structure.
 
-    All date- and curve-dependent quantities (payment schedules, discount
-    factors, payout vectors, grid bookkeeping) are precomputed once so that
-    repeated objective evaluations only pay for the distributions."""
+    Set-up fixes the panel's part first: the grid, the instruments (index
+    quotes by maturity, then tranches by attachment, detachment, maturity)
+    and their discount and annuity weights. The pool enters last, only
+    through ``payout_matrix``: per default count, the defaulted fraction,
+    the pool loss and the loss of each distinct tranche slice, in sorted
+    order. Evaluations then only pay for the distributions."""
 
     def __init__(self, panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec,
                  grid_step_days: float = 30.0):
         if len(panel) == 0:
             raise PricingError("empty quote panel")
-        self.pool = pool
 
         schedules = {m: PaymentSchedule.quarterly(panel.valuation_date, m)
                      for m in panel.maturities}
-        all_times = np.unique(np.concatenate(
+        self.grid_times = np.unique(np.concatenate(
             [pricing_times(s, grid_step_days) for s in schedules.values()]))
-        self.grid_times = all_times
         self.knots = tuple(year_fraction(panel.valuation_date, m)
                            for m in panel.maturities)
 
-        self.instruments: list[Instrument] = []
-        payout_cols: list[np.ndarray] = []
-        payout_key: dict = {}
-
-        def column(key, payout) -> int:
-            """Index of the payout column under ``key``; ``payout()`` builds it
-            the first time the key is seen."""
-            if key not in payout_key:
-                payout_key[key] = len(payout_cols)
-                payout_cols.append(payout())
-            return payout_key[key]
-
-        counts = np.arange(pool.names + 1)
-        col_fraction = column("count_fraction", lambda: counts / pool.names)
-        col_loss = column("pool_loss", lambda: (1.0 - pool.recovery) * counts / pool.names)
-
-        loss_cols: list[int] = []
-        notional_cols: list[int] = []
-        for q in sorted(panel.index_quotes, key=lambda q: q.maturity):
-            self.instruments.append(Instrument(
-                label=f"index {format_date(q.maturity)}", kind="index",
-                attachment=None, detachment=None, maturity=q.maturity,
-                maturity_time=year_fraction(panel.valuation_date, q.maturity),
-                mid=q.spread_bp, width=q.bid_ask_width_bp))
-            loss_cols.append(col_loss)
-            notional_cols.append(col_fraction)
-        for q in sorted(panel.tranche_quotes,
-                        key=lambda q: (q.attachment, q.detachment, q.maturity)):
-            tranche = TrancheDef(q.attachment, q.detachment)
-            col = column(("tranche", q.attachment, q.detachment),
-                         lambda: tranche_payout_by_count(tranche, pool))
-            self.instruments.append(Instrument(
-                label=f"{tranche.label()} {format_date(q.maturity)}", kind="tranche",
-                attachment=q.attachment, detachment=q.detachment, maturity=q.maturity,
-                maturity_time=year_fraction(panel.valuation_date, q.maturity),
-                mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
-                running=q.running_premium_if_upfront))
-            loss_cols.append(col)
-            notional_cols.append(col)
-
-        self.payout_matrix = np.column_stack(payout_cols)  # (names+1, n_cols)
-        self._loss_cols = np.array(loss_cols)
-        self._notional_cols = np.array(notional_cols)
+        indices = sorted(panel.index_quotes, key=lambda q: q.maturity)
+        tranches = sorted(panel.tranche_quotes,
+                          key=lambda q: (q.attachment, q.detachment, q.maturity))
+        self.instruments: list[Instrument] = [Instrument(
+            label=f"index {format_date(q.maturity)}", kind="index",
+            attachment=None, detachment=None, maturity=q.maturity,
+            maturity_time=year_fraction(panel.valuation_date, q.maturity),
+            mid=q.spread_bp, width=q.bid_ask_width_bp) for q in indices]
+        self.instruments += [Instrument(
+            label=f"{TrancheDef(q.attachment, q.detachment).label()} {format_date(q.maturity)}",
+            kind="tranche", attachment=q.attachment, detachment=q.detachment,
+            maturity=q.maturity, maturity_time=year_fraction(panel.valuation_date, q.maturity),
+            mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
+            running=q.running_premium_if_upfront) for q in tranches]
         self.mids = np.array([ins.mid for ins in self.instruments])
         self.widths = np.array([ins.width for ins in self.instruments])
         self._upfront = np.array([ins.is_upfront for ins in self.instruments])
@@ -200,8 +173,7 @@ class PanelPricer:
             pay_idx = np.searchsorted(self.grid_times, pay_times)
             if not np.allclose(self.grid_times[pay_idx], pay_times, atol=1e-12):
                 raise PricingError("payment dates missing from the pricing grid")
-            n_rows = int(np.searchsorted(
-                self.grid_times, year_fraction(panel.valuation_date, maturity) + 1e-12))
+            n_rows = pay_idx[-1] + 1  # the maturity is the last payment
             # a zero rate of 1e300 drives the factors to zero, and a spread to 0/0
             with np.errstate(over="ignore"):
                 pay_discount = curve.discount_factor(pay_times)
@@ -216,6 +188,18 @@ class PanelPricer:
             cols = np.flatnonzero([ins.maturity == maturity for ins in self.instruments])
             self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
             self._payment_weights[np.ix_(pay_idx, cols)] = pay_weights[:, None]
+
+        # the pool enters only here: the defaulted fraction and pool loss of the
+        # index legs, then one column per tranche slice, shared by its maturities
+        self.pool = pool
+        slices = sorted({(q.attachment, q.detachment) for q in tranches})
+        counts = np.arange(pool.names + 1)
+        self.payout_matrix = np.column_stack(
+            [counts / pool.names, (1.0 - pool.recovery) * counts / pool.names]
+            + [tranche_payout_by_count(TrancheDef(*s), pool) for s in slices])
+        tranche_cols = [2 + slices.index((q.attachment, q.detachment)) for q in tranches]
+        self._loss_cols = np.array([1] * len(indices) + tranche_cols)
+        self._notional_cols = np.array([0] * len(indices) + tranche_cols)
 
     def _legs(self, schedule: IntensitySchedule) -> tuple[np.ndarray, np.ndarray]:
         """Default-leg and annuity values of every instrument."""

@@ -85,16 +85,19 @@ def empirical_distributions(pool: PoolSpec, schedule: IntensitySchedule, strateg
     """Simulate once, histogram the counting process at each requested time.
 
     Paths are drawn in blocks of 2^13, each from its own generator spawned
-    from ``seed`` by block index, so the result depends on ``(seed,
-    n_paths)`` alone and memory stays bounded. Only the default count is
-    tracked (see the module docstring); one pass serves every time point, and
-    the per-bin standard error is the binomial estimate sqrt(p(1-p)/n).
+    from ``seed``, a non-negative integer, by block index, so the result
+    depends on ``(seed, n_paths)`` alone and memory stays bounded. Only the
+    default count is tracked (see the module docstring); one pass serves
+    every time point, and the per-bin standard error is the binomial
+    estimate sqrt(p(1-p)/n).
     """
     if strategy not in STRATEGIES:
         raise SimulationError(f"unknown strategy {strategy!r}")
     if not (_is_integer(n_paths) and n_paths >= 1):
         raise SimulationError(f"n_paths must be an integer of at least 1, got {n_paths!r}")
-    n_paths = int(n_paths)
+    if not (_is_integer(seed) and seed >= 0):
+        raise SimulationError(f"seed must be a non-negative integer, got {seed!r}")
+    n_paths, seed = int(n_paths), int(seed)
     times = sorted(float(t) for t in np.atleast_1d(times))
     if not times or not all(map(math.isfinite, times)) or times[0] < 0:
         raise SimulationError("need at least one time, all finite and non-negative")

@@ -741,10 +741,9 @@ class TestGreedyCalibrate:
             greedy_calibrate(panel, curve, PoolSpec(names=10), "itl")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("setting", ["objective_threshold", "negligible_intensity"])
+    @pytest.mark.parametrize("setting", ["objective_threshold"])
     def test_non_finite_settings_rejected(self, curve, setting, bad):
-        # a nan threshold would stop after step 1, a nan negligible intensity
-        # would drop every mode but the first
+        # a nan threshold would stop after step 1
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())
         with pytest.raises(CalibrationError, match=setting):
             greedy_calibrate(panel, curve, PoolSpec(names=10), GPL, **{setting: bad})

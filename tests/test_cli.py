@@ -71,6 +71,14 @@ class TestDistCommand:
         assert "--paths" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        sched = write_zero_schedule(tmp_path)
+        code = run(["dist", "--schedule", sched, "--times", "1", "--pool-size", "10",
+                    "--simulate", "--seed", "-1", "--out", tmp_path / "out"])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_with_clusters_larger_than_pool(self, tmp_path):
         # the iTraxx gpcl schedule has 80- and 125-name clusters
         code = run(["dist", "--schedule", schedule_path("gpcl"), "--pool-size", "60",
@@ -269,7 +277,7 @@ class TestPriceCommand:
         assert "invalid pool" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-30"])
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-30", "0.5"])
     def test_invalid_grid_step_is_input_error(self, tmp_path, capsys, step):
         code = run(["price", "--curve", curve_path(), "--quotes", quotes_path(),
                     "--schedule", schedule_path("gpl"), "--grid-step", step,
@@ -305,7 +313,8 @@ class TestCalibrateCommand:
         assert "nope.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--grid-step", "nan"), ("--grid-step", "inf"),
-                                             ("--grid-step", "0"), ("--max-modes", "0"),
+                                             ("--grid-step", "0"), ("--grid-step", "0.5"),
+                                             ("--max-modes", "0"),
                                              ("--max-modes", "-1"), ("--threshold", "nan"),
                                              ("--threshold", "inf")])
     def test_invalid_option_is_input_error(self, tmp_path, capsys, flag, value):

@@ -14,7 +14,13 @@ from clusterloss.loss_engine import (
     distribution_term_structure,
 )
 from clusterloss.fixtures import schedule_path
-from clusterloss.market_data import DiscountCurve, PaymentSchedule
+from clusterloss.market_data import (
+    DiscountCurve,
+    IndexQuote,
+    PaymentSchedule,
+    QuotePanel,
+    TrancheQuote,
+)
 from clusterloss.pricer import (
     PanelPricer,
     PricingError,
@@ -283,9 +289,46 @@ class TestLossGrid:
         assert times[0] == 0.0
         for t in pay.times:
             assert np.min(np.abs(times - t)) == 0.0
-        for step in (0.0, math.nan, math.inf):
+        for step in (0.0, 0.5, math.nan, math.inf):
             with pytest.raises(PricingError, match="finite"):
                 pricing_times(pay, grid_step_days=step)
+
+
+class TestPanelLayout:
+    """Instrument order and payout columns of ``PanelPricer``: index quotes
+    by maturity, then tranches by (attachment, detachment, maturity), with
+    one payout column per distinct tranche slice."""
+
+    MAT_3Y, MAT_5Y = dt.date(2009, 12, 20), dt.date(2011, 12, 20)
+    # unsorted, and the 3-6 slice is quoted at two maturities
+    TRANCHES = (TrancheQuote(0.06, 0.09, MAT_5Y, 50.0, 2.0),
+                TrancheQuote(0.03, 0.06, MAT_5Y, 120.0, 3.0),
+                TrancheQuote(0.0, 0.03, MAT_3Y, 0.2, 0.01, is_upfront=True),
+                TrancheQuote(0.03, 0.06, MAT_3Y, 80.0, 3.0))
+    LABELS = ["0-3 20-Dec-09", "3-6 20-Dec-09", "3-6 20-Dec-11", "6-9 20-Dec-11"]
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    def test_order_columns_and_values(self, with_index, pool, curve, gpcl_schedule):
+        index = (IndexQuote(self.MAT_5Y, 30.0, 0.5), IndexQuote(self.MAT_3Y, 20.0, 0.5))
+        panel = QuotePanel("x", VAL, index if with_index else (), self.TRANCHES)
+        pricer = PanelPricer(panel, curve, pool)
+        labels = (["index 20-Dec-09", "index 20-Dec-11"] if with_index else []) + self.LABELS
+        assert [ins.label for ins in pricer.instruments] == labels
+        assert pricer.payout_matrix.shape == (pool.names + 1, 2 + 3)
+        # the kernel's distributions, priced leg by leg
+        grid = kernel_grid(pool, gpcl_schedule, pricer.grid_times)
+        expected = []
+        for ins in pricer.instruments:
+            payments = PaymentSchedule.quarterly(VAL, ins.maturity)
+            if ins.kind == "index":
+                expected.append(1e4 * index_spread(grid, curve, payments))
+                continue
+            legs = tranche_legs(grid, TrancheDef(ins.attachment, ins.detachment), curve,
+                                payments)
+            value = tranche_spread_or_upfront(legs, ins.is_upfront, ins.running)
+            expected.append(value if ins.is_upfront else 1e4 * value)
+        np.testing.assert_allclose(pricer.model_values(gpcl_schedule), expected,
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestJacobian:

@@ -286,6 +286,21 @@ class TestEmpiricalDistribution:
         assert type(got.n_paths) is int
         np.testing.assert_array_equal(got.distribution.probs, want.distribution.probs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_invalid_seed_rejected(self, seed):
+        pool = PoolSpec(names=5)
+        sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
+        with pytest.raises(SimulationError, match="seed must be a non-negative integer"):
+            empirical_distributions(pool, sched, "s2", [1.0], n_paths=10, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        pool = PoolSpec(names=5)
+        sched = make_schedule(GPCL, (1,), (1.0,), [(1.0,)])
+        got = empirical_distributions(pool, sched, "s2", [1.0], n_paths=100, seed=np.int64(3))[0]
+        want = empirical_distributions(pool, sched, "s2", [1.0], n_paths=100, seed=3)[0]
+        assert type(got.seed) is int
+        np.testing.assert_array_equal(got.distribution.probs, want.distribution.probs)
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, strategy, bad):

@@ -25,7 +25,6 @@ from .loss_engine import (
 from .market_data import (
     DiscountCurve,
     IndexQuote,
-    PaymentSchedule,
     QuotePanel,
     TrancheQuote,
     load_curve,

@@ -1,4 +1,4 @@
-"""Market data: discount curves, index/tranche quote panels, payment schedules.
+"""Market data: discount curves, index/tranche quote panels, payment dates.
 
 All date arithmetic is ACT/365. Quote CSVs use basis points throughout;
 upfront quotes are converted to fractions of tranche notional on load.
@@ -22,6 +22,9 @@ EQUITY_RUNNING_RATE = 0.05  # 500 bp fixed running premium for upfront-quoted tr
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _MONTH_NUM = {name: i + 1 for i, name in enumerate(_MONTHS)}
+# the is_upfront cells a quote CSV may hold, in any case
+_UPFRONT_FLAGS = {"": False, "0": False, "false": False, "no": False,
+                  "1": True, "true": True, "yes": True}
 
 
 class MarketDataError(ValueError):
@@ -87,7 +90,7 @@ class DiscountCurve:
     def discount_factor(self, t):
         """D(0, t) = exp(-r(t) * t) for t >= 0 (scalar or array)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if not np.all(t >= 0):  # a nan fails this too
             raise MarketDataError("discount factor requested for negative time")
         out = np.exp(-self.zero_rate(t) * t)
         return float(out) if out.ndim == 0 else out
@@ -249,8 +252,9 @@ def load_quotes(source, valuation_date: dt.date) -> QuotePanel:
     ``pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront``.
 
     Index rows leave attach/detach empty. Attach/detach are percentage
-    points. Upfront rows are quoted in bp of tranche notional and stored
-    as fractions.
+    points. ``is_upfront`` is 0/1, true/false or yes/no in any case, or
+    empty for not upfront; only tranche rows may be upfront. Upfront rows
+    are quoted in bp of tranche notional and stored as fractions.
     """
     with _opened(source) as fh:
         reader = csv.reader(fh)
@@ -274,10 +278,15 @@ def load_quotes(source, valuation_date: dt.date) -> QuotePanel:
                 quote_v = float(quote)
                 if (att == "") != (det == ""):
                     raise MarketDataError("attach/detach must both be set or both empty")
+                is_upfront = _UPFRONT_FLAGS.get(upf.lower())
+                if is_upfront is None:
+                    raise MarketDataError(f"is_upfront must be 0/1, true/false, yes/no "
+                                          f"or empty, got {upf!r}")
                 if att == "":
+                    if is_upfront:
+                        raise MarketDataError("an index quote cannot be upfront")
                     index_quotes.append(IndexQuote(maturity, quote_v, width_v))
                 else:
-                    is_upfront = upf.lower() in ("1", "true", "yes")
                     scale = 1e-4 if is_upfront else 1.0
                     tranche_quotes.append(TrancheQuote(
                         attachment=float(att) / 100.0,
@@ -313,39 +322,3 @@ def quarterly_payment_dates(valuation_date: dt.date, maturity: dt.date) -> list[
     if not out or out[-1] != maturity:
         out.append(maturity)  # off-grid maturity becomes the final payment
     return out
-
-
-@dataclass(frozen=True)
-class PaymentSchedule:
-    """Premium payment times T_1 < ... < T_b (year fractions from valuation)
-    with accrual fractions delta_i = T_i - T_{i-1}, T_0 = 0."""
-
-    times: tuple[float, ...]
-    dates: tuple[dt.date, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.times) == 0:
-            raise MarketDataError("empty payment schedule")
-        prev = 0.0
-        for t in self.times:
-            if not (prev < t < math.inf):
-                raise MarketDataError("payment times must be positive, finite and increasing")
-            prev = t
-
-    @property
-    def maturity_time(self) -> float:
-        return self.times[-1]
-
-    @property
-    def year_fractions(self) -> np.ndarray:
-        return np.diff(np.concatenate([[0.0], np.asarray(self.times)]))
-
-    @classmethod
-    def quarterly(cls, valuation_date: dt.date, maturity: dt.date) -> "PaymentSchedule":
-        dates = quarterly_payment_dates(valuation_date, maturity)
-        times = tuple(year_fraction(valuation_date, d) for d in dates)
-        return cls(times=times, dates=tuple(dates))
-
-    @classmethod
-    def from_times(cls, times) -> "PaymentSchedule":
-        return cls(times=tuple(float(t) for t in times))

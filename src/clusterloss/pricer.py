@@ -5,8 +5,9 @@ structures.
 tranche spreads and equity upfronts, off one call of the loss engine's
 term-structure kernel. Conventions: deterministic discounting; premium paid
 in arrears on the notional remaining at each payment date; the default-leg
-time integral is discretised on the payment dates plus a refinement grid
-(monthly by default) with midpoint discounting of each loss increment; index
+time integral is discretised on a grid of whole days after the trade date,
+the payment dates plus refinement points (every 30 days by default, rounded
+to the day), with midpoint discounting of each loss increment; index
 premium notional erodes with the default count (no recovery credit), while
 the index default leg pays loss increments net of recovery.
 
@@ -34,9 +35,9 @@ from .market_data import (
     DAYS_PER_YEAR,
     DiscountCurve,
     MarketDataError,
-    PaymentSchedule,
     QuotePanel,
     format_date,
+    quarterly_payment_dates,
     year_fraction,
 )
 
@@ -70,7 +71,7 @@ def tranched_loss(loss, tranche: TrancheDef):
     """Fraction of the tranche wiped out at pool loss ``loss``: zero below the
     attachment, linear in between, one above the detachment."""
     arr = np.asarray(loss, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # a nan fails this too
         raise PricingError("pool loss must lie in [0, 1]")
     out = np.clip((arr - tranche.attachment) / tranche.thickness, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
@@ -87,18 +88,6 @@ def expected_tranched_loss(dist: LossDistribution, tranche: TrancheDef, pool: Po
     if len(dist.probs) != pool.names + 1:
         raise PricingError("distribution support does not match the pool size")
     return float(dist.probs @ tranche_payout_by_count(tranche, pool))
-
-
-def pricing_times(payment_schedule: PaymentSchedule, grid_step_days: float = 30.0) -> np.ndarray:
-    """Time grid for leg integrals: zero, every payment date, and a refinement
-    grid of the given step, up to maturity. Payment dates and maturities are
-    whole days, and the step must be at least one day."""
-    if not (1.0 <= grid_step_days < np.inf):  # a nan fails this too
-        raise PricingError(f"grid step must be finite and at least one day, got {grid_step_days}")
-    maturity = payment_schedule.maturity_time
-    step = grid_step_days / DAYS_PER_YEAR
-    refinement = np.arange(step, maturity, step)
-    return np.unique(np.concatenate([[0.0], refinement, payment_schedule.times]))
 
 
 @dataclass(frozen=True)
@@ -122,20 +111,30 @@ class PanelPricer:
 
     Set-up fixes the panel's part first: the grid, the instruments (index
     quotes by maturity, then tranches by attachment, detachment, maturity)
-    and their discount and annuity weights. The pool enters last, only
-    through ``payout_matrix``: per default count, the defaulted fraction,
-    the pool loss and the loss of each distinct tranche slice, in sorted
-    order. Evaluations then only pay for the distributions."""
+    and their discount and annuity weights. The grid is built in whole days
+    after the trade date (day zero, every payment date, and multiples of
+    ``grid_step_days``, at least one day, rounded to the day) and divided by
+    365 once, so every payment date is a grid point by construction. The
+    pool enters last, only through ``payout_matrix``: per default count, the
+    defaulted fraction, the pool loss and the loss of each distinct tranche
+    slice, in sorted order. Evaluations then only pay for the
+    distributions."""
 
     def __init__(self, panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec,
                  grid_step_days: float = 30.0):
         if len(panel) == 0:
             raise PricingError("empty quote panel")
-
-        schedules = {m: PaymentSchedule.quarterly(panel.valuation_date, m)
-                     for m in panel.maturities}
-        self.grid_times = np.unique(np.concatenate(
-            [pricing_times(s, grid_step_days) for s in schedules.values()]))
+        if not (1.0 <= grid_step_days < np.inf):  # a nan fails this too
+            raise PricingError(f"grid step must be finite and at least one day, "
+                               f"got {grid_step_days}")
+        # days after the trade date; the maturity is each schedule's last day
+        pay_days = {m: np.array([(d - panel.valuation_date).days
+                                 for d in quarterly_payment_dates(panel.valuation_date, m)])
+                    for m in panel.maturities}
+        last_day = pay_days[panel.maturities[-1]][-1]
+        refinement = np.rint(np.arange(grid_step_days, last_day, grid_step_days))
+        grid_days = np.unique(np.concatenate([[0.0], refinement, *pay_days.values()]))
+        self.grid_times = grid_days / DAYS_PER_YEAR
         self.knots = tuple(year_fraction(panel.valuation_date, m)
                            for m in panel.maturities)
 
@@ -168,11 +167,8 @@ class PanelPricer:
         self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
         self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
         for maturity in panel.maturities:
-            sched = schedules[maturity]
-            pay_times = np.asarray(sched.times)
-            pay_idx = np.searchsorted(self.grid_times, pay_times)
-            if not np.allclose(self.grid_times[pay_idx], pay_times, atol=1e-12):
-                raise PricingError("payment dates missing from the pricing grid")
+            pay_idx = np.searchsorted(grid_days, pay_days[maturity])
+            pay_times = self.grid_times[pay_idx]
             n_rows = pay_idx[-1] + 1  # the maturity is the last payment
             # a zero rate of 1e300 drives the factors to zero, and a spread to 0/0
             with np.errstate(over="ignore"):
@@ -181,7 +177,7 @@ class PanelPricer:
             if not (np.isfinite(factors).all() and factors.min() > 0.0):
                 raise MarketDataError(f"discount factors up to the maturity "
                                       f"{format_date(maturity)} must be finite and positive")
-            pay_weights = sched.year_fractions * pay_discount
+            pay_weights = np.diff(pay_times, prepend=0.0) * pay_discount
             if not pay_weights.sum() > 0.0:
                 raise MarketDataError(f"payment weights of the maturity "
                                       f"{format_date(maturity)} sum to zero")

@@ -4,7 +4,10 @@ Each computes what the package computes by a different route:
 
 * single-instrument legs and breakeven quotes, one function per leg, on a
   grid of distributions (``ReferenceGrid``), against ``PanelPricer``'s
-  vectorised legs on the same distributions;
+  vectorised legs on the same distributions. Their payment dates come as a
+  ``PaymentSchedule`` of year fractions, and ``pricing_times`` builds a
+  grid from one schedule in year fractions, where the pricer builds its
+  grid for the whole panel in whole days;
 * ``panjer_distribution``: the capped-model distribution from Panjer's
   compound-Poisson recursion, with the residual tail lumped into the cap;
 * ``expm_distribution``: the cluster-model distribution from an ordered
@@ -35,6 +38,7 @@ draws.
 """
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,11 +59,66 @@ from clusterloss.loss_engine import (
     LossEngineError,
     PoolSpec,
 )
-from clusterloss.market_data import PaymentSchedule
+from clusterloss.market_data import (
+    DAYS_PER_YEAR,
+    MarketDataError,
+    quarterly_payment_dates,
+    year_fraction,
+)
 from clusterloss.pricer import PricingError, TrancheDef, tranche_payout_by_count
 from clusterloss.simulator import SimulationError
 
 _COLUMN_SUM_TOL = 1e-9
+
+# ---------------------------------------------------------------------------
+# payment schedules and grids in year fractions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PaymentSchedule:
+    """Premium payment times T_1 < ... < T_b (year fractions from valuation)
+    with accrual fractions delta_i = T_i - T_{i-1}, T_0 = 0."""
+
+    times: tuple[float, ...]
+    dates: tuple[dt.date, ...] | None = None
+
+    def __post_init__(self):
+        if len(self.times) == 0:
+            raise MarketDataError("empty payment schedule")
+        prev = 0.0
+        for t in self.times:
+            if not (prev < t < math.inf):
+                raise MarketDataError("payment times must be positive, finite and increasing")
+            prev = t
+
+    @property
+    def maturity_time(self) -> float:
+        return self.times[-1]
+
+    @property
+    def year_fractions(self) -> np.ndarray:
+        return np.diff(np.concatenate([[0.0], np.asarray(self.times)]))
+
+    @classmethod
+    def quarterly(cls, valuation_date: dt.date, maturity: dt.date) -> "PaymentSchedule":
+        dates = quarterly_payment_dates(valuation_date, maturity)
+        times = tuple(year_fraction(valuation_date, d) for d in dates)
+        return cls(times=times, dates=tuple(dates))
+
+    @classmethod
+    def from_times(cls, times) -> "PaymentSchedule":
+        return cls(times=tuple(float(t) for t in times))
+
+
+def pricing_times(payment_schedule: PaymentSchedule, grid_step_days: float = 30.0) -> np.ndarray:
+    """Time grid for leg integrals: zero, every payment date, and a refinement
+    grid of the given step, up to maturity, all in year fractions."""
+    maturity = payment_schedule.maturity_time
+    step = grid_step_days / DAYS_PER_YEAR
+    refinement = np.arange(step, maturity, step)
+    return np.unique(np.concatenate([[0.0], refinement, payment_schedule.times]))
+
 
 # ---------------------------------------------------------------------------
 # legs on a grid of distributions

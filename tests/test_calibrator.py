@@ -31,7 +31,6 @@ from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
     MarketDataError,
-    PaymentSchedule,
     QuotePanel,
     TrancheQuote,
     load_quotes,
@@ -39,6 +38,7 @@ from clusterloss.market_data import (
 from clusterloss.pricer import PanelPricer, PricingError, TrancheDef
 
 from reference_engines import (
+    PaymentSchedule,
     ReferenceGrid,
     default_leg,
     index_spread,

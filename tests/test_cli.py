@@ -269,6 +269,21 @@ class TestPriceCommand:
         assert "quotes.csv" in err and "line 3" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("row", ["X,20-Dec-11,0,3,1500,25,y", "X,20-Dec-11,,,40,0.5,1"])
+    @pytest.mark.parametrize("command", ["price", "calibrate"])
+    def test_bad_upfront_flag_is_input_error(self, tmp_path, capsys, command, row):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            "pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+            "X,20-Dec-11,3,6,120,2,0\n" + row + "\n")
+        out = tmp_path / "out"
+        inputs = ["--schedule", schedule_path("gpl")] if command == "price" else ["--model", "gpl"]
+        code = run([command, "--curve", curve_path(), "--quotes", quotes, *inputs, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "quotes.csv" in err and "line 3" in err and "upfront" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--recovery", "1.5")])
     def test_invalid_pool_is_input_error(self, tmp_path, capsys, flag, value):
         code = run(["price", "--curve", curve_path(), "--quotes", quotes_path(),

@@ -88,5 +88,9 @@ def test_reference_engines_are_not_exported():
                  "single_name_default_times", "_inverse_grid"):
         assert not hasattr(clusterloss, name), name
         assert not hasattr(clusterloss.simulator, name), name
+    # the year-fraction payment schedules and their grids serve those legs
+    for name in ("PaymentSchedule", "pricing_times"):
+        for module in (clusterloss, clusterloss.market_data, clusterloss.pricer):
+            assert not hasattr(module, name), (module.__name__, name)
     assert clusterloss.PanelPricer is clusterloss.pricer.PanelPricer
     assert clusterloss.calibrator.PanelPricer is clusterloss.pricer.PanelPricer

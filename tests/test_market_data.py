@@ -18,7 +18,6 @@ from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
     MarketDataError,
-    PaymentSchedule,
     TrancheQuote,
     load_curve,
     load_quotes,
@@ -26,6 +25,8 @@ from clusterloss.market_data import (
     quarterly_payment_dates,
     year_fraction,
 )
+
+from reference_engines import PaymentSchedule
 
 VAL = dt.date(2006, 10, 2)
 
@@ -94,8 +95,9 @@ class TestDiscountFactor:
         assert curve.zero_rate(0.01) == 0.0341
 
     def test_negative_time_rejected(self, curve):
-        with pytest.raises(MarketDataError):
-            curve.discount_factor(-0.1)
+        for t in (-0.1, math.nan, [1.0, math.nan]):  # a nan is no time either
+            with pytest.raises(MarketDataError, match="negative time"):
+                curve.discount_factor(t)
 
     def test_vectorised_evaluation(self, curve):
         out = curve.discount_factor(np.array([0.0, 1.0, 5.0]))
@@ -176,6 +178,34 @@ class TestQuotePanel:
         text = ("pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
                 "X,20-Dec-11,,,40,0.5,0\n" + row + "\n")
         with pytest.raises(MarketDataError, match="line 3.*finite"):
+            load_quotes(io.StringIO(text), VAL)
+
+    @pytest.mark.parametrize("flag, upfront", [("", False), ("0", False), ("No", False),
+                                               ("FALSE", False), ("1", True),
+                                               ("True", True), ("YES", True)])
+    def test_upfront_flags_accepted(self, flag, upfront):
+        text = ("pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+                f"X,20-Dec-11,,,40,0.5,{'0' if upfront else flag}\n"
+                f"X,20-Dec-11,0,3,1500,25,{flag}\n")
+        panel = load_quotes(io.StringIO(text), VAL)
+        q = panel.tranche_quotes[0]
+        assert q.is_upfront is upfront
+        assert q.quote == pytest.approx(0.15 if upfront else 1500.0)
+
+    @pytest.mark.parametrize("flag", ["y", "Y", "on", "2", "-1", "t"])
+    def test_unknown_upfront_flag_names_its_line(self, flag):
+        text = ("pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+                "X,20-Dec-11,,,40,0.5,0\n"
+                f"X,20-Dec-11,0,3,1500,25,{flag}\n")
+        with pytest.raises(MarketDataError, match=f"line 3: is_upfront .*{flag!r}"):
+            load_quotes(io.StringIO(text), VAL)
+
+    @pytest.mark.parametrize("flag", ["1", "true", "Yes"])
+    def test_upfront_index_row_rejected(self, flag):
+        text = ("pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+                "X,20-Dec-11,0,3,1500,25,1\n"
+                f"X,20-Dec-11,,,40,0.5,{flag}\n")
+        with pytest.raises(MarketDataError, match="line 3: an index quote cannot be upfront"):
             load_quotes(io.StringIO(text), VAL)
 
     def test_maturity_after_valuation_required(self):

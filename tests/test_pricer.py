@@ -15,26 +15,29 @@ from clusterloss.loss_engine import (
 )
 from clusterloss.fixtures import schedule_path
 from clusterloss.market_data import (
+    DAYS_PER_YEAR,
     DiscountCurve,
     IndexQuote,
-    PaymentSchedule,
     QuotePanel,
     TrancheQuote,
+    quarterly_payment_dates,
+    year_fraction,
 )
 from clusterloss.pricer import (
     PanelPricer,
     PricingError,
     TrancheDef,
     expected_tranched_loss,
-    pricing_times,
     tranched_loss,
 )
 
 from reference_engines import (
     LegValues,
+    PaymentSchedule,
     ReferenceGrid,
     default_leg,
     index_spread,
+    pricing_times,
     tranche_legs,
     tranche_premium_leg,
     tranche_spread_or_upfront,
@@ -88,6 +91,10 @@ class TestTranchedLoss:
             tranched_loss(-0.01, tranche)
         with pytest.raises(PricingError):
             tranched_loss(1.01, tranche)
+        with pytest.raises(PricingError, match=r"\[0, 1\]"):
+            tranched_loss(math.nan, tranche)
+        with pytest.raises(PricingError):
+            tranched_loss(np.array([0.01, math.nan]), tranche)
 
     def test_monotone_and_lipschitz(self):
         tranche = TrancheDef(0.1, 0.3)
@@ -289,9 +296,35 @@ class TestLossGrid:
         assert times[0] == 0.0
         for t in pay.times:
             assert np.min(np.abs(times - t)) == 0.0
-        for step in (0.0, 0.5, math.nan, math.inf):
-            with pytest.raises(PricingError, match="finite"):
-                pricing_times(pay, grid_step_days=step)
+
+
+class TestPricingGrid:
+    """``PanelPricer``'s grid: whole days after the trade date, with every
+    payment date on it."""
+
+    @pytest.mark.parametrize("step", [1.0, 7.5, 30.0, 45.5])
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    def test_whole_days_with_payment_dates(self, index, step, pool, curve, itraxx_panel,
+                                           cdx_panel):
+        panel = itraxx_panel if index == "itraxx" else cdx_panel
+        pricer = PanelPricer(panel, curve, pool, grid_step_days=step)
+        days = pricer.grid_times * DAYS_PER_YEAR
+        assert days[0] == 0.0
+        np.testing.assert_allclose(days, np.rint(days), rtol=0.0, atol=1e-9)
+        assert np.diff(days).min() > 1.0 - 1e-9
+        for maturity in panel.maturities:
+            pay_times = [year_fraction(panel.valuation_date, d)
+                         for d in quarterly_payment_dates(panel.valuation_date, maturity)]
+            assert np.isin(pay_times, pricer.grid_times).all(), maturity
+        assert pricer.grid_times[-1] == year_fraction(panel.valuation_date,
+                                                      panel.maturities[-1])
+        if step == 30.0:
+            assert len(pricer.grid_times) == 165
+
+    @pytest.mark.parametrize("step", [0.0, 0.5, math.nan, math.inf])
+    def test_grid_step_below_a_day_rejected(self, step, pool, curve, itraxx_panel):
+        with pytest.raises(PricingError, match="finite"):
+            PanelPricer(itraxx_panel, curve, pool, grid_step_days=step)
 
 
 class TestPanelLayout:

@@ -10,16 +10,19 @@ Amplitudes are selected greedily: start from amplitude 1, then repeatedly
 scan every unused amplitude, refit all intensities warm-started from the
 incumbent, and keep the candidate with the lowest objective, until the
 objective threshold is met, the newest mode is negligible, or the mode
-budget is exhausted. Every fit is one bounded least-squares solve over all
-increments with exact Jacobians from the loss engine's tangent pass, under
-an evaluation budget that charges a Jacobian one evaluation per column. The
-candidates of a scan start from the incumbent's errors and their slices of
-one tangent pass at the incumbent. The search draws no random numbers, so
-a calibration does not depend on its seed.
+budget is exhausted. Every fit is one projected Levenberg-Marquardt loop in
+numpy over all increments, bounded to [0, 1e4], with exact Jacobians from
+the loss engine's tangent pass, under an evaluation budget that charges a
+Jacobian one evaluation per column. An increment at zero rises as soon as
+the gradient says it should. The candidates of a scan start from the
+incumbent's errors and their slices of one tangent pass at the incumbent.
+The search draws no random numbers, so a calibration does not depend on
+its seed.
 """
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
 import math
 import os
@@ -42,21 +45,39 @@ class CalibrationError(ValueError):
 
 # the largest increment a fit tries. A mode whose errors saturate in its
 # intensity (gpcl amplitude 125 fires only while every name survives) has a
-# Jacobian column near zero, which ``x_scale="jac"`` turns into steps of a
-# million and more: intervals whose uniformised series the kernel cannot sum
-# within its mass tolerance, and whose Poisson weights take hundreds of
+# Jacobian column near zero, along which a damped Gauss-Newton step runs to
+# a million and more: intervals whose uniformised series the kernel cannot
+# sum within its mass tolerance, and whose Poisson weights take hundreds of
 # megabytes. A rise of 1e4 over one knot interval is thousands of times any
 # fitted value, and its series already runs to about 1e4 terms.
 _MAX_INCREMENT = 1e4
+
+# the damping of a fit's first trial step, as a multiple of the diagonal of
+# J'J. A rejected trial multiplies it by 10 and an accepted one divides it by
+# 10, within the range below: a Gauss-Newton step at its low end, and at its
+# high end a step too short to lower f by more than its rounding, where the
+# fit stops
+_DAMPING = 1e-3
+_DAMPING_RANGE = (1e-10, 1e10)
+# the diagonal of J'J is floored at this share of its largest entry, so that
+# a column near zero is damped too
+_SCALE_FLOOR = 1e-12
+# a fit has converged when the gradient of f = |e|^2 along every increment
+# not held on a bound is at most this share of 2 |J_j| max(|e|, 1). While
+# the errors are more than one bid-ask width in norm, that bounds the cosine
+# of the angle between the errors and the increment's column J_j; within
+# one width, where a fit that reprices every quote leaves no angle to
+# measure, it bounds the gradient in units of widths
+_GRADIENT_TOL = 1e-6
+
+# why a fit stopped short of the first-order test
+_BUDGET_SPENT = "evaluation budget exhausted; returning best-so-far"
+_NO_DESCENT = "no damped step lowers the objective; stopped short of the first-order test"
 
 
 def _schedule_from_increments(model: str, amplitudes, knots, x: np.ndarray) -> IntensitySchedule:
     inc = np.maximum(x.reshape(len(amplitudes), len(knots)), 0.0)
     return IntensitySchedule(model, amplitudes, knots, np.cumsum(inc, axis=1))
-
-
-class _BudgetSpent(Exception):
-    """The evaluations left cannot pay for the solver's next step."""
 
 
 @dataclass
@@ -70,19 +91,38 @@ class FitResult:
     warning: str | None = None
 
 
+def _damped_step(x: np.ndarray, e: np.ndarray, jac: np.ndarray, held: np.ndarray,
+                 damping: np.ndarray) -> np.ndarray:
+    """The point in [0, 1e4] that minimises |e + J d|^2 + sum(damping d^2)
+    over steps d of the increments not ``held``, found by stopping each
+    increment that would leave the box on its bound and solving again for
+    the rest."""
+    step, fixed = np.zeros_like(x), held.copy()
+    while True:
+        j = jac[:, ~fixed]
+        step[~fixed] = np.linalg.solve(j.T @ j + np.diag(damping[~fixed]),
+                                       -j.T @ (e + jac[:, fixed] @ step[fixed]))
+        out = ~fixed & ((x + step < 0.0) | (x + step > _MAX_INCREMENT))
+        if not out.any():
+            return np.clip(x + step, 0.0, _MAX_INCREMENT)
+        step[out] = np.clip(x[out] + step[out], 0.0, _MAX_INCREMENT) - x[out]
+        fixed |= out
+
+
 def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
                     *, max_evaluations: int = 2500, start=None) -> FitResult:
     """Fit all per-interval intensity increments with amplitudes held fixed.
 
-    One bounded least-squares solve of the weighted quote errors over every
-    increment: scipy's dogbox trust region, increments from zero to 1e4,
-    variables scaled by the Jacobian's column norms, with the exact Jacobian
-    of ``PanelPricer.jacobian``. Evaluations count against
-    ``max_evaluations``: one per pricing of the errors, and one per column
-    of each Jacobian, the pricings forward differences would take, so that a
-    budget buys the same steps however the Jacobian is computed. The solve stops
-    once the evaluations left cannot pay for the next Jacobian plus one
-    trial point, and the best point evaluated is returned.
+    A projected Levenberg-Marquardt loop over every increment, bounded to
+    [0, 1e4], with the exact Jacobian of ``PanelPricer.jacobian``. An
+    increment is held while it sits on a bound with the gradient of
+    f = |e|^2 pointing out of the box; the others take a damped Gauss-Newton
+    step (``_damped_step``), which is kept if it lowers f. Evaluations count
+    against ``max_evaluations``: one per pricing of the errors and one per
+    Jacobian column, the pricings forward differences would take. The fit
+    has converged when the first-order test ``_GRADIENT_TOL`` holds, and
+    stops with a warning once the evaluations left cannot pay for the next
+    Jacobian plus one trial point. It returns the best point evaluated.
 
     ``start`` is ``(errors, jacobian, charge)`` at ``x0`` when they are
     known: the errors, the Jacobian, and the evaluations its use is charged.
@@ -90,74 +130,50 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
     slice of one tangent pass, charged as the candidate's new columns.
     """
     amplitudes = tuple(int(a) for a in amplitudes)
-    knots = pricer.knots
-    n_modes, n_knots = len(amplitudes), len(knots)
-    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), 0.0, _MAX_INCREMENT)
-    if x0.size != n_modes * n_knots:
-        raise CalibrationError(f"expected {n_modes * n_knots} increments, got {x0.size}")
+    x = np.clip(np.asarray(x0, dtype=float).ravel(), 0.0, _MAX_INCREMENT)
+    if x.size != len(amplitudes) * len(pricer.knots):
+        raise CalibrationError(f"expected {len(amplitudes) * len(pricer.knots)} increments, "
+                               f"got {x.size}")
     if not max_evaluations >= 1:
         raise CalibrationError(f"max_evaluations must be at least 1, got {max_evaluations}")
-
-    evaluations = 0
-    best = None  # the best point evaluated and its errors
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal evaluations, best
-        if evaluations >= max_evaluations:
-            raise _BudgetSpent
-        evaluations += 1
-        e = pricer.errors(_schedule_from_increments(model, amplitudes, knots, x))
-        if best is None or e @ e < best[1] @ best[1]:
-            best = (x.copy(), e)
-        return e
-
-    pending = []  # the solver's first Jacobian, at x0, when the caller knows it
+    schedule = functools.partial(_schedule_from_increments, model, amplitudes, pricer.knots)
     if start is None:
-        e0 = residuals(x0)
+        evaluations, e, jac, charge = 1, pricer.errors(schedule(x)), None, x.size
     else:
-        e0, jac0 = np.asarray(start[0], dtype=float), np.array(start[1], dtype=float)
-        if jac0.shape != (len(e0), x0.size):
-            raise CalibrationError(f"start Jacobian must have shape {(len(e0), x0.size)}, "
-                                   f"got {jac0.shape}")
-        best = (x0, e0)
-        pending.append((jac0, int(start[2])))
-    trial = (x0, e0)  # the last point the solver evaluated, and its errors
-
-    def fun(x: np.ndarray) -> np.ndarray:
-        nonlocal trial
-        if not np.array_equal(x, trial[0]):
-            trial = (x.copy(), residuals(x))
-        return trial[1]
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        out, charge = pending.pop() if pending else (None, x.size)
+        evaluations, charge = 0, int(start[2])
+        e, jac = np.asarray(start[0], dtype=float), np.array(start[1], dtype=float)
+        if jac.shape != (len(e), x.size):
+            raise CalibrationError(f"start Jacobian must have shape {(len(e), x.size)}, "
+                                   f"got {jac.shape}")
+    damping, warning = _DAMPING, None
+    while warning is None:
         if max_evaluations - evaluations <= charge:
-            raise _BudgetSpent
+            warning = _BUDGET_SPENT
+            break
         evaluations += charge
-        if out is None:
-            out = pricer.jacobian(_schedule_from_increments(model, amplitudes, knots, x),
-                                  amplitudes).reshape(len(e0), x.size)
-        return out
-
-    # imported here, not at module level, so that a process which only
-    # prices or simulates never loads scipy
-    import scipy.optimize
-
-    converged = False
-    try:
-        # dogbox, unlike trf, starts from x0 as given: a zero increment stays
-        # zero, and a mode at zero stays out of the kernel's cache keys
-        converged = scipy.optimize.least_squares(
-            fun, x0, jac=jac, bounds=(0.0, _MAX_INCREMENT), method="dogbox", x_scale="jac",
-            max_nfev=max_evaluations).status > 0
-    except _BudgetSpent:
-        pass
-    x, e = best
-    warning = None if converged else "evaluation budget exhausted; returning best-so-far"
-    return FitResult(schedule=_schedule_from_increments(model, amplitudes, knots, x),
-                     objective=float(e @ e), errors=e, increments=x.reshape(n_modes, n_knots),
-                     n_evaluations=evaluations, converged=converged, warning=warning)
+        if jac is None:
+            jac = pricer.jacobian(schedule(x), amplitudes).reshape(len(e), x.size)
+        gradient, norms = 2.0 * jac.T @ e, np.linalg.norm(jac, axis=0)
+        held = (x <= 0.0) & (gradient >= 0.0) | (x >= _MAX_INCREMENT) & (gradient <= 0.0)
+        if np.all((np.abs(gradient) <= _GRADIENT_TOL * 2.0 * max(math.sqrt(e @ e), 1.0) * norms)
+                  | held):
+            break
+        scale = np.maximum(norms ** 2, _SCALE_FLOOR * (norms ** 2).max())
+        while jac is not None:
+            if evaluations >= max_evaluations or damping > _DAMPING_RANGE[1]:
+                warning = _BUDGET_SPENT if evaluations >= max_evaluations else _NO_DESCENT
+                break
+            trial = _damped_step(x, e, jac, held, damping * scale)
+            evaluations += 1
+            e_trial = pricer.errors(schedule(trial))
+            if e_trial @ e_trial < e @ e:
+                x, e, jac, charge = trial, e_trial, None, x.size
+                damping = max(damping / 10.0, _DAMPING_RANGE[0])
+            else:
+                damping *= 10.0
+    return FitResult(schedule=schedule(x), objective=float(e @ e), errors=e,
+                     increments=x.reshape(len(amplitudes), -1), n_evaluations=evaluations,
+                     converged=warning is None, warning=warning)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +290,8 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
     # a nan fails every comparison of the search's stopping rules
     if not math.isfinite(objective_threshold):
         raise CalibrationError(f"objective_threshold must be finite, got {objective_threshold!r}")
+    if n_jobs is not None and not n_jobs >= 1:
+        raise CalibrationError(f"n_jobs must be at least 1, got {n_jobs}")
     pricer = PanelPricer(panel, curve, pool, grid_step_days)
     n_knots = len(pricer.knots)
     if n_jobs is None:

@@ -96,6 +96,8 @@ def cmd_calibrate(args) -> int:
         raise InputError(f"--max-modes must be at least 1, got {args.max_modes}")
     if not math.isfinite(args.threshold):
         raise InputError(f"--threshold must be a finite number, got {args.threshold}")
+    if args.jobs is not None and args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     pool = _pool_from_args(args)
     curve = _read("curve", args.curve, load_curve, args.valuation_date)
     panel = _read("quotes", args.quotes, load_quotes, args.valuation_date)

@@ -168,6 +168,9 @@ class TrancheQuote:
                 f"got {self.attachment}, {self.detachment}")
         if not math.isfinite(self.quote):
             raise MarketDataError(f"tranche quote must be finite, got {self.quote}")
+        # an upfront may be negative; no model produces a running spread <= 0
+        if not (self.is_upfront or self.quote > 0):
+            raise MarketDataError(f"running tranche spread must be positive, got {self.quote}")
         if not (0 < self.bid_ask_width < math.inf):
             raise MarketDataError(
                 f"bid-ask width must be positive and finite, got {self.bid_ask_width}")
@@ -189,6 +192,9 @@ class QuotePanel:
         for q in self.index_quotes + self.tranche_quotes:
             if q.maturity <= self.valuation_date:
                 raise MarketDataError(f"maturity {q.maturity} not after valuation date")
+        keys = [_quote_key(q) for q in self.index_quotes + self.tranche_quotes]
+        if len(set(keys)) < len(keys):
+            raise MarketDataError(f"two quotes of {_describe(max(keys, key=keys.count))}")
 
     @property
     def maturities(self) -> tuple[dt.date, ...]:
@@ -237,6 +243,22 @@ class QuotePanel:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _quote_key(q) -> tuple:
+    """What a panel quotes once: an index maturity, or a tranche slice at a
+    maturity."""
+    if isinstance(q, IndexQuote):
+        return (None, None, q.maturity)
+    return (q.attachment, q.detachment, q.maturity)
+
+
+def _describe(key: tuple) -> str:
+    attachment, detachment, maturity = key
+    if attachment is None:
+        return f"the index at {format_date(maturity)}"
+    return (f"the {_num(100 * attachment)}-{_num(100 * detachment)} tranche at "
+            f"{format_date(maturity)}")
+
+
 def _num(x: float) -> str:
     """Canonical decimal for round-trippable CSV output.
 
@@ -263,6 +285,7 @@ def load_quotes(source, valuation_date: dt.date) -> QuotePanel:
             raise MarketDataError("empty quotes file")
         pool_name = ""
         index_quotes, tranche_quotes = [], []
+        lines = {}  # the line of each quote's key
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -298,6 +321,11 @@ def load_quotes(source, valuation_date: dt.date) -> QuotePanel:
                     ))
             except (MarketDataError, ValueError) as exc:
                 raise MarketDataError(f"line {lineno}: {exc}") from exc
+            key = _quote_key(index_quotes[-1] if att == "" else tranche_quotes[-1])
+            if key in lines:
+                raise MarketDataError(f"lines {lines[key]} and {lineno} both quote "
+                                      f"{_describe(key)}")
+            lines[key] = lineno
         return QuotePanel(pool_name, valuation_date,
                           tuple(index_quotes), tuple(tranche_quotes))
 

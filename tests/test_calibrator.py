@@ -18,6 +18,7 @@ from clusterloss.calibrator import (
     greedy_calibrate,
 )
 from clusterloss.fixtures import FIXTURE_VALUATION_DATE, quotes_path, schedule_path
+from clusterloss import calibrator as calibrator_module
 from clusterloss import loss_engine
 from clusterloss import pricer as pricer_module
 from clusterloss.loss_engine import (
@@ -67,10 +68,14 @@ class TestWeightedError:
 
     GPL_TRUE = make_schedule(GPL, (1, 5), (2.2246575342465754, 4.219178082191781),
                              [(0.25, 0.55), (0.02, 0.05)])
+    # index, running and upfront widths; the 15-100 tranche's spreads are
+    # 0.18 and 0.78 bp, so a running width of 0.005 bp keeps its mids
+    # positive (a running quote must be) under shifts of up to 20 widths
+    WIDTHS = (0.25, 0.005, 0.0005)
 
     def errors(self, shifts):
         pool, curve = PoolSpec(names=24), flat_curve()
-        panel = synthetic_panel(pool, curve, self.GPL_TRUE, shifts=shifts)
+        panel = synthetic_panel(pool, curve, self.GPL_TRUE, self.WIDTHS, shifts=shifts)
         return PanelPricer(panel, curve, pool).errors(self.GPL_TRUE)
 
     def test_zero_at_mid(self):
@@ -90,9 +95,9 @@ class TestWeightedError:
         # their own quote's width, in the quote's own units
         shifts = np.arange(1.0, 9.0)
         pool, curve = PoolSpec(names=24), flat_curve()
-        panel = synthetic_panel(pool, curve, self.GPL_TRUE, shifts=shifts)
+        panel = synthetic_panel(pool, curve, self.GPL_TRUE, self.WIDTHS, shifts=shifts)
         pricer = PanelPricer(panel, curve, pool)
-        widths = {"index": 0.25, "running": 0.5, "upfront": 0.0005}
+        widths = dict(zip(("index", "running", "upfront"), self.WIDTHS))
         for ins, width, eps, shift in zip(pricer.instruments, pricer.widths,
                                           pricer.errors(self.GPL_TRUE), shifts):
             kind = ins.kind if ins.kind == "index" else (
@@ -467,6 +472,9 @@ class TestFitIntensities:
         assert abs(fit.errors[0]) < 0.05
         fitted = fit.schedule.cumulated[0][0]
         assert fitted == pytest.approx(bisected, rel=5e-3)
+        # a fit that reprices its one quote has converged
+        assert fit.converged and fit.warning is None
+        _assert_first_order(pricer, fit, (1,))
 
     def test_refit_from_solution_is_fixed_point(self):
         pool = PoolSpec(names=20)
@@ -518,11 +526,12 @@ class TestFitIntensities:
         monkeypatch.setattr(PanelPricer, "errors", counting_errors)
         monkeypatch.setattr(PanelPricer, "jacobian", counting_jacobian)
         pricer = PanelPricer(itraxx_panel, curve, pool)
-        # from 0.01, (1, 12) spends its last evaluation of budget 37 on a
+        # from 0.05, (1, 3, 15) spends its last evaluation of budget 53 on a
         # trial point that the solver rejects, and would try another
-        for amplitudes, start in (((1,), 0.05), ((1, 12), 0.05), ((1, 12), 0.01)):
+        for amplitudes, start in (((1,), 0.05), ((1, 12), 0.05), ((1, 12), 0.01),
+                                  ((1, 3, 15), 0.05)):
             x0 = np.full(4 * len(amplitudes), start)
-            for budget in (1, 5, 6, 9, 10, 12, 37, 40, 150):
+            for budget in (1, 5, 6, 9, 10, 12, 37, 40, 53, 150):
                 calls.clear()
                 fit = fit_intensities(pricer, GPCL, amplitudes, x0, max_evaluations=budget)
                 assert sum(charge for _, _, charge in calls) == fit.n_evaluations <= budget
@@ -583,8 +592,9 @@ class TestFitIntensities:
     def test_saturating_mode_stops_at_the_increment_bound(self, pool, curve, itraxx_panel,
                                                           monkeypatch):
         # gpcl amplitude 125 fires only while every name survives, so over
-        # the last interval its errors barely move with its intensity, and
-        # the solver's column scaling steps towards a million
+        # the last interval its errors barely move with its intensity: its
+        # Jacobian column is near zero, and a damped Gauss-Newton step along
+        # it runs towards a million
         rises = []
         errors = PanelPricer.errors
 
@@ -601,10 +611,100 @@ class TestFitIntensities:
         assert fit.objective < pricer.objective(fit_intensities(
             pricer, GPCL, (1, 125), x0, max_evaluations=1).schedule)[0]
 
+    @pytest.mark.parametrize("model, bound", [(GPCL, 17.4), (GPL, 15.9)])
+    def test_cold_start_at_the_shipped_amplitudes(self, pool, curve, itraxx_panel, model,
+                                                  bound):
+        # from flat increments of 0.05, far from the shipped fits; a solver
+        # that keeps increments stuck at a bound stops above 2e5 on gpcl
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        amplitudes = _load(model).amplitudes
+        fit = fit_intensities(pricer, model, amplitudes, np.full(4 * len(amplitudes), 0.05),
+                              max_evaluations=3000)
+        assert fit.converged and fit.objective <= bound
+        _assert_first_order(pricer, fit, amplitudes)
+
+    def test_mode_at_zero_rises_from_a_stalled_start(self, pool, curve, itraxx_panel):
+        # the five-mode gpl fit of a greedy calibration of the iTraxx panel
+        # (f = 57.126), plus amplitude 3 at zero: the gradient of f along
+        # amplitude 3's first two increments is negative, so it must rise
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        schedule = IntensitySchedule(GPL, (1, 3, 5, 11, 19, 79), pricer.knots, np.insert(
+            STALLED_GPL_CUMULATED, 1, 0.0, axis=0))
+        assert pricer.objective(schedule)[0] == pytest.approx(57.126, abs=1e-3)
+        x0 = np.diff(schedule.cumulated, axis=1, prepend=0.0)
+        fit = fit_intensities(pricer, GPL, schedule.amplitudes, x0, max_evaluations=3000)
+        assert fit.converged and fit.objective <= 27.5
+        assert fit.increments[1, :2].min() > 0.0
+        _assert_first_order(pricer, fit, schedule.amplitudes)
+
+    def test_fit_that_cannot_lower_f_stops_and_says_why(self, pool, curve, itraxx_panel,
+                                                        monkeypatch):
+        # with a first-order test no fit can pass, a fit runs until no
+        # damped step lowers f beyond its rounding, well within its budget
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        converged = fit_intensities(pricer, GPL, (1, 5), np.full(8, 0.1), max_evaluations=3000)
+        assert converged.converged
+        monkeypatch.setattr(calibrator_module, "_GRADIENT_TOL", 0.0)
+        fit = fit_intensities(pricer, GPL, (1, 5), np.full(8, 0.1), max_evaluations=3000)
+        assert not fit.converged and "no damped step lowers the objective" in fit.warning
+        assert fit.n_evaluations < 3000
+        assert fit.objective <= converged.objective
+        np.testing.assert_array_equal(fit.errors, pricer.errors(fit.schedule))
+
+    def test_converged_fits_meet_the_first_order_test(self, pool, curve, itraxx_panel,
+                                                      monkeypatch):
+        # every fit of two greedy calibrations, step 1, scans, refines and
+        # polish: a fit that says it converged is first-order stationary, and
+        # one that does not says why it stopped
+        fits, fit = [], calibrator_module.fit_intensities
+
+        def recording(pricer, model, amplitudes, x0, **kwargs):
+            fits.append((pricer, fit(pricer, model, amplitudes, x0, **kwargs), amplitudes))
+            return fits[-1][1]
+
+        monkeypatch.setattr(calibrator_module, "fit_intensities", recording)
+        for model in (GPCL, GPL):
+            greedy_calibrate(itraxx_panel, curve, pool, model, max_modes=3, scan_budget=12,
+                             refine_budget=400, polish_budget=400, n_jobs=1)
+        converged = [(pricer, f, a) for pricer, f, a in fits if f.converged]
+        assert len(converged) >= 6
+        for pricer, f, amplitudes in converged:
+            _assert_first_order(pricer, f, amplitudes)
+        for _, f, _ in fits:
+            assert (f.warning is None) == f.converged
+            assert f.converged or "budget" in f.warning or "no damped step" in f.warning
+
     def test_wrong_parameter_count_rejected(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)
         with pytest.raises(CalibrationError):
             fit_intensities(pricer, GPL, (1, 3), np.array([0.1, 0.1]))
+
+
+# cumulated intensities at the four iTraxx knots of amplitudes 1, 5, 11, 19
+# and 79: a greedy gpl calibration of the iTraxx panel (criterion 6's
+# settings) that stalled at f = 57.126, with amplitude 3 left at zero
+STALLED_GPL_CUMULATED = np.array([
+    [0.985200286303101, 2.388908422733552, 4.1389242324224815, 5.986277753213519],
+    [0.006247559673285714, 0.09131599845231617, 0.1729940405869579, 0.6472828167902052],
+    [1.262177448353619e-29, 0.00957438742045481, 0.015706834144588094, 0.015706834144588094],
+    [3.804023833007412e-15, 0.007362760874120113, 0.020825634929265452, 0.023277561470038278],
+    [0.0020429073268486394, 0.002065592423657126, 0.006479783342855358, 0.016348929350224528]])
+
+
+def _assert_first_order(pricer, fit, amplitudes):
+    """The first-order conditions of min |e|^2 over the box [0, 1e4], from
+    the pricer's own Jacobian at the fit: along every increment, the
+    gradient of f = |e|^2 is at most 1e-6 of 2 |J_j| max(|e|, 1) (of its
+    largest possible value, 2 |J_j| |e|, while |e| > 1), except that at a
+    bound it may point out of the box."""
+    jac = pricer.jacobian(fit.schedule, amplitudes).reshape(len(fit.errors), -1)
+    gradient, x = 2.0 * jac.T @ fit.errors, fit.increments.ravel()
+    gradient[x <= 0.0] = np.minimum(gradient[x <= 0.0], 0.0)
+    gradient[x >= _MAX_INCREMENT] = np.maximum(gradient[x >= _MAX_INCREMENT], 0.0)
+    # the fit tests a Jacobian that may come from another tangent pass,
+    # equal to about 1e-12
+    bound = 1e-6 * 2.0 * max(np.linalg.norm(fit.errors), 1.0) * np.linalg.norm(jac, axis=0)
+    assert np.all(np.abs(gradient) <= bound * (1.0 + 1e-9)), (gradient, bound)
 
 
 class TestGreedyCalibrate:
@@ -734,6 +834,12 @@ class TestGreedyCalibrate:
             assert len(alone.iterations) == 2  # one greedy step with a scan
             assert together.iterations == alone.iterations
             assert together.objective == alone.objective
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_worker_count_below_one_rejected(self, curve, n_jobs):
+        panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())
+        with pytest.raises(CalibrationError, match="n_jobs must be at least 1"):
+            greedy_calibrate(panel, curve, PoolSpec(names=10), GPL, n_jobs=n_jobs)
 
     def test_unknown_model_rejected(self, curve):
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())

@@ -284,6 +284,24 @@ class TestPriceCommand:
         assert "quotes.csv" in err and "line 3" in err and "upfront" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("X,20-Dec-11,6,9,-35,2,0", "line 3: running tranche spread must be positive"),
+        ("X,20-Dec-11,6,9,0,2,0", "line 3: running tranche spread must be positive"),
+        ("X,20-Dec-11,3,6,100,2,0", "lines 2 and 3 both quote the 3-6 tranche at 20-Dec-11")])
+    @pytest.mark.parametrize("command", ["price", "calibrate"])
+    def test_unpriceable_quote_is_input_error(self, tmp_path, capsys, command, row, message):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            "pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+            "X,20-Dec-11,3,6,120,2,0\n" + row + "\n")
+        out = tmp_path / "out"
+        inputs = ["--schedule", schedule_path("gpl")] if command == "price" else ["--model", "gpl"]
+        code = run([command, "--curve", curve_path(), "--quotes", quotes, *inputs, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "quotes.csv" in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--recovery", "1.5")])
     def test_invalid_pool_is_input_error(self, tmp_path, capsys, flag, value):
         code = run(["price", "--curve", curve_path(), "--quotes", quotes_path(),
@@ -331,7 +349,8 @@ class TestCalibrateCommand:
                                              ("--grid-step", "0"), ("--grid-step", "0.5"),
                                              ("--max-modes", "0"),
                                              ("--max-modes", "-1"), ("--threshold", "nan"),
-                                             ("--threshold", "inf")])
+                                             ("--threshold", "inf"), ("--jobs", "0"),
+                                             ("--jobs", "-2")])
     def test_invalid_option_is_input_error(self, tmp_path, capsys, flag, value):
         code = run(["calibrate", "--model", "gpl", "--curve", curve_path(),
                     "--quotes", quotes_path(), flag, value, "--out", tmp_path / "out"])

@@ -1,6 +1,6 @@
-"""What a fresh interpreter loads: pricing, distributions, the dist command
-and simulation run without scipy and without multiprocessing; scipy.optimize
-comes in with the first least-squares fit. And what the package exports."""
+"""What a fresh interpreter loads: pricing, distributions, the dist command,
+simulation, intensity fits and a serial calibration run without scipy and
+without multiprocessing. And what the package exports."""
 import json
 import os
 import subprocess
@@ -21,8 +21,8 @@ import numpy as np
 import clusterloss
 import clusterloss.cli
 from clusterloss import (PanelPricer, PoolSpec, distribution_term_structure,
-                         empirical_distributions, fit_intensities, load_curve,
-                         load_quotes, loss_distribution)
+                         empirical_distributions, fit_intensities, greedy_calibrate,
+                         load_curve, load_quotes, loss_distribution)
 from clusterloss.fixtures import (FIXTURE_VALUATION_DATE, curve_path, quotes_path,
                                   schedule_path)
 from clusterloss.loss_engine import IntensitySchedule
@@ -60,6 +60,10 @@ stages["dist"] = loaded()
 
 fit_intensities(pricer, "gpl", (1,), np.full(len(pricer.knots), 0.1), max_evaluations=20)
 stages["fit_intensities"] = loaded()
+
+greedy_calibrate(panel, curve, pool, "gpl", max_modes=2, scan_budget=6, refine_budget=20,
+                 polish_budget=20, n_jobs=1)
+stages["greedy_calibrate"] = loaded()
 print(json.dumps(stages))
 """
 
@@ -71,10 +75,8 @@ def test_scipy_and_multiprocessing_load_only_where_used():
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     stages = json.loads(done.stdout.splitlines()[-1])  # after the dist command's line
-    assert stages["price_and_simulate"] == []
-    assert stages["loss_distribution"] == []
-    assert stages["dist"] == []
-    assert "scipy.optimize" in stages["fit_intensities"]
+    assert stages == {stage: [] for stage in ("price_and_simulate", "loss_distribution",
+                                              "dist", "fit_intensities", "greedy_calibrate")}
 
 
 def test_reference_engines_are_not_exported():

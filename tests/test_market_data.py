@@ -18,6 +18,7 @@ from clusterloss.market_data import (
     DiscountCurve,
     IndexQuote,
     MarketDataError,
+    QuotePanel,
     TrancheQuote,
     load_curve,
     load_quotes,
@@ -171,6 +172,49 @@ class TestQuotePanel:
         with pytest.raises(MarketDataError, match="running premium"):
             TrancheQuote(0.0, 0.03, dt.date(2011, 12, 20), quote=0.2, bid_ask_width=0.0025,
                          is_upfront=True, running_premium_if_upfront=value)
+
+    @pytest.mark.parametrize("quote", [-120.0, 0.0, -0.0])
+    def test_running_spread_must_be_positive(self, quote):
+        maturity = dt.date(2011, 12, 20)
+        with pytest.raises(MarketDataError, match="running tranche spread must be positive"):
+            TrancheQuote(0.03, 0.06, maturity, quote=quote, bid_ask_width=2.0)
+        # an upfront may be negative or zero
+        for upfront in (quote * 1e-4, -0.05):
+            assert TrancheQuote(0.0, 0.03, maturity, quote=upfront, bid_ask_width=0.0025,
+                                is_upfront=True).quote == upfront
+
+    def test_negative_running_row_names_its_line(self):
+        text = ("pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+                "X,20-Dec-11,,,40,0.5,0\n"
+                "X,20-Dec-11,0,3,-150,25,1\n"
+                "X,20-Dec-11,3,6,-120,2,0\n")
+        with pytest.raises(MarketDataError, match="line 4: running tranche spread"):
+            load_quotes(io.StringIO(text), VAL)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["X,20-Dec-11,3,6,120,2,0", "X,20-Dec-11,6,9,50,2,0", "X,20-Dec-11,3,6,100,2,0"],
+         "lines 2 and 4 both quote the 3-6 tranche at 20-Dec-11"),
+        (["X,20-Dec-11,0,3,1975,25,1", "X,20-Dec-11,0,3,30,2,0"],
+         "lines 2 and 3 both quote the 0-3 tranche at 20-Dec-11"),
+        (["X,20-Dec-11,,,40,0.5,0", "X,20-Dec-16,,,51,0.5,0", "X,20-Dec-16,,,52,0.5,0"],
+         "lines 3 and 4 both quote the index at 20-Dec-16")])
+    def test_duplicate_quotes_name_both_lines(self, rows, message):
+        text = "pool,maturity,attach,detach,quote_bp,bid_ask_bp,is_upfront\n"
+        with pytest.raises(MarketDataError, match=message):
+            load_quotes(io.StringIO(text + "\n".join(rows) + "\n"), VAL)
+
+    def test_panel_built_in_code_rejects_duplicates(self):
+        maturity = dt.date(2011, 12, 20)
+        index = IndexQuote(maturity, 40.0, 0.5)
+        tranche = TrancheQuote(0.03, 0.06, maturity, 120.0, 2.0)
+        with pytest.raises(MarketDataError, match="two quotes of the index at 20-Dec-11"):
+            QuotePanel("X", VAL, (index, IndexQuote(maturity, 41.0, 0.5)), ())
+        with pytest.raises(MarketDataError, match="two quotes of the 3-6 tranche at 20-Dec-11"):
+            QuotePanel("X", VAL, (index,), (tranche, tranche))
+        # the same slice at another maturity, or another slice, is another quote
+        other = (TrancheQuote(0.03, 0.06, dt.date(2016, 12, 20), 120.0, 2.0),
+                 TrancheQuote(0.03, 0.09, maturity, 120.0, 2.0))
+        assert len(QuotePanel("X", VAL, (index,), (tranche,) + other)) == 4
 
     @pytest.mark.parametrize("row", ["X,20-Dec-11,3,6,nan,1,0", "X,20-Dec-11,3,6,10,inf,0",
                                      "X,20-Dec-11,,,nan,0.5,0", "X,20-Dec-11,0,3,nan,50,1"])

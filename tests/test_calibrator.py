@@ -1,5 +1,6 @@
 import concurrent.futures
 import datetime as dt
+import logging
 import math
 import multiprocessing
 import pickle
@@ -14,6 +15,7 @@ from clusterloss.calibrator import (
     _MAX_INCREMENT,
     CalibrationError,
     fit_intensities,
+    _scan_candidate,
     _scan_tasks,
     greedy_calibrate,
 )
@@ -551,9 +553,15 @@ class TestFitIntensities:
         scans = [amplitudes for kind, amplitudes, _ in calls
                  if kind == "jacobian" and len(amplitudes) == names]
         assert len(scans) == 2
+        # each scan ranks every unused amplitude and fits the best few; the
+        # others cost no pricing
+        assert [it["ranked"] for it in result.iterations[1:]] == [names - 1, names - 2]
+        assert calibrator_module._SCAN_FITS < names - 2
+        assert [len(it["candidates"]) for it in result.iterations[1:]] == [
+            calibrator_module._SCAN_FITS] * 2
         fits = sum(charge for kind, amplitudes, charge in calls if len(amplitudes) < names)
         # n_knots = 1: the incumbents have one and two columns, and each of
-        # the names - 1 and names - 2 candidates one
+        # the names - 1 and names - 2 candidates one, fitted or not
         assert fits - 1 + (1 + names - 1) + (2 + names - 2) == result.n_evaluations
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
@@ -568,8 +576,9 @@ class TestFitIntensities:
         candidates = (2, 17, 31, 125)
         tasks, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
         assert spent == 8
+        # tasks come best score first
         for (_, new_amplitudes, x0, candidate, budget, (e, jac, charge)), expected in zip(
-                tasks, candidates):
+                sorted(tasks, key=lambda task: task[3]), candidates):
             assert candidate == expected and budget == 20 and charge == 4
             assert new_amplitudes == tuple(sorted(amplitudes + [candidate]))
             assert not x0.reshape(3, 4)[new_amplitudes.index(candidate)].any()
@@ -785,7 +794,8 @@ class TestGreedyCalibrate:
             """Stands in for multiprocessing.Pool and records its use."""
 
             def __init__(self, processes, initializer, initargs):
-                self.maps = 0
+                self.processes = processes
+                self.maps, self.chunksizes = 0, []
                 self.terminated = False
                 pools.append(self)
                 initializer(*initargs)
@@ -796,8 +806,9 @@ class TestGreedyCalibrate:
             def __exit__(self, *exc_info):
                 self.terminate()
 
-            def map(self, func, tasks, chunksize=1):
+            def map(self, func, tasks, chunksize=None):
                 self.maps += 1
+                self.chunksizes.append(chunksize)
                 return [func(task) for task in tasks]
 
             def terminate(self):
@@ -817,7 +828,15 @@ class TestGreedyCalibrate:
         assert len(result.iterations) == 3  # two greedy steps, each with a scan
         assert len(pools) == 1
         assert pools[0].maps == 2
+        # one task per worker at a time, and no more workers than tasks
+        assert pools[0].chunksizes == [1, 1]
+        assert pools[0].processes == 2
         assert pools[0].terminated
+        # with more workers asked for than there are tasks
+        pools.clear()
+        greedy_calibrate(panel, curve, pool, GPL, max_modes=2, objective_threshold=0.0,
+                         scan_budget=30, refine_budget=300, polish_budget=0, n_jobs=64)
+        assert pools[0].processes == min(calibrator_module._SCAN_FITS, 15)
 
     def test_serial_scans_in_threads_match_sequential_runs(self, pool, curve, itraxx_panel,
                                                            cdx_panel):
@@ -834,6 +853,44 @@ class TestGreedyCalibrate:
             assert len(alone.iterations) == 2  # one greedy step with a scan
             assert together.iterations == alone.iterations
             assert together.objective == alone.objective
+
+    @pytest.mark.parametrize("budget, bad", [
+        ("max_modes", 0), ("max_modes", 2.5), ("max_modes", True),
+        ("scan_budget", 0), ("scan_budget", -3), ("scan_budget", 12.0),
+        ("refine_budget", 0), ("refine_budget", "200"),
+        ("polish_budget", -5), ("polish_budget", 0.5)])
+    def test_budget_that_is_no_count_rejected_up_front(self, curve, monkeypatch, budget, bad):
+        # the check comes before any pricing, with the parameter's name
+        def no_pricer(*args):
+            raise AssertionError("pricer built before the budgets were checked")
+
+        monkeypatch.setattr(calibrator_module, "PanelPricer", no_pricer)
+        panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())
+        with pytest.raises(CalibrationError, match=f"{budget} must be an integer of at least"):
+            greedy_calibrate(panel, curve, PoolSpec(names=10), GPL, n_jobs=1, **{budget: bad})
+
+    def test_steps_logged_at_info(self, caplog):
+        pool = PoolSpec(names=16)
+        curve = flat_curve()
+        true = make_schedule(GPL, (1, 4), (2.2246575342465754,), [(0.30,), (0.05,)])
+        panel = synthetic_panel_single(pool, curve, true)
+        settings = dict(max_modes=3, objective_threshold=0.0, scan_budget=7,
+                        refine_budget=40, polish_budget=0, n_jobs=1)
+        # silent by default
+        result = greedy_calibrate(panel, curve, pool, GPL, **settings)
+        assert not caplog.records
+        caplog.set_level(logging.INFO, logger="clusterloss.calibrator")
+        assert greedy_calibrate(panel, curve, pool, GPL, **settings).iterations == \
+            result.iterations
+        messages = [r.getMessage() for r in caplog.records]
+        assert [r.name for r in caplog.records] == ["clusterloss.calibrator"] * 3
+        assert messages[0].startswith("step 1: fitted amplitude 1; objective ")
+        for it, message in zip(result.iterations[1:], messages[1:]):
+            assert message.startswith(
+                f"step {it['step']}: ranked {it['ranked']} candidates, fitted "
+                f"{len(it['candidates'])}; chose amplitude {it['chosen']} (score rank ")
+            assert f"; objective {it['objective']:.6g}; " in message
+            assert message.endswith(" s") and " evaluations; " in message
 
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_worker_count_below_one_rejected(self, curve, n_jobs):
@@ -853,6 +910,95 @@ class TestGreedyCalibrate:
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())
         with pytest.raises(CalibrationError, match=setting):
             greedy_calibrate(panel, curve, PoolSpec(names=10), GPL, **{setting: bad})
+
+
+class TestRankedScan:
+    """A scan scores every unused amplitude on the shared tangent pass and
+    fits only the best ``_SCAN_FITS``. On the shipped iTraxx panel at the
+    benchmark's budgets, the full scan's winner is among them, so the
+    ranked scan's result is the full scan's, bit for bit."""
+
+    BUDGETS = dict(max_modes=2, scan_budget=12, refine_budget=200, polish_budget=200,
+                   n_jobs=1)
+
+    def _calibrate(self, monkeypatch, panel, curve, pool, model, fits):
+        monkeypatch.setattr(calibrator_module, "_SCAN_FITS", fits)
+        scanned = {}
+
+        def recording(task, pricer=None):
+            out = _scan_candidate(task, pricer)
+            scanned[out[0]] = out
+            return out
+
+        monkeypatch.setattr(calibrator_module, "_scan_candidate", recording)
+        return greedy_calibrate(panel, curve, pool, model, **self.BUDGETS), scanned
+
+    @pytest.mark.parametrize("model", [GPCL, GPL])
+    def test_score_is_the_fits_first_step(self, monkeypatch, pool, curve, itraxx_panel,
+                                          model):
+        # tasks come in the order of |e + J d|^2, for d the first trial step
+        # of the candidate's own fit, ties going to the lower amplitude; the
+        # candidates left unfitted are charged their columns all the same
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        amplitudes, candidates = [1, 30], (2, 3, 17, 31, 60, 125)
+        incumbent = fit_intensities(pricer, model, amplitudes, np.full(8, 0.05),
+                                    max_evaluations=30)
+        trials, damped_step = [], calibrator_module._damped_step
+
+        def recording(*args):
+            trials.append(damped_step(*args))
+            return trials[-1]
+
+        monkeypatch.setattr(calibrator_module, "_damped_step", recording)
+        monkeypatch.setattr(calibrator_module, "_SCAN_FITS", len(candidates))
+        tasks, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
+        assert spent == 8 and len(tasks) == len(trials) == len(candidates)
+        scores = {}
+        for task in tasks:
+            _, new_amplitudes, x0, candidate, budget, start = task
+            trials.clear()
+            fit_intensities(pricer, model, new_amplitudes, x0, max_evaluations=budget,
+                            start=start)
+            r = start[0] + start[1] @ (trials[0] - x0)
+            scores[candidate] = r @ r
+        assert [task[3] for task in tasks] == sorted(candidates,
+                                                     key=lambda c: (scores[c], c))
+        monkeypatch.setattr(calibrator_module, "_SCAN_FITS", 4)
+        fitted, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
+        assert [task[3] for task in fitted] == [task[3] for task in tasks[:4]]
+        assert spent == 8 + 2 * 4
+
+    @pytest.mark.parametrize("model", [GPCL, GPL])
+    def test_ranked_scan_is_the_full_scan(self, monkeypatch, pool, curve, itraxx_panel, model):
+        fits = calibrator_module._SCAN_FITS
+        ranked, ranked_fits = self._calibrate(monkeypatch, itraxx_panel, curve, pool, model,
+                                              fits)
+        full, full_fits = self._calibrate(monkeypatch, itraxx_panel, curve, pool, model,
+                                          pool.names)
+        assert ranked.schedule == full.schedule
+        np.testing.assert_array_equal(ranked.errors, full.errors)
+        assert ranked.objective == full.objective
+        assert ranked.warnings == full.warnings
+        (first, step), (full_first, full_step) = ranked.iterations, full.iterations
+        assert first == full_first
+        assert step["ranked"] == full_step["ranked"] == pool.names - 1
+        assert len(step["candidates"]) == fits
+        assert len(full_step["candidates"]) == pool.names - 1
+        assert (step["chosen"], step["objective"]) == (full_step["chosen"],
+                                                       full_step["objective"])
+        assert step["candidates"] == [c for c in full_step["candidates"]
+                                      if c[0] in ranked_fits]
+        # each fitted candidate's fit is its fit in the full scan
+        assert len(ranked_fits) == fits
+        for candidate, (_, objective, increments, evaluations) in ranked_fits.items():
+            _, full_objective, full_increments, full_evaluations = full_fits[candidate]
+            assert (objective, evaluations) == (full_objective, full_evaluations)
+            np.testing.assert_array_equal(increments, full_increments)
+        # the full scan charges the unfitted candidates' pricings besides;
+        # both charge each candidate's columns of the shared tangent pass
+        columns = len(full.schedule.knots)
+        assert full.n_evaluations - ranked.n_evaluations == sum(
+            full_fits[c][3] - columns for c in full_fits if c not in ranked_fits)
 
 
 def synthetic_panel_single(pool, curve, schedule):

@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: pricing, distributions, the dist command,
 simulation, intensity fits and a serial calibration run without scipy and
-without multiprocessing. And what the package exports."""
+without multiprocessing, and only a calibration loads logging. And what the
+package exports."""
 import json
 import os
 import subprocess
@@ -31,7 +32,8 @@ from clusterloss.loss_engine import IntensitySchedule
 def loaded():
     return sorted(name for name in sys.modules
                   if name == "scipy" or name.startswith("scipy.")
-                  or name == "multiprocessing" or name.startswith("multiprocessing."))
+                  or name == "multiprocessing" or name.startswith("multiprocessing.")
+                  or name == "logging")
 
 
 pool = PoolSpec()
@@ -75,8 +77,9 @@ def test_scipy_and_multiprocessing_load_only_where_used():
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     stages = json.loads(done.stdout.splitlines()[-1])  # after the dist command's line
-    assert stages == {stage: [] for stage in ("price_and_simulate", "loss_distribution",
-                                              "dist", "fit_intensities", "greedy_calibrate")}
+    assert stages == {**{stage: [] for stage in ("price_and_simulate", "loss_distribution",
+                                                 "dist", "fit_intensities")},
+                      "greedy_calibrate": ["logging"]}
 
 
 def test_reference_engines_are_not_exported():

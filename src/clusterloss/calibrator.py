@@ -221,6 +221,57 @@ def _scan_candidate(task, pricer: PanelPricer | None = None
     return candidate, fit.objective, fit.increments.ravel(), fit.n_evaluations
 
 
+def _scan_scores(x: np.ndarray, e: np.ndarray, jac: np.ndarray,
+                 new_columns: np.ndarray) -> np.ndarray:
+    """|e + J d|^2 for each candidate, d the first trial step of its fit.
+
+    ``x`` and ``jac`` are the incumbent's increments and Jacobian, and
+    ``new_columns[:, c]`` candidate c's columns, whose increments start at
+    zero. Order does not matter to a step, so each candidate's normal
+    equations take the incumbent's columns first and its own last, and the
+    candidates' steps are solved together, one stacked ``np.linalg.solve``
+    per round of ``_damped_step``'s loop: an increment held or stopped on a
+    bound gets a unit row and column, and the right-hand side of the others
+    carries its stopped step. The damping takes each candidate's own
+    Marquardt scale (``_stepping``). Each score agrees with those of
+    ``_stepping`` and ``_damped_step`` alone to rounding.
+    """
+    n_candidates, n_new = new_columns.shape[1:]
+    x_all = np.concatenate([np.broadcast_to(x, (n_candidates, x.size)),
+                            np.zeros((n_candidates, n_new))], axis=1)
+    gradient = 2.0 * np.concatenate([np.broadcast_to(jac.T @ e, (n_candidates, x.size)),
+                                     np.einsum("ick,i->ck", new_columns, e)], axis=1)
+    cross = np.einsum("ij,ick->cjk", jac, new_columns)
+    gram = np.block([[np.broadcast_to(jac.T @ jac, (n_candidates, x.size, x.size)), cross],
+                     [cross.transpose(0, 2, 1),
+                      np.einsum("icj,ick->cjk", new_columns, new_columns)]])
+    diagonal = np.arange(x_all.shape[1])
+    squares = gram[:, diagonal, diagonal]
+    # the tests of _stepping, candidate by candidate
+    fixed = ((x_all <= 0.0) & (gradient >= 0.0)
+             | (x_all >= _MAX_INCREMENT) & (gradient <= 0.0))
+    going = ~np.all((np.abs(gradient) <= _GRADIENT_TOL * 2.0 * max(math.sqrt(e @ e), 1.0)
+                     * np.sqrt(squares)) | fixed, axis=1)
+    damping = _DAMPING * np.maximum(squares, _SCALE_FLOOR * squares.max(axis=1, keepdims=True))
+    step = np.zeros_like(x_all)
+    while going.any():
+        free, stopped = ~fixed[going], np.where(fixed[going], step[going], 0.0)
+        normal = np.where(free[:, :, None] & free[:, None, :], gram[going], 0.0)
+        normal[:, diagonal, diagonal] += np.where(free, damping[going], 1.0)
+        rhs = -0.5 * gradient[going] - (gram[going] @ stopped[..., None])[..., 0]
+        solved = np.linalg.solve(normal, np.where(free, rhs, 0.0)[..., None])[..., 0]
+        step[going] = np.where(free, solved, stopped)
+        trial = x_all + step
+        out = ~fixed & going[:, None] & ((trial < 0.0) | (trial > _MAX_INCREMENT))
+        step[out] = np.clip(trial[out], 0.0, _MAX_INCREMENT) - x_all[out]
+        fixed |= out
+        going = out.any(axis=1)
+    step = np.clip(x_all + step, 0.0, _MAX_INCREMENT) - x_all
+    residual = e + step[:, :x.size] @ jac.T + np.einsum("ick,ck->ci", new_columns,
+                                                        step[:, x.size:])
+    return (residual ** 2).sum(axis=1)
+
+
 def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: FitResult,
                 candidates, budget: int) -> tuple[list[tuple], int]:
     """The scan tasks of the ``_SCAN_FITS`` best-scored candidate amplitudes,
@@ -231,23 +282,23 @@ def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: Fit
     a candidate's errors are the incumbent's, bit for bit, and its Jacobian
     is a slice of one tangent pass at the incumbent over the incumbent's and
     every candidate's amplitudes. A candidate's score is |e + J d|^2 for the
-    first trial step d of its fit, which prices nothing; ties go to the
-    lower amplitude. The pass is charged in full: the incumbent's columns,
-    and each candidate's new columns, paid by its fit if it is fitted.
+    first trial step d of its fit (``_scan_scores``), which prices nothing;
+    ties go to the lower amplitude. The pass is charged in full: the
+    incumbent's columns, and each candidate's new columns, paid by its fit
+    if it is fitted.
     """
     everything = sorted(set(amplitudes) | set(candidates))
     shared = pricer.jacobian(fit.schedule, everything)  # (instruments, amplitudes, knots)
     e, n_knots = fit.errors, fit.increments.shape[1]
+    scores = _scan_scores(fit.increments.ravel(), e,
+                          shared[:, np.searchsorted(everything, amplitudes)].reshape(len(e), -1),
+                          shared[:, np.searchsorted(everything, candidates)])
     scored = []
-    for candidate in candidates:
+    for score, candidate in zip(scores.tolist(), candidates):
         new_amplitudes = tuple(sorted(amplitudes + [candidate]))
         x0 = np.insert(fit.increments, new_amplitudes.index(candidate), 0.0, axis=0).ravel()
         jac0 = shared[:, np.searchsorted(everything, new_amplitudes)].reshape(len(e), -1)
-        stepping = _stepping(x0, e, jac0)
-        trial = x0 if stepping is None else _damped_step(x0, e, jac0, stepping[0],
-                                                         _DAMPING * stepping[1])
-        r = e + jac0 @ (trial - x0)
-        scored.append((r @ r, candidate,
+        scored.append((score, candidate,
                        (model, new_amplitudes, x0, candidate, budget, (e, jac0, n_knots))))
     scored.sort(key=lambda s: s[:2])
     return ([task for _, _, task in scored[:_SCAN_FITS]],

@@ -952,7 +952,7 @@ class TestRankedScan:
         monkeypatch.setattr(calibrator_module, "_damped_step", recording)
         monkeypatch.setattr(calibrator_module, "_SCAN_FITS", len(candidates))
         tasks, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
-        assert spent == 8 and len(tasks) == len(trials) == len(candidates)
+        assert spent == 8 and len(tasks) == len(candidates)
         scores = {}
         for task in tasks:
             _, new_amplitudes, x0, candidate, budget, start = task
@@ -967,6 +967,39 @@ class TestRankedScan:
         fitted, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
         assert [task[3] for task in fitted] == [task[3] for task in tasks[:4]]
         assert spent == 8 + 2 * 4
+
+    @pytest.mark.parametrize("panel_name", ["itraxx", "cdx"])
+    @pytest.mark.parametrize("model", [GPCL, GPL])
+    def test_stacked_scores_are_the_loops(self, request, pool, curve, model, panel_name):
+        # the candidates' first steps, solved together, against each solved
+        # alone by _stepping and _damped_step (the reference), at an
+        # incumbent where some candidates' steps stop on a bound
+        pricer = PanelPricer(request.getfixturevalue(f"{panel_name}_panel"), curve, pool)
+        amplitudes = [1, 30]
+        incumbent = fit_intensities(pricer, model, amplitudes, np.full(8, 0.05),
+                                    max_evaluations=30)
+        candidates = [a for a in range(1, pool.names + 1) if a not in amplitudes]
+        shared = pricer.jacobian(incumbent.schedule, range(1, pool.names + 1))
+        x, e = incumbent.increments.ravel(), incumbent.errors
+        jac = shared[:, [a - 1 for a in amplitudes]].reshape(len(e), -1)
+        new_columns = shared[:, [a - 1 for a in candidates]]
+        want, stopped = [], 0
+        for candidate in candidates:
+            # the candidate's own fit's columns, in amplitude order
+            new_amplitudes = sorted(amplitudes + [candidate])
+            j = shared[:, [a - 1 for a in new_amplitudes]].reshape(len(e), -1)
+            x0 = np.insert(incumbent.increments, new_amplitudes.index(candidate), 0.0,
+                           axis=0).ravel()
+            stepping = calibrator_module._stepping(x0, e, j)
+            trial = x0 if stepping is None else calibrator_module._damped_step(
+                x0, e, j, stepping[0], calibrator_module._DAMPING * stepping[1])
+            if stepping is not None:
+                free = ~stepping[0]
+                stopped += np.any(free & ((trial == 0.0) | (trial == _MAX_INCREMENT)))
+            want.append((e + j @ (trial - x0)) @ (e + j @ (trial - x0)))
+        got = calibrator_module._scan_scores(x, e, jac, new_columns)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert stopped > 0
 
     @pytest.mark.parametrize("model", [GPCL, GPL])
     def test_ranked_scan_is_the_full_scan(self, monkeypatch, pool, curve, itraxx_panel, model):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from clusterloss.loss_engine import (
     PoolSpec,
     loss_distribution,
 )
+from clusterloss import simulator as simulator_module
 from clusterloss.simulator import (
     _BLOCK_PATHS,
+    _EVENT_BUDGET,
+    _MARKED_EVENTS_PER_PAIR,
     SimulationError,
+    _alias_table,
     empirical_distributions,
 )
 
@@ -240,13 +245,19 @@ class TestEmpiricalDistribution:
         emp = empirical_distributions(pool, sched, strategy, [0.0], n_paths=100, seed=4)[0]
         assert emp.distribution.probs[0] == 1.0
 
+    # x0.5: s0 and repeated mark events; x1: they draw per pair; x40: every
+    # strategy splits each block into sub-batches, on a pool it does not exhaust
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 40.0])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_histograms_across_a_block_boundary(self, strategy):
-        pool = PoolSpec(names=12)
+    def test_histograms_across_a_block_boundary(self, strategy, scale):
+        pool = PoolSpec(names=12 if scale <= 1.0 else 500)
         sched = make_schedule(GPCL, (1, 3, 5), (1.0, 2.0),
-                              [(1.2, 2.0), (0.5, 1.1), (0.2, 0.5)])
+                              scale * np.array([(1.2, 2.0), (0.5, 1.1), (0.2, 0.5)]))
         times = [0.7, 2.0]
         n_paths = _BLOCK_PATHS + 3
+        events = sched.aggregate_cumulated(2.0).sum()
+        assert (events <= _MARKED_EVENTS_PER_PAIR * 6) == (scale < 1.0)  # 2 intervals x 3 modes
+        assert (events * _BLOCK_PATHS > _EVENT_BUDGET) == (scale > 1.0)
 
         def path_counts(n, seed):
             emps = empirical_distributions(pool, sched, strategy, times, n, seed=seed)
@@ -455,3 +466,120 @@ class TestCells:
                                   np.rint(freq * self.N_PATHS).astype(int))
             assert abs(two_sample_z(simulated, names[:, row])) <= 5.0
             assert abs(two_sample_z(simulated == 0, names[:, row] == 0)) <= 5.0
+
+
+class TestCappedCounts:
+    """s0 and repeated draw, per path, one Poisson total over the (interval,
+    mode) pairs and a pair for each event while the schedule expects at most
+    ``_MARKED_EVENTS_PER_PAIR`` events per pair, and one Poisson count per
+    pair beyond it. The schedule below has pairs without rise (amplitude 2
+    before knot 1, amplitude 20 after it) and 20-name clusters, larger than
+    the 12-name pool, which take s0 to the cap."""
+
+    POOL = PoolSpec(names=12)
+    TIMES = (0.0, 0.6, 1.5, 2.0, 3.0)
+    N_PATHS = 200_000
+
+    @classmethod
+    def schedule(cls, scale):
+        return make_schedule(GPL, (1, 2, 20), (1.0, 2.0, 3.0),
+                             scale * np.array([(0.8, 1.6, 2.4), (0.0, 0.4, 0.8),
+                                               (0.1, 0.1, 0.1)]))
+
+    @classmethod
+    def marked(cls, sched):
+        rises = np.diff(sched.aggregate_cumulated(np.array(cls.TIMES)), axis=0, prepend=0.0)
+        return rises.sum() <= _MARKED_EVENTS_PER_PAIR * rises.size
+
+    def test_alias_table_gives_the_shares(self):
+        weights = np.array([3.0, 1e-9, 0.5, 7.25, 0.5, 2.0, 1e-3])
+        keep, alias = _alias_table(weights)
+        k = len(weights)
+        implied = keep / k + np.bincount(alias, weights=(1.0 - keep) / k, minlength=k)
+        np.testing.assert_allclose(implied, weights / weights.sum(), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("scale, marked", [(0.4, True), (4.0, False)])
+    def test_law_matches_exact_engine(self, scale, marked):
+        sched = self.schedule(scale)
+        assert self.marked(sched) == marked
+        emps = empirical_distributions(self.POOL, sched, "s0", self.TIMES, self.N_PATHS,
+                                       seed=41)
+        assert emps[0].distribution.probs[0] == 1.0
+        for emp in emps[1:]:
+            exact = loss_distribution(self.POOL, sched, emp.distribution.time).probs
+            freq = emp.distribution.probs
+            bound = 5.0 * np.sqrt(exact * (1.0 - exact) / self.N_PATHS) + 1.0 / self.N_PATHS
+            assert np.all(np.abs(freq - exact) <= bound), (emp.distribution.time, freq, exact)
+
+    @pytest.mark.parametrize("scale", [0.4, 4.0])
+    def test_cluster_larger_than_pool_takes_s0_to_the_cap(self, scale):
+        sched = make_schedule(GPL, (20,), (1.0,), [(scale,)])
+        emp = empirical_distributions(self.POOL, sched, "s0", [1.0], 50_000, seed=3)[0]
+        probs = emp.distribution.probs
+        assert probs[0] + probs[-1] == 1.0
+        assert probs[-1] == pytest.approx(-math.expm1(-scale), abs=5 * math.sqrt(0.25 / 50_000))
+
+    @pytest.mark.parametrize("strategy", ["s0", "repeated"])
+    def test_zero_schedule_has_no_defaults(self, strategy):
+        sched = make_schedule(GPL, (1, 3), (1.0, 2.0), [(0.0, 0.0), (0.0, 0.0)])
+        emps = empirical_distributions(self.POOL, sched, strategy, self.TIMES,
+                                       _BLOCK_PATHS + 5, seed=2)
+        assert all(e.distribution.probs[0] == 1.0 for e in emps)
+
+    @pytest.mark.parametrize("scale", [0.4, 4.0])
+    def test_s0_and_repeated_share_their_draws(self, scale):
+        sched = self.schedule(scale)
+        s0 = empirical_distributions(self.POOL, sched, "s0", self.TIMES, 3000, seed=5)
+        repeated = empirical_distributions(self.POOL, sched, "repeated", self.TIMES, 3000,
+                                           seed=5)
+        for a, b in zip(s0, repeated):
+            np.testing.assert_array_equal(a.distribution.probs, b.distribution.probs)
+            np.testing.assert_array_equal(a.std_err, b.std_err)
+            assert (a.strategy, a.overflow, b.strategy, b.overflow) == ("s0", False,
+                                                                         "repeated", True)
+
+    def test_per_pair_draws_do_not_depend_on_the_sub_batches(self, monkeypatch):
+        # Poisson variates come in the order of the paths, so sub-batches of
+        # per-pair draws give the one batch's histograms
+        sched = self.schedule(100.0)
+        assert not self.marked(sched)
+        assert sched.aggregate_cumulated(3.0).sum() * _BLOCK_PATHS > _EVENT_BUDGET
+
+        def probs():
+            # about 600 defaults a path by the last time, short of the cap
+            emps = empirical_distributions(PoolSpec(names=1000), sched, "s0", self.TIMES,
+                                           3000, seed=6)
+            return np.stack([e.distribution.probs for e in emps])
+
+        split = probs()
+        monkeypatch.setattr(simulator_module, "_EVENT_BUDGET", 10 ** 9)
+        np.testing.assert_array_equal(probs(), split)
+
+    @pytest.mark.parametrize("scale", [0.4, 4.0])
+    def test_determinism(self, scale):
+        sched = self.schedule(scale)
+
+        def probs(seed):
+            emps = empirical_distributions(self.POOL, sched, "s0", self.TIMES, 3000, seed=seed)
+            return np.stack([e.distribution.probs for e in emps])
+
+        np.testing.assert_array_equal(probs(8), probs(8))
+        assert not np.array_equal(probs(8), probs(9))
+
+
+def test_name_aware_memory_is_bounded_in_events():
+    # 1,000 paths expecting two budgets of events: a sub-batch holds about
+    # one budget, about 41 bytes an event (s1 draws its sub-batches alike)
+    pool = PoolSpec(names=12)
+    per_path = 2 * _EVENT_BUDGET / 1000
+    sched = make_schedule(GPCL, (1, 3), (1.0, 2.0),
+                          [(0.3 * per_path, 0.5 * per_path), (0.2 * per_path, 0.5 * per_path)])
+    tracemalloc.start()
+    try:
+        emps = empirical_distributions(pool, sched, "s2", [1.0, 2.0], 1000, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * _EVENT_BUDGET
+    for emp in emps:
+        assert np.rint(emp.distribution.probs * 1000).sum() == 1000

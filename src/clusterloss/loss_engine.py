@@ -41,7 +41,9 @@ STRATEGIES = (STRATEGY_REPEATED, STRATEGY_CAPPED, STRATEGY_SINGLE_NAME, STRATEGY
 
 _NEGATIVE_CLAMP_TOL = 1e-12
 _MASS_TOL = 1e-9  # largest |row sum - 1| the kernel renormalises
-_BINOMIAL_CACHE_ENTRIES = 1024  # one 1000-name gpcl scan's (names, amplitude) keys
+# one 1000-name gpcl scan's (names, amplitude) keys, in the binomial-ratio and
+# the jump-table caches alike
+_BINOMIAL_CACHE_ENTRIES = 1024
 
 
 class LossEngineError(ValueError):
@@ -101,6 +103,37 @@ def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
         out[y] = 0.0 if num == -math.inf else math.exp(num - denom)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=_BINOMIAL_CACHE_ENTRIES)
+def _jump_table(names: int, model: str, amplitude: int) -> tuple[np.ndarray, np.ndarray]:
+    """The moves of one amplitude at unit density out of each state y =
+    0..names, row 0 the jump and row 1 the stay: their chances and their
+    cells in P, the flat indices to-state * (names + 1) + y, both shaped
+    (2, names + 1). This is the one description of the generator, which
+    ``_unit_transition_matrix`` and ``_stacked_generators`` both read.
+
+    gpcl: the jump's chance is the binomial ratio, to y + amplitude; where
+    that passes the pool size the chance is zero and the cell the pool
+    size's. gpl: the chance is one below the cap and zero at it, to
+    min(y + amplitude, names). The stay's chance is one minus the jump's.
+    Both arrays are read-only, as the cache hands them to every caller.
+    """
+    n = names + 1
+    states = np.arange(n)
+    rate = _binomial_ratio_column(names, amplitude) if model == GPCL else (
+        (states < names).astype(float))
+    chances = np.array([rate, 1.0 - rate])
+    cells = np.array([np.minimum(states + amplitude, names), states]) * n + states
+    chances.flags.writeable = cells.flags.writeable = False
+    return chances, cells
+
+
+def _jump_tables(names: int, model: str, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """``_jump_table`` of each amplitude, stacked: chances and cells, shaped
+    (amplitudes, 2, names + 1)."""
+    tables = [_jump_table(names, model, a) for a in amplitudes]
+    return np.array([c for c, _ in tables]), np.array([c for _, c in tables])
 
 
 def _array_of(value, kinds: str, ndim: int, message: str) -> np.ndarray:
@@ -309,8 +342,10 @@ _SERIES_CHUNK = 64  # series terms held at once
 
 
 def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
-                                times) -> np.ndarray:
-    """Counting distributions at several times, stacked as rows.
+                                times, columns=None) -> np.ndarray:
+    """Counting distributions at several times, stacked as rows, or with
+    ``columns`` (one row per count) their products with those columns,
+    shaped (times, columns).
 
     ``times`` must be finite, non-negative and non-decreasing. Both models
     are pure-birth Markov chains on {0..names} whose rates are constant
@@ -323,7 +358,9 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     non-negative, so nothing cancels; its terms are made 64 at a time in one
     buffer. The final interval's slope also covers extrapolation beyond the
     last knot. Each row is renormalised to sum to one; a row whose sum
-    strays from one by more than 1e-9 is an error.
+    strays from one by more than 1e-9 is an error. With ``columns``, each
+    interval's rows are multiplied by the columns and a column of ones,
+    which gives the sums, so no full table of rows is made.
 
     The state at a knot depends only on the intervals before it, so each
     interval is solved by ``_interval_rows``, whose arguments name the
@@ -333,20 +370,44 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
     results instead of solving them again, and gets the same bits.
     """
     times = _checked_times(times)
-    out = np.zeros((len(times), pool.names + 1))
+    project = None
+    if columns is not None:  # and a column of ones, whose products are the row sums
+        columns = _checked_columns(pool, columns)
+        project = np.ones((len(columns), columns.shape[1] + 1))
+        project[:, :-1] = columns
+    out = np.zeros((len(times), pool.names + 1 if project is None else project.shape[1]))
     lo = int(np.searchsorted(times, 0.0, side="right"))
-    out[:lo, 0] = 1.0  # no defaults at time zero
-    if lo == len(times):
-        return out
-    for lo, hi, _, interval in _interval_walk(pool, schedule, times, lo):
-        out[lo:hi] = _interval_rows(*interval)[0]
-    sums = out.sum(axis=1)
+    # no defaults at time zero
+    out[:lo] = np.eye(1, pool.names + 1)[0] if project is None else project[0]
+    if lo < len(times):
+        for lo, hi, _, interval in _interval_walk(pool, schedule, times, lo):
+            rows = _interval_rows(*interval)[0]
+            if project is None:
+                out[lo:hi] = rows
+            else:
+                np.dot(rows, project, out=out[lo:hi])
+    if project is None:
+        sums = out.sum(axis=1)
+    else:
+        out, sums = out[:, :-1], out[:, -1]
     deficits = np.abs(sums - 1.0)
-    if not np.all(deficits <= _MASS_TOL):  # a nan fails this too
+    if not (deficits <= _MASS_TOL).all():  # a nan fails this too
         raise LossEngineError(f"forward equation lost probability mass: worst row sum "
                               f"{float(sums[np.argmax(deficits)])!r}")
-    out /= sums[:, None]
-    return out
+    return out / sums[:, None]
+
+
+def _checked_columns(pool: PoolSpec, columns) -> np.ndarray:
+    """``columns`` as a float array of one row per count, or an error that
+    names what is wrong with it."""
+    columns = _array_of(columns, "biuf", 2, f"columns must be a two-dimensional table of "
+                        f"numbers with {pool.names + 1} rows, one per count")
+    if len(columns) != pool.names + 1:
+        raise LossEngineError(f"columns must have {pool.names + 1} rows, one per count, "
+                              f"got {len(columns)}")
+    if not np.isfinite(columns).all():
+        raise LossEngineError("columns must be finite")
+    return columns.astype(float, copy=False)
 
 
 def _checked_times(times) -> np.ndarray:
@@ -356,7 +417,7 @@ def _checked_times(times) -> np.ndarray:
     # written so that a nan fails every comparison; non-decreasing times
     # are finite when the last one is
     if len(times) and not (times[0] >= 0 and math.isfinite(times[-1])
-                           and np.all(np.diff(times) >= 0)):
+                           and (times[1:] >= times[:-1]).all()):
         raise LossEngineError("times must be finite, non-negative and non-decreasing")
     return times
 
@@ -480,9 +541,7 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     amplitudes = tuple(int(a) for a in amplitudes)
     if not amplitudes or min(amplitudes) < 1:
         raise LossEngineError("tangents need one or more amplitudes, each at least 1")
-    columns = np.asarray(columns, dtype=float)
-    if columns.ndim != 2 or len(columns) != pool.names + 1:
-        raise LossEngineError(f"columns must have {pool.names + 1} rows, one per count")
+    columns = _checked_columns(pool, columns)
     n_amps, n_cols = len(amplitudes), columns.shape[1]
     result = np.zeros((len(times), n_cols, len(schedule.knots), n_amps))
     # a view with (interval, amplitude) flattened, interval-major
@@ -524,19 +583,20 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
 def _stacked_generators(names: int, model: str, amplitudes):
     """A function of a state x giving the columns G_b x, (names + 1,
     amplitudes), where G_b = P - I is the generator of amplitude b at unit
-    density, P being ``_unit_transition_matrix`` of b alone."""
-    n = names + 1
-    rows, cols, rates = [], [], []
-    for j, amplitude in enumerate(amplitudes):
-        generator = _unit_transition_matrix(names, model, [(amplitude, 1.0)])
-        generator.flat[::n + 1] -= 1.0
-        entries = np.flatnonzero(generator.ravel() != 0.0)  # faster than on floats
-        rows.append(entries // n * len(amplitudes) + j)
-        cols.append(entries % n)
-        rates.append(generator.ravel()[entries])
-    rows, cols, rates = np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
-    size = n * len(amplitudes)
-    return lambda x: np.bincount(rows, rates * x[cols], size).reshape(n, len(amplitudes))
+    density, P being ``_unit_transition_matrix`` of b alone: its non-zero
+    entries, read from the jump tables. Each row's entries are summed in
+    the order of their from-states."""
+    n, n_amps = names + 1, len(amplitudes)
+    chances, cells = _jump_tables(names, model, amplitudes)
+    rates, stays = chances[:, 0], chances[:, 1] - 1.0  # as (I + G) - I leaves the diagonal
+    jumps, held = rates != 0.0, stays != 0.0
+    mode, states = np.arange(n_amps)[:, None], np.broadcast_to(np.arange(n), rates.shape)
+    # a jump lands above the state it leaves, so the diagonal comes last
+    rows = np.concatenate([(cells[:, 0] // n * n_amps + mode)[jumps],
+                           (states * n_amps + mode)[held]])
+    cols = np.concatenate([states[jumps], states[held]])
+    rates = np.concatenate([rates[jumps], stays[held]])
+    return lambda x: np.bincount(rows, rates * x[cols], n * n_amps).reshape(n, n_amps)
 
 
 def _unit_transition_matrix(names: int, model: str, shares) -> np.ndarray:
@@ -546,25 +606,18 @@ def _unit_transition_matrix(names: int, model: str, shares) -> np.ndarray:
     intensity densities over their sum q. A state leaves at rate at most q
     in both models (gpcl: the binomial ratio is at most one; gpl: exactly q
     below the cap, zero at it), so every entry is non-negative and each
-    column sums to one. Sub-diagonal a is the strided view starting at flat
-    index a * n.
+    column sums to one. Each mode adds its share of the chances of its jump
+    tables' moves to their cells, mode after mode in the order given: a
+    mode's moves reach distinct cells, apart from the gpcl stand-in cell at
+    the pool size, whose jump chance is zero. The gpl cap absorbs.
     """
-    m = names
-    n = m + 1
-    p = np.zeros((n, n))
-    flat = p.reshape(-1)
-    for amplitude, share in shares:
-        if model == GPCL:
-            ratio = _binomial_ratio_column(m, amplitude)  # zero beyond the survivors
-            if amplitude <= m:
-                flat[amplitude * n::n + 1] += share * ratio[:n - amplitude]
-            flat[::n + 1] += share * (1.0 - ratio)
-        else:
-            jump = min(amplitude, m)
-            flat[jump * n::n + 1][:m - jump] += share
-            p[m, m - jump:m] += share  # jumps reaching the cap
+    n = names + 1
+    amplitudes, weights = zip(*shares)
+    chances, cells = _jump_tables(names, model, amplitudes)
+    moves = np.array(weights)[:, None, None] * chances
+    p = np.bincount(cells.ravel(), moves.ravel(), n * n).reshape(n, n)  # adds in order
     if model == GPL:
-        p[m, m] = 1.0
+        p[names, names] = 1.0
     return p
 
 

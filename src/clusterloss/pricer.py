@@ -12,7 +12,9 @@ premium notional erodes with the default count (no recovery credit), while
 the index default leg pays loss increments net of recovery.
 
 A pricer holds only data fixed at construction, so threads may share one
-and a pickled copy is an ordinary one. Evaluations that share leading knot
+and a pickled copy is an ordinary one. Pricers of equal panels, curves and
+grid steps share the panel's part of that data from a small process-wide
+memo, and build only the pool's. Evaluations that share leading knot
 intervals, as the calibrator's do, are served by the kernel's process-wide
 cache of solved intervals. ``PanelPricer.jacobian`` differentiates the
 quote errors exactly, from one tangent pass of the kernel.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,11 +117,14 @@ class PanelPricer:
     and their discount and annuity weights. The grid is built in whole days
     after the trade date (day zero, every payment date, and multiples of
     ``grid_step_days``, at least one day, rounded to the day) and divided by
-    365 once, so every payment date is a grid point by construction. The
-    pool enters last, only through ``payout_matrix``: per default count, the
-    defaulted fraction, the pool loss and the loss of each distinct tranche
-    slice, in sorted order. Evaluations then only pay for the
-    distributions."""
+    365 once, so every payment date is a grid point by construction. This
+    panel block depends on the panel, the curve and the grid step alone, so
+    pricers of equal ones share it, read-only, from a small process-wide
+    memo (``_panel_block``). The pool enters last, only through
+    ``payout_matrix``: per default count, the defaulted fraction, the pool
+    loss and the loss of each distinct tranche slice, in sorted order.
+    Evaluations then only pay for the distributions, projected by the loss
+    engine onto the payout columns."""
 
     def __init__(self, panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec,
                  grid_step_days: float = 30.0):
@@ -127,82 +133,21 @@ class PanelPricer:
         if not (1.0 <= grid_step_days < np.inf):  # a nan fails this too
             raise PricingError(f"grid step must be finite and at least one day, "
                                f"got {grid_step_days}")
-        # days after the trade date; the maturity is each schedule's last day
-        pay_days = {m: np.array([(d - panel.valuation_date).days
-                                 for d in quarterly_payment_dates(panel.valuation_date, m)])
-                    for m in panel.maturities}
-        last_day = pay_days[panel.maturities[-1]][-1]
-        refinement = np.rint(np.arange(grid_step_days, last_day, grid_step_days))
-        grid_days = np.unique(np.concatenate([[0.0], refinement, *pay_days.values()]))
-        self.grid_times = grid_days / DAYS_PER_YEAR
-        self.knots = tuple(year_fraction(panel.valuation_date, m)
-                           for m in panel.maturities)
-
-        indices = sorted(panel.index_quotes, key=lambda q: q.maturity)
-        tranches = sorted(panel.tranche_quotes,
-                          key=lambda q: (q.attachment, q.detachment, q.maturity))
-        self.instruments: list[Instrument] = [Instrument(
-            label=f"index {format_date(q.maturity)}", kind="index",
-            attachment=None, detachment=None, maturity=q.maturity,
-            maturity_time=year_fraction(panel.valuation_date, q.maturity),
-            mid=q.spread_bp, width=q.bid_ask_width_bp) for q in indices]
-        self.instruments += [Instrument(
-            label=f"{TrancheDef(q.attachment, q.detachment).label()} {format_date(q.maturity)}",
-            kind="tranche", attachment=q.attachment, detachment=q.detachment,
-            maturity=q.maturity, maturity_time=year_fraction(panel.valuation_date, q.maturity),
-            mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
-            running=q.running_premium_if_upfront) for q in tranches]
-        self.mids = np.array([ins.mid for ins in self.instruments])
-        self.widths = np.array([ins.width for ins in self.instruments])
-        self._upfront = np.array([ins.is_upfront for ins in self.instruments])
-        self._running = np.array([ins.running if ins.is_upfront else 0.0
-                                  for ins in self.instruments])
-        # every leg is a weighted sum over the grid: the default leg weighs the
-        # loss increment of each grid cell up to maturity by the discount
-        # factor at the cell's midpoint, the annuity weighs the surviving
-        # notional at each payment date by its discounted year fraction; the
-        # weights depend on the maturity alone
-        with np.errstate(over="ignore"):  # an infinite factor is an error below
-            disc_mid = curve.discount_factor(0.5 * (self.grid_times[1:] + self.grid_times[:-1]))
-        self._increment_weights = np.zeros((len(self.grid_times) - 1, len(self.instruments)))
-        self._payment_weights = np.zeros((len(self.grid_times), len(self.instruments)))
-        for maturity in panel.maturities:
-            pay_idx = np.searchsorted(grid_days, pay_days[maturity])
-            pay_times = self.grid_times[pay_idx]
-            n_rows = pay_idx[-1] + 1  # the maturity is the last payment
-            # a zero rate of 1e300 drives the factors to zero, and a spread to 0/0
-            with np.errstate(over="ignore"):
-                pay_discount = curve.discount_factor(pay_times)
-            factors = np.concatenate([disc_mid[:n_rows - 1], pay_discount])
-            if not (np.isfinite(factors).all() and factors.min() > 0.0):
-                raise MarketDataError(f"discount factors up to the maturity "
-                                      f"{format_date(maturity)} must be finite and positive")
-            pay_weights = np.diff(pay_times, prepend=0.0) * pay_discount
-            if not pay_weights.sum() > 0.0:
-                raise MarketDataError(f"payment weights of the maturity "
-                                      f"{format_date(maturity)} sum to zero")
-            cols = np.flatnonzero([ins.maturity == maturity for ins in self.instruments])
-            self._increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
-            self._payment_weights[np.ix_(pay_idx, cols)] = pay_weights[:, None]
-
+        vars(self).update(_panel_block(panel, curve, grid_step_days))
         # the pool enters only here: the defaulted fraction and pool loss of the
         # index legs, then one column per tranche slice, shared by its maturities
         self.pool = pool
-        slices = sorted({(q.attachment, q.detachment) for q in tranches})
         counts = np.arange(pool.names + 1)
         self.payout_matrix = np.column_stack(
             [counts / pool.names, (1.0 - pool.recovery) * counts / pool.names]
-            + [tranche_payout_by_count(TrancheDef(*s), pool) for s in slices])
-        tranche_cols = [2 + slices.index((q.attachment, q.detachment)) for q in tranches]
-        self._loss_cols = np.array([1] * len(indices) + tranche_cols)
-        self._notional_cols = np.array([0] * len(indices) + tranche_cols)
+            + [tranche_payout_by_count(TrancheDef(*s), pool) for s in self._slices])
 
     def _legs(self, schedule: IntensitySchedule) -> tuple[np.ndarray, np.ndarray]:
         """Default-leg and annuity values of every instrument."""
-        probs = distribution_term_structure(self.pool, schedule, self.grid_times)
-        stats = probs @ self.payout_matrix  # (grid, n_cols)
+        stats = distribution_term_structure(self.pool, schedule, self.grid_times,
+                                            self.payout_matrix)  # (grid, n_cols)
         default_pv = np.einsum("ti,ti->i", self._increment_weights,
-                               np.diff(stats[:, self._loss_cols], axis=0))
+                               (stats[1:] - stats[:-1])[:, self._loss_cols])
         annuity = np.einsum("ti,ti->i", self._payment_weights,
                             1.0 - stats[:, self._notional_cols])
         return default_pv, annuity
@@ -244,6 +189,93 @@ class PanelPricer:
     def objective(self, schedule: IntensitySchedule) -> tuple[float, np.ndarray]:
         eps = self.errors(schedule)
         return float(eps @ eps), eps
+
+
+_PANEL_ENTRIES = 8  # panel blocks _panel_block keeps
+
+
+@lru_cache(maxsize=_PANEL_ENTRIES)
+def _panel_block(panel: QuotePanel, curve: DiscountCurve, grid_step_days: float) -> dict:
+    """The attributes of a ``PanelPricer`` that do not depend on the pool:
+    the grid, the knots, the instruments, their mids and widths, the leg
+    weights and the payout column each instrument's legs read. The panel and
+    the curve are frozen and compare by value, so the cache, which keeps the
+    ``_PANEL_ENTRIES`` blocks used last, serves every pricer of equal ones in
+    the process; a block that fails is not kept. The arrays are read-only,
+    as every such pricer shares them."""
+    # days after the trade date; the maturity is each schedule's last day
+    pay_days = {m: np.array([(d - panel.valuation_date).days
+                             for d in quarterly_payment_dates(panel.valuation_date, m)])
+                for m in panel.maturities}
+    last_day = pay_days[panel.maturities[-1]][-1]
+    refinement = np.rint(np.arange(grid_step_days, last_day, grid_step_days))
+    grid_days = np.unique(np.concatenate([[0.0], refinement, *pay_days.values()]))
+    grid_times = grid_days / DAYS_PER_YEAR
+
+    indices = sorted(panel.index_quotes, key=lambda q: q.maturity)
+    tranches = sorted(panel.tranche_quotes,
+                      key=lambda q: (q.attachment, q.detachment, q.maturity))
+    instruments = [Instrument(
+        label=f"index {format_date(q.maturity)}", kind="index",
+        attachment=None, detachment=None, maturity=q.maturity,
+        maturity_time=year_fraction(panel.valuation_date, q.maturity),
+        mid=q.spread_bp, width=q.bid_ask_width_bp) for q in indices]
+    instruments += [Instrument(
+        label=f"{TrancheDef(q.attachment, q.detachment).label()} {format_date(q.maturity)}",
+        kind="tranche", attachment=q.attachment, detachment=q.detachment,
+        maturity=q.maturity, maturity_time=year_fraction(panel.valuation_date, q.maturity),
+        mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
+        running=q.running_premium_if_upfront) for q in tranches]
+    # every leg is a weighted sum over the grid: the default leg weighs the
+    # loss increment of each grid cell up to maturity by the discount
+    # factor at the cell's midpoint, the annuity weighs the surviving
+    # notional at each payment date by its discounted year fraction; the
+    # weights depend on the maturity alone
+    with np.errstate(over="ignore"):  # an infinite factor is an error below
+        disc_mid = curve.discount_factor(0.5 * (grid_times[1:] + grid_times[:-1]))
+    increment_weights = np.zeros((len(grid_times) - 1, len(instruments)))
+    payment_weights = np.zeros((len(grid_times), len(instruments)))
+    for maturity in panel.maturities:
+        pay_idx = np.searchsorted(grid_days, pay_days[maturity])
+        pay_times = grid_times[pay_idx]
+        n_rows = pay_idx[-1] + 1  # the maturity is the last payment
+        # a zero rate of 1e300 drives the factors to zero, and a spread to 0/0
+        with np.errstate(over="ignore"):
+            pay_discount = curve.discount_factor(pay_times)
+        factors = np.concatenate([disc_mid[:n_rows - 1], pay_discount])
+        if not (np.isfinite(factors).all() and factors.min() > 0.0):
+            raise MarketDataError(f"discount factors up to the maturity "
+                                  f"{format_date(maturity)} must be finite and positive")
+        pay_weights = np.diff(pay_times, prepend=0.0) * pay_discount
+        if not pay_weights.sum() > 0.0:
+            raise MarketDataError(f"payment weights of the maturity "
+                                  f"{format_date(maturity)} sum to zero")
+        cols = np.flatnonzero([ins.maturity == maturity for ins in instruments])
+        increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
+        payment_weights[np.ix_(pay_idx, cols)] = pay_weights[:, None]
+
+    # payout columns: the defaulted fraction (0) and pool loss (1) of the
+    # index legs, then one per distinct tranche slice, in sorted order
+    slices = sorted({(q.attachment, q.detachment) for q in tranches})
+    tranche_cols = [2 + slices.index((q.attachment, q.detachment)) for q in tranches]
+    block = {
+        "grid_times": grid_times,
+        "knots": tuple(year_fraction(panel.valuation_date, m) for m in panel.maturities),
+        "instruments": tuple(instruments),
+        "mids": np.array([ins.mid for ins in instruments]),
+        "widths": np.array([ins.width for ins in instruments]),
+        "_upfront": np.array([ins.is_upfront for ins in instruments]),
+        "_running": np.array([ins.running if ins.is_upfront else 0.0 for ins in instruments]),
+        "_increment_weights": increment_weights,
+        "_payment_weights": payment_weights,
+        "_slices": tuple(slices),
+        "_loss_cols": np.array([1] * len(indices) + tranche_cols),
+        "_notional_cols": np.array([0] * len(indices) + tranche_cols),
+    }
+    for value in block.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return block
 
 
 def _leg_tangents(weights: np.ndarray, tangents: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from clusterloss import (
     load_curve,
     load_quotes,
 )
-from clusterloss import loss_engine
+from clusterloss import loss_engine, pricer
 from clusterloss.fixtures import (
     FIXTURE_VALUATION_DATE,
     curve_path,
@@ -18,11 +18,13 @@ from clusterloss.fixtures import (
 
 
 @pytest.fixture(autouse=True)
-def _fresh_interval_cache():
-    """Every test starts with the kernel's interval cache empty, so that it
-    neither reads rows an earlier test left (one made under a patched
-    Poisson tail, say) nor depends on what ran before it."""
+def _fresh_caches():
+    """Every test starts with the kernel's interval cache and the pricer's
+    panel memo empty, so that it neither reads rows an earlier test left
+    (one made under a patched Poisson tail, say) nor depends on what ran
+    before it."""
     loss_engine._interval_rows.cache_clear()
+    pricer._panel_block.cache_clear()
 
 
 @pytest.fixture(scope="session")

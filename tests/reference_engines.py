@@ -18,6 +18,10 @@ Each computes what the package computes by a different route:
   amplitude's rise over one knot interval, from the matrix exponential of
   the block-triangular generator [[G, G_b], [0, G]] (Van Loan, IEEE TAC
   23(3), 1978), for both models;
+* ``dense_transition_matrix`` and ``dense_generator_columns``: the
+  kernel's transition matrix and generator columns built on dense
+  matrices, one strided sub-diagonal per mode, against the kernel's jump
+  tables, which must give the same bits;
 * ``sample_shock_stream`` and ``apply_strategy``: the name-level simulation,
   one path at a time. Each mode's events get times by inverting uniforms
   under its piecewise-linear cumulated intensity, and each event hits a
@@ -32,7 +36,8 @@ Each computes what the package computes by a different route:
   the versions that drew event times.
 
 The distribution and tangent engines solve one time at a time and share
-no code with the uniformised forward-equation kernel; the name-level
+no code with the uniformised forward-equation kernel (the dense layouts
+share its binomial ratios only); the name-level
 simulation draws the names and event times that the count-only one never
 draws.
 """
@@ -58,6 +63,7 @@ from clusterloss.loss_engine import (
     LossDistribution,
     LossEngineError,
     PoolSpec,
+    _binomial_ratio_column,
 )
 from clusterloss.market_data import (
     DAYS_PER_YEAR,
@@ -372,6 +378,45 @@ def unit_generator(model: str, names: int, amplitude: int) -> np.ndarray:
         gen[to, y] += rate
         gen[y, y] -= rate
     return gen
+
+
+def dense_transition_matrix(names: int, model: str, shares) -> np.ndarray:
+    """P = I + G/q of one knot interval, built mode by mode on a zero matrix:
+    each (amplitude, share) adds its share of the binomial ratios (gpcl) or
+    of one (gpl, with every jump reaching the cap landing on it) along its
+    sub-diagonal, through strided views, and of one minus them along the
+    diagonal; the gpl cap absorbs. The kernel's jump tables must give these
+    entries to the last bit."""
+    n = names + 1
+    p = np.zeros((n, n))
+    flat = p.reshape(-1)
+    for amplitude, share in shares:
+        if model == GPCL:
+            ratio = _binomial_ratio_column(names, amplitude)
+            if amplitude <= names:
+                flat[amplitude * n::n + 1] += share * ratio[:n - amplitude]
+            flat[::n + 1] += share * (1.0 - ratio)
+        else:
+            jump = min(amplitude, names)
+            flat[jump * n::n + 1][:names - jump] += share
+            p[names, names - jump:names] += share
+    if model == GPL:
+        p[names, names] = 1.0
+    return p
+
+
+def dense_generator_columns(names: int, model: str, amplitudes, x) -> np.ndarray:
+    """G_b x for each of ``amplitudes``, (names + 1, amplitudes), where
+    G_b = ``dense_transition_matrix`` of b alone minus I: each row's
+    non-zero entries summed in the order of their from-states, from zero."""
+    out = np.zeros((names + 1, len(amplitudes)))
+    for j, amplitude in enumerate(amplitudes):
+        generator = dense_transition_matrix(names, model, [(amplitude, 1.0)])
+        generator.flat[::names + 2] -= 1.0
+        for to, row in enumerate(generator):
+            for frm in np.flatnonzero(row):
+                out[to, j] += row[frm] * x[frm]
+    return out
 
 
 def expm_tangent(pool: PoolSpec, schedule: IntensitySchedule, t: float, amplitude: int,

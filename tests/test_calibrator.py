@@ -260,25 +260,26 @@ class TestKnotPrefixMemo:
         """Every kernel call the pricer makes, with the knot intervals it
         actually solved (cache misses: a hit, including an interval's lookup
         of the one before it, solves nothing). On teardown each call's rows
-        are checked against a fresh solve, made on an empty cache."""
+        (projected onto the payout columns) are checked against a fresh
+        solve, made on an empty cache."""
         calls = {"calls": 0, "solved": 0}
         made = []
         original = pricer_module.distribution_term_structure
         info = loss_engine._interval_rows.cache_info
 
-        def counting(pool, schedule, times):
+        def counting(pool, schedule, times, *columns):
             misses = info().misses
-            out = original(pool, schedule, times)
+            out = original(pool, schedule, times, *columns)
             calls["solved"] += info().misses - misses
             calls["calls"] += 1
-            made.append((pool, schedule, times, out))
+            made.append((pool, schedule, times, columns, out))
             return out
 
         monkeypatch.setattr(pricer_module, "distribution_term_structure", counting)
         yield calls
-        for pool, schedule, times, out in made:
+        for pool, schedule, times, columns, out in made:
             loss_engine._interval_rows.cache_clear()
-            np.testing.assert_array_equal(out, original(pool, schedule, times))
+            np.testing.assert_array_equal(out, original(pool, schedule, times, *columns))
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_memo_hits_are_bit_identical(self, spy, pool, curve, itraxx_panel, model):

@@ -32,10 +32,13 @@ from clusterloss.loss_engine import (
 from reference_engines import (
     compound_poisson_panjer,
     cumulated_generator,
+    dense_generator_columns,
+    dense_transition_matrix,
     expm_distribution,
     expm_tangent,
     matrix_exponential,
     panjer_distribution,
+    unit_generator,
 )
 
 
@@ -914,3 +917,101 @@ class TestCountingIntensity:
                       for c in range(41)]
             diffs = np.diff(values)
             assert np.all(diffs <= 1e-9 * max(1.0, max(values)))
+
+
+class TestJumpTables:
+    """One description of the generator: each amplitude's jump rate and
+    destination per state, from which the transition matrix and the
+    tangents' generator columns are both built."""
+
+    @staticmethod
+    def random_shares(rng, names):
+        amplitudes = sorted({int(a) for a in rng.integers(1, names + 10, size=rng.integers(1, 9))})
+        shares = rng.random(len(amplitudes))
+        return list(zip(amplitudes, (shares / shares.sum()).tolist()))
+
+    @pytest.mark.parametrize("names", [1, 5, 60, 125, 250])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_transition_matrix_is_the_dense_construction(self, model, names):
+        rng = np.random.default_rng(names)
+        for _ in range(10):
+            shares = self.random_shares(rng, names)
+            p = loss_engine._unit_transition_matrix(names, model, shares)
+            np.testing.assert_array_max_ulp(p, dense_transition_matrix(names, model, shares),
+                                            maxulp=1)
+            expected = np.eye(names + 1) + sum(s * unit_generator(model, names, a)
+                                               for a, s in shares)
+            np.testing.assert_allclose(p, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("names", [1, 12, 125])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_generator_columns_are_the_dense_ones_bit_for_bit(self, model, names):
+        amplitudes = tuple(range(1, names + 3))
+        columns = loss_engine._stacked_generators(names, model, amplitudes)
+        rng = np.random.default_rng(7)
+        for scale in (1.0, 1e-300, 1e10):
+            x = scale * rng.random(names + 1)
+            got = columns(x)
+            np.testing.assert_array_equal(got, dense_generator_columns(names, model, amplitudes, x))
+            for j, a in enumerate(amplitudes):
+                expected = unit_generator(model, names, a) @ x
+                np.testing.assert_allclose(got[:, j], expected, rtol=0.0,
+                                           atol=1e-12 * max(np.abs(x).max(), 1e-300))
+
+    def test_tables_are_bounded_and_read_only(self):
+        table = loss_engine._jump_table
+        for names in range(1, 48):
+            for a in range(1, names + 1):
+                table(names, GPL if a % 2 else GPCL, a)
+        info = table.cache_info()
+        assert info.currsize <= info.maxsize == loss_engine._BINOMIAL_CACHE_ENTRIES
+        chances, cells = table(47, GPCL, 47)
+        assert not chances.flags.writeable and not cells.flags.writeable
+
+
+class TestProjectedRows:
+    """``distribution_term_structure`` with ``columns``: the rows projected
+    onto the columns interval by interval, renormalised by a column of ones."""
+
+    @pytest.mark.parametrize("names", [1, 60, 125, 250])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_matches_rows_times_columns(self, model, names):
+        with open(schedule_path(model, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        pool = PoolSpec(names=names)
+        times = _knot_times(schedule)
+        rng = np.random.default_rng(names)
+        columns = np.column_stack([np.arange(names + 1) / names, rng.random((names + 1, 4))])
+        rows = distribution_term_structure(pool, schedule, times)
+        projected = distribution_term_structure(pool, schedule, times, columns)
+        assert projected.shape == (len(times), columns.shape[1])
+        # within a few roundings of the sums of non-negative terms
+        np.testing.assert_array_less(np.abs(projected - rows @ columns),
+                                     2e-15 * (rows @ columns) + 1e-300)
+        np.testing.assert_array_equal(projected[:2], columns[[0, 0]])  # t = 0: no defaults
+        # a second call is served by the cache with the same bits
+        np.testing.assert_array_equal(
+            distribution_term_structure(pool, schedule, times, columns), projected)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_lost_mass_is_an_error(self, model, monkeypatch):
+        with open(schedule_path(model, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        monkeypatch.setattr(loss_engine, "_POISSON_TAIL", 1e-3)
+        with pytest.raises(LossEngineError, match="worst row sum"):
+            distribution_term_structure(PoolSpec(), schedule, [1.0, 5.0, 10.0],
+                                        np.ones((126, 2)))
+
+    @pytest.mark.parametrize("columns, message", [
+        (np.ones((125, 2)), "126 rows, one per count, got 125"),
+        (np.ones(126), "two-dimensional table of numbers"),
+        (np.ones((126, 2, 1)), "two-dimensional table of numbers"),
+        ([["a"] * 2] * 126, "two-dimensional table of numbers"),
+        (np.full((126, 2), np.nan), "finite"),
+        (np.insert(np.ones((125, 2)), 3, np.inf, axis=0), "finite"),
+    ])
+    def test_bad_columns_rejected(self, gpl_schedule, pool, columns, message):
+        with pytest.raises(LossEngineError, match=message):
+            distribution_term_structure(pool, gpl_schedule, [1.0, 2.0], columns)
+        with pytest.raises(LossEngineError, match=message):
+            distribution_tangents(pool, gpl_schedule, [1.0, 2.0], (1,), columns)

@@ -1,5 +1,7 @@
+import dataclasses
 import datetime as dt
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from clusterloss.loss_engine import (
     PoolSpec,
     distribution_term_structure,
 )
+from clusterloss import pricer as pricer_module
 from clusterloss.fixtures import schedule_path
 from clusterloss.market_data import (
     DAYS_PER_YEAR,
     DiscountCurve,
     IndexQuote,
+    MarketDataError,
     QuotePanel,
     TrancheQuote,
     quarterly_payment_dates,
@@ -414,3 +418,85 @@ class TestJacobian:
             expected = self.differences(pricer, wider, 1, k, 1e-5)
             np.testing.assert_allclose(jacobian[:, 0, k], expected, rtol=1e-5,
                                        atol=1e-5 * np.abs(expected).max())
+
+
+class TestPanelMemo:
+    """Pricers of equal (panel, curve, grid step) share one read-only panel
+    block from a bounded process-wide memo and build only their pool block."""
+
+    PANEL_ARRAYS = ("grid_times", "mids", "widths", "_upfront", "_running",
+                    "_increment_weights", "_payment_weights", "_loss_cols", "_notional_cols")
+
+    @staticmethod
+    def equal_copies(panel, curve):
+        """Copies equal by value but not the same objects, as from a second load."""
+        return dataclasses.replace(panel), dataclasses.replace(curve)
+
+    def test_equal_arguments_share_panel_arrays_and_own_pool_blocks(self, curve,
+                                                                    itraxx_panel):
+        first = PanelPricer(itraxx_panel, curve, PoolSpec())
+        panel, other_curve = self.equal_copies(itraxx_panel, curve)
+        assert panel is not itraxx_panel and other_curve is not curve
+        for pool in (PoolSpec(), PoolSpec(125, 0.3), PoolSpec(60)):
+            second = PanelPricer(panel, other_curve, pool, grid_step_days=30)
+            for name in self.PANEL_ARRAYS:
+                shared = getattr(first, name)
+                assert getattr(second, name) is shared, name
+                assert not shared.flags.writeable, name
+            assert second.instruments is first.instruments
+            assert second.pool == pool
+            assert second.payout_matrix is not first.payout_matrix
+            assert second.payout_matrix.shape == (pool.names + 1, first.payout_matrix.shape[1])
+        np.testing.assert_array_equal(
+            PanelPricer(panel, other_curve, PoolSpec()).payout_matrix, first.payout_matrix)
+        # another grid step or curve is another block
+        assert PanelPricer(itraxx_panel, curve, PoolSpec(), 15.0).grid_times is not \
+            first.grid_times
+        assert PanelPricer(itraxx_panel, flat_curve(0.03), PoolSpec())._payment_weights is not \
+            first._payment_weights
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_memo_hits_price_the_bits_of_a_cleared_memo(self, model, curve, itraxx_panel):
+        with open(schedule_path(model, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        pools = (PoolSpec(), PoolSpec(125, 0.3), PoolSpec(60), PoolSpec(250))
+        hits = []
+        PanelPricer(itraxx_panel, curve, PoolSpec())
+        for pool in pools:
+            pricer = PanelPricer(*self.equal_copies(itraxx_panel, curve), pool)
+            hits.append((pricer.model_values(schedule), pricer.jacobian(schedule, (1, 2))))
+        for pool, (values, jacobian) in zip(pools, hits):
+            pricer_module._panel_block.cache_clear()
+            fresh = PanelPricer(itraxx_panel, curve, pool)
+            np.testing.assert_array_equal(values, fresh.model_values(schedule))
+            np.testing.assert_array_equal(jacobian, fresh.jacobian(schedule, (1, 2)))
+
+    def test_bad_arguments_raise_on_every_construction(self, curve, itraxx_panel):
+        PanelPricer(itraxx_panel, curve, PoolSpec())  # the valid block is cached
+        entries = pricer_module._panel_block.cache_info().currsize
+        bad_curve = DiscountCurve(VAL, (dt.date(2030, 1, 1),), (-1e300,))  # factors of inf
+        for _ in range(2):
+            with pytest.raises(PricingError, match="empty quote panel"):
+                PanelPricer(QuotePanel("x", VAL, (), ()), curve, PoolSpec())
+            for step in (0.5, math.nan):
+                with pytest.raises(PricingError, match="at least one day"):
+                    PanelPricer(itraxx_panel, curve, PoolSpec(), grid_step_days=step)
+            with pytest.raises(MarketDataError, match="must be finite and positive"):
+                PanelPricer(itraxx_panel, bad_curve, PoolSpec())
+        assert pricer_module._panel_block.cache_info().currsize == entries
+
+    def test_memo_stays_at_its_bound(self, curve, itraxx_panel):
+        info = pricer_module._panel_block.cache_info
+        assert info().maxsize == pricer_module._PANEL_ENTRIES
+        sizes = []
+        for step in range(20, 20 + 3 * pricer_module._PANEL_ENTRIES):
+            PanelPricer(itraxx_panel, curve, PoolSpec(), grid_step_days=step)
+            sizes.append(info().currsize)
+        assert max(sizes) == info().currsize == pricer_module._PANEL_ENTRIES
+
+    def test_pickled_pricer_prices_the_same_bits(self, curve, itraxx_panel, gpcl_schedule):
+        pricer = PanelPricer(itraxx_panel, curve, PoolSpec(60, 0.3))
+        restored = pickle.loads(pickle.dumps(pricer))
+        np.testing.assert_array_equal(restored.model_values(gpcl_schedule),
+                                      pricer.model_values(gpcl_schedule))
+        assert restored.instruments == pricer.instruments

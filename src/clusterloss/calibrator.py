@@ -94,33 +94,46 @@ class FitResult:
     warning: str | None = None
 
 
-def _damped_step(x: np.ndarray, e: np.ndarray, jac: np.ndarray, held: np.ndarray,
-                 damping: np.ndarray) -> np.ndarray:
-    """The point in [0, 1e4] that minimises |e + J d|^2 + sum(damping d^2)
-    over steps d of the increments not ``held``, found by stopping each
-    increment that would leave the box on its bound and solving again for
-    the rest."""
-    step, fixed = np.zeros_like(x), held.copy()
-    while True:
-        j = jac[:, ~fixed]
-        step[~fixed] = np.linalg.solve(j.T @ j + np.diag(damping[~fixed]),
-                                       -j.T @ (e + jac[:, fixed] @ step[fixed]))
-        out = ~fixed & ((x + step < 0.0) | (x + step > _MAX_INCREMENT))
-        if not out.any():
-            return np.clip(x + step, 0.0, _MAX_INCREMENT)
-        step[out] = np.clip(x[out] + step[out], 0.0, _MAX_INCREMENT) - x[out]
-        fixed |= out
-
-
 def _stepping(x: np.ndarray, e: np.ndarray, jac: np.ndarray):
-    """The increments held on a bound and the Marquardt scale of the damping
-    at ``x``, or None where the first-order test ``_GRADIENT_TOL`` holds."""
-    gradient, norms = 2.0 * jac.T @ e, np.linalg.norm(jac, axis=0)
+    """For fits stacked along the leading axis, at increments ``x`` with
+    Jacobians ``jac`` and shared errors ``e``: J'J, the gradient 2 J'e of
+    f = |e|^2, the increments held on a bound with the gradient pointing out
+    of the box, whether each fit still steps (its first-order test
+    ``_GRADIENT_TOL`` fails), and the Marquardt scale of its damping."""
+    transposed = jac.transpose(0, 2, 1)
+    gram, gradient = transposed @ jac, 2.0 * (transposed @ e)
+    squares = gram.diagonal(axis1=1, axis2=2)
     held = (x <= 0.0) & (gradient >= 0.0) | (x >= _MAX_INCREMENT) & (gradient <= 0.0)
-    if np.all((np.abs(gradient) <= _GRADIENT_TOL * 2.0 * max(math.sqrt(e @ e), 1.0) * norms)
-              | held):
-        return None
-    return held, np.maximum(norms ** 2, _SCALE_FLOOR * (norms ** 2).max())
+    going = ~np.all((np.abs(gradient) <= _GRADIENT_TOL * 2.0 * max(math.sqrt(e @ e), 1.0)
+                     * np.sqrt(squares)) | held, axis=1)
+    return (gram, gradient, held, going,
+            np.maximum(squares, _SCALE_FLOOR * squares.max(axis=1, keepdims=True)))
+
+
+def _damped_steps(x: np.ndarray, gradient: np.ndarray, gram: np.ndarray,
+                  damping: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """The trial increments of fits stacked along the leading axis: for
+    each, the point in [0, 1e4] that minimises |e + J d|^2 + sum(damping d^2)
+    over steps d of the increments not ``held``. An increment that would
+    leave the box stops on its bound and the rest are solved again, one
+    ``np.linalg.solve`` per round for every fit: a held or stopped increment
+    gets a unit row and column, and the right-hand side of the others
+    carries its stopped step. A fit that stops nothing more solves the same
+    system again, so its trial has the same bits in a stack of one or of
+    many."""
+    fixed, step, unit = held.copy(), np.zeros_like(x), np.eye(x.shape[1])
+    damped = gram + unit * damping[:, None, :]
+    while True:
+        free, stopped = ~fixed, np.where(fixed, step, 0.0)
+        normal = np.where(free[:, :, None] & free[:, None, :], damped, unit)
+        rhs = np.where(free, -0.5 * gradient - (gram @ stopped[..., None])[..., 0], 0.0)
+        step = np.where(free, np.linalg.solve(normal, rhs[..., None])[..., 0], stopped)
+        trial = x + step
+        out = free & ((trial < 0.0) | (trial > _MAX_INCREMENT))
+        if not out.any():
+            return np.clip(trial, 0.0, _MAX_INCREMENT)
+        step[out] = np.clip(trial[out], 0.0, _MAX_INCREMENT) - x[out]
+        fixed |= out
 
 
 def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
@@ -131,7 +144,7 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
     [0, 1e4], with the exact Jacobian of ``PanelPricer.jacobian``. An
     increment is held while it sits on a bound with the gradient of
     f = |e|^2 pointing out of the box; the others take a damped Gauss-Newton
-    step (``_damped_step``), which is kept if it lowers f. Evaluations count
+    step (``_damped_steps``), which is kept if it lowers f. Evaluations count
     against ``max_evaluations``: one per pricing of the errors and one per
     Jacobian column, the pricings forward differences would take. The fit
     has converged when the first-order test ``_GRADIENT_TOL`` holds, and
@@ -144,12 +157,18 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
     slice of one tangent pass, charged as the candidate's new columns.
     """
     amplitudes = tuple(int(a) for a in amplitudes)
-    x = np.clip(np.asarray(x0, dtype=float).ravel(), 0.0, _MAX_INCREMENT)
+    x = np.asarray(x0, dtype=float).ravel()
     if x.size != len(amplitudes) * len(pricer.knots):
         raise CalibrationError(f"expected {len(amplitudes) * len(pricer.knots)} increments, "
                                f"got {x.size}")
-    if not max_evaluations >= 1:
-        raise CalibrationError(f"max_evaluations must be at least 1, got {max_evaluations}")
+    if not np.isfinite(x).all():
+        raise CalibrationError(f"x0 must be finite, got {x[~np.isfinite(x)]} at increments "
+                               f"{np.flatnonzero(~np.isfinite(x)).tolist()}")
+    if (isinstance(max_evaluations, bool) or not isinstance(max_evaluations, numbers.Integral)
+            or max_evaluations < 1):
+        raise CalibrationError(f"max_evaluations must be an integer of at least 1, got "
+                               f"{max_evaluations!r}")
+    x = np.clip(x, 0.0, _MAX_INCREMENT)
     schedule = functools.partial(_schedule_from_increments, model, amplitudes, pricer.knots)
     if start is None:
         evaluations, e, jac, charge = 1, pricer.errors(schedule(x)), None, x.size
@@ -167,15 +186,14 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
         evaluations += charge
         if jac is None:
             jac = pricer.jacobian(schedule(x), amplitudes).reshape(len(e), x.size)
-        stepping = _stepping(x, e, jac)
-        if stepping is None:
+        gram, gradient, held, going, scale = _stepping(x[None], e, jac[None])
+        if not going[0]:
             break
-        held, scale = stepping
         while jac is not None:
             if evaluations >= max_evaluations or damping > _DAMPING_RANGE[1]:
                 warning = _BUDGET_SPENT if evaluations >= max_evaluations else _NO_DESCENT
                 break
-            trial = _damped_step(x, e, jac, held, damping * scale)
+            trial = _damped_steps(x[None], gradient, gram, damping * scale, held)[0]
             evaluations += 1
             e_trial = pricer.errors(schedule(trial))
             if e_trial @ e_trial < e @ e:
@@ -221,57 +239,6 @@ def _scan_candidate(task, pricer: PanelPricer | None = None
     return candidate, fit.objective, fit.increments.ravel(), fit.n_evaluations
 
 
-def _scan_scores(x: np.ndarray, e: np.ndarray, jac: np.ndarray,
-                 new_columns: np.ndarray) -> np.ndarray:
-    """|e + J d|^2 for each candidate, d the first trial step of its fit.
-
-    ``x`` and ``jac`` are the incumbent's increments and Jacobian, and
-    ``new_columns[:, c]`` candidate c's columns, whose increments start at
-    zero. Order does not matter to a step, so each candidate's normal
-    equations take the incumbent's columns first and its own last, and the
-    candidates' steps are solved together, one stacked ``np.linalg.solve``
-    per round of ``_damped_step``'s loop: an increment held or stopped on a
-    bound gets a unit row and column, and the right-hand side of the others
-    carries its stopped step. The damping takes each candidate's own
-    Marquardt scale (``_stepping``). Each score agrees with those of
-    ``_stepping`` and ``_damped_step`` alone to rounding.
-    """
-    n_candidates, n_new = new_columns.shape[1:]
-    x_all = np.concatenate([np.broadcast_to(x, (n_candidates, x.size)),
-                            np.zeros((n_candidates, n_new))], axis=1)
-    gradient = 2.0 * np.concatenate([np.broadcast_to(jac.T @ e, (n_candidates, x.size)),
-                                     np.einsum("ick,i->ck", new_columns, e)], axis=1)
-    cross = np.einsum("ij,ick->cjk", jac, new_columns)
-    gram = np.block([[np.broadcast_to(jac.T @ jac, (n_candidates, x.size, x.size)), cross],
-                     [cross.transpose(0, 2, 1),
-                      np.einsum("icj,ick->cjk", new_columns, new_columns)]])
-    diagonal = np.arange(x_all.shape[1])
-    squares = gram[:, diagonal, diagonal]
-    # the tests of _stepping, candidate by candidate
-    fixed = ((x_all <= 0.0) & (gradient >= 0.0)
-             | (x_all >= _MAX_INCREMENT) & (gradient <= 0.0))
-    going = ~np.all((np.abs(gradient) <= _GRADIENT_TOL * 2.0 * max(math.sqrt(e @ e), 1.0)
-                     * np.sqrt(squares)) | fixed, axis=1)
-    damping = _DAMPING * np.maximum(squares, _SCALE_FLOOR * squares.max(axis=1, keepdims=True))
-    step = np.zeros_like(x_all)
-    while going.any():
-        free, stopped = ~fixed[going], np.where(fixed[going], step[going], 0.0)
-        normal = np.where(free[:, :, None] & free[:, None, :], gram[going], 0.0)
-        normal[:, diagonal, diagonal] += np.where(free, damping[going], 1.0)
-        rhs = -0.5 * gradient[going] - (gram[going] @ stopped[..., None])[..., 0]
-        solved = np.linalg.solve(normal, np.where(free, rhs, 0.0)[..., None])[..., 0]
-        step[going] = np.where(free, solved, stopped)
-        trial = x_all + step
-        out = ~fixed & going[:, None] & ((trial < 0.0) | (trial > _MAX_INCREMENT))
-        step[out] = np.clip(trial[out], 0.0, _MAX_INCREMENT) - x_all[out]
-        fixed |= out
-        going = out.any(axis=1)
-    step = np.clip(x_all + step, 0.0, _MAX_INCREMENT) - x_all
-    residual = e + step[:, :x.size] @ jac.T + np.einsum("ick,ck->ci", new_columns,
-                                                        step[:, x.size:])
-    return (residual ** 2).sum(axis=1)
-
-
 def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: FitResult,
                 candidates, budget: int) -> tuple[list[tuple], int]:
     """The scan tasks of the ``_SCAN_FITS`` best-scored candidate amplitudes,
@@ -282,27 +249,29 @@ def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: Fit
     a candidate's errors are the incumbent's, bit for bit, and its Jacobian
     is a slice of one tangent pass at the incumbent over the incumbent's and
     every candidate's amplitudes. A candidate's score is |e + J d|^2 for the
-    first trial step d of its fit (``_scan_scores``), which prices nothing;
-    ties go to the lower amplitude. The pass is charged in full: the
-    incumbent's columns, and each candidate's new columns, paid by its fit
-    if it is fitted.
+    first trial step d of its fit, which prices nothing: the candidates'
+    starts are stacked and stepped by the fit's own ``_stepping`` and
+    ``_damped_steps``. Ties go to the lower amplitude. The pass is charged
+    in full: the incumbent's columns, and each candidate's new columns, paid
+    by its fit if it is fitted.
     """
     everything = sorted(set(amplitudes) | set(candidates))
     shared = pricer.jacobian(fit.schedule, everything)  # (instruments, amplitudes, knots)
     e, n_knots = fit.errors, fit.increments.shape[1]
-    scores = _scan_scores(fit.increments.ravel(), e,
-                          shared[:, np.searchsorted(everything, amplitudes)].reshape(len(e), -1),
-                          shared[:, np.searchsorted(everything, candidates)])
-    scored = []
-    for score, candidate in zip(scores.tolist(), candidates):
+    tasks = []
+    for candidate in candidates:
         new_amplitudes = tuple(sorted(amplitudes + [candidate]))
         x0 = np.insert(fit.increments, new_amplitudes.index(candidate), 0.0, axis=0).ravel()
         jac0 = shared[:, np.searchsorted(everything, new_amplitudes)].reshape(len(e), -1)
-        scored.append((score, candidate,
-                       (model, new_amplitudes, x0, candidate, budget, (e, jac0, n_knots))))
-    scored.sort(key=lambda s: s[:2])
-    return ([task for _, _, task in scored[:_SCAN_FITS]],
-            fit.increments.size + n_knots * max(len(scored) - _SCAN_FITS, 0))
+        tasks.append((model, new_amplitudes, x0, candidate, budget, (e, jac0, n_knots)))
+    x, jac = np.stack([task[2] for task in tasks]), np.stack([task[5][1] for task in tasks])
+    gram, gradient, held, going, scale = _stepping(x, e, jac)
+    # a fit that does not step keeps its start
+    trials = _damped_steps(x, gradient, gram, _DAMPING * scale, held | ~going[:, None])
+    scores = ((e + (jac @ (trials - x)[..., None])[..., 0]) ** 2).sum(axis=1)
+    ranked = sorted(zip(scores.tolist(), candidates, tasks), key=lambda s: s[:2])
+    return ([task for _, _, task in ranked[:_SCAN_FITS]],
+            fit.increments.size + n_knots * max(len(tasks) - _SCAN_FITS, 0))
 
 
 @dataclass
@@ -362,21 +331,22 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
     below 1e-7, or ``max_modes`` is reached. Modes whose total is below 1e-7
     are dropped at the end. Each step is logged at INFO on the logger
     ``clusterloss.calibrator``. ``seed`` is recorded in the result; the
-    search itself draws no random numbers.
+    search itself draws no random numbers. ``n_jobs`` workers fit a scan's
+    candidates: ``None`` means ``min(cpu_count, 8)``, and 1 scans in process.
     """
     if model not in (GPL, GPCL):
         raise CalibrationError(f"unknown model kind {model!r}")
+    if n_jobs is None:
+        n_jobs = max(1, min(os.cpu_count() or 1, 8))
     for name, value, least in (("max_modes", max_modes, 1), ("scan_budget", scan_budget, 1),
                                ("refine_budget", refine_budget, 1),
-                               ("polish_budget", polish_budget, 0)):
+                               ("polish_budget", polish_budget, 0), ("n_jobs", n_jobs, 1)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise CalibrationError(f"{name} must be an integer of at least {least}, "
                                    f"got {value!r}")
     # a nan fails every comparison of the search's stopping rules
     if not math.isfinite(objective_threshold):
         raise CalibrationError(f"objective_threshold must be finite, got {objective_threshold!r}")
-    if n_jobs is not None and not n_jobs >= 1:
-        raise CalibrationError(f"n_jobs must be at least 1, got {n_jobs}")
     # imported here, so that pricing and simulation do not pay for its
     # import (about 5 ms, 3% of the import of the package)
     import logging
@@ -385,8 +355,6 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
     started = time.perf_counter()
     pricer = PanelPricer(panel, curve, pool, grid_step_days)
     n_knots = len(pricer.knots)
-    if n_jobs is None:
-        n_jobs = max(1, min(os.cpu_count() or 1, 8))
 
     warnings: list[str] = []
     iterations: list[dict] = []

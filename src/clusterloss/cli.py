@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1.0,
                    help="stop when the objective falls below this")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for amplitude scans")
+                   help="parallel workers for amplitude scans (default: min(CPU count, "
+                        "8); 1 scans in process)")
     p.add_argument("--strict", action="store_true",
                    help="treat calibration warnings as failures")
     common(p, market=True)

@@ -35,6 +35,12 @@ Each computes what the package computes by a different route:
   depend on the seed and the path count alone, but not with the bits of
   the versions that drew event times.
 
+* ``free_stepping`` and ``free_damped_step``: one fit's projected
+  Levenberg-Marquardt trial step, solved on the sub-system of the
+  increments not held or stopped on a bound, one ``np.linalg.solve`` per
+  round, against the calibrator's stacked step, which keeps every
+  increment in its system and gives a fixed one a unit row and column.
+
 The distribution and tangent engines solve one time at a time and share
 no code with the uniformised forward-equation kernel (the dense layouts
 share its binomial ratios only); the name-level
@@ -51,6 +57,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+from clusterloss.calibrator import _GRADIENT_TOL, _MAX_INCREMENT, _SCALE_FLOOR
 from clusterloss.loss_engine import (
     GPCL,
     GPL,
@@ -592,3 +599,37 @@ def single_name_default_times(trajectory: Trajectory) -> np.ndarray:
         raise SimulationError(
             f"strategy {trajectory.strategy!r} does not preserve name identity")
     return trajectory.name_default_times.copy()
+
+
+# ---------------------------------------------------------------------------
+# one fit's damped step on the free increments' sub-system
+# ---------------------------------------------------------------------------
+
+
+def free_stepping(x: np.ndarray, e: np.ndarray, jac: np.ndarray):
+    """The increments held on a bound and the Marquardt scale of the damping
+    at ``x``, or None where the first-order test ``_GRADIENT_TOL`` holds."""
+    gradient, norms = 2.0 * jac.T @ e, np.linalg.norm(jac, axis=0)
+    held = (x <= 0.0) & (gradient >= 0.0) | (x >= _MAX_INCREMENT) & (gradient <= 0.0)
+    if np.all((np.abs(gradient) <= _GRADIENT_TOL * 2.0 * max(math.sqrt(e @ e), 1.0) * norms)
+              | held):
+        return None
+    return held, np.maximum(norms ** 2, _SCALE_FLOOR * (norms ** 2).max())
+
+
+def free_damped_step(x: np.ndarray, e: np.ndarray, jac: np.ndarray, held: np.ndarray,
+                     damping: np.ndarray) -> np.ndarray:
+    """The point in [0, 1e4] that minimises |e + J d|^2 + sum(damping d^2)
+    over steps d of the increments not ``held``, found by stopping each
+    increment that would leave the box on its bound and solving again for
+    the rest."""
+    step, fixed = np.zeros_like(x), held.copy()
+    while True:
+        j = jac[:, ~fixed]
+        step[~fixed] = np.linalg.solve(j.T @ j + np.diag(damping[~fixed]),
+                                       -j.T @ (e + jac[:, fixed] @ step[fixed]))
+        out = ~fixed & ((x + step < 0.0) | (x + step > _MAX_INCREMENT))
+        if not out.any():
+            return np.clip(x + step, 0.0, _MAX_INCREMENT)
+        step[out] = np.clip(x[out] + step[out], 0.0, _MAX_INCREMENT) - x[out]
+        fixed |= out

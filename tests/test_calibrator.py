@@ -44,6 +44,8 @@ from reference_engines import (
     PaymentSchedule,
     ReferenceGrid,
     default_leg,
+    free_damped_step,
+    free_stepping,
     index_spread,
     tranche_premium_leg,
 )
@@ -689,6 +691,20 @@ class TestFitIntensities:
         with pytest.raises(CalibrationError):
             fit_intensities(pricer, GPL, (1, 3), np.array([0.1, 0.1]))
 
+    @pytest.mark.parametrize("bad", [0, 2.5, True])
+    def test_evaluation_budget_not_a_count_rejected(self, pool, curve, itraxx_panel, bad):
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        with pytest.raises(CalibrationError, match="max_evaluations must be an integer"):
+            fit_intensities(pricer, GPL, (1,), np.full(4, 0.1), max_evaluations=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, pool, curve, itraxx_panel, bad):
+        # checked before the start is clipped into the box, where an infinity
+        # would become a bound and a nan would reach the kernel
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        with pytest.raises(CalibrationError, match="x0 must be finite"):
+            fit_intensities(pricer, GPL, (1,), np.array([0.1, bad, 0.1, 0.1]))
+
 
 # cumulated intensities at the four iTraxx knots of amplitudes 1, 5, 11, 19
 # and 79: a greedy gpl calibration of the iTraxx panel (criterion 6's
@@ -893,10 +909,10 @@ class TestGreedyCalibrate:
             assert f"; objective {it['objective']:.6g}; " in message
             assert message.endswith(" s") and " evaluations; " in message
 
-    @pytest.mark.parametrize("n_jobs", [0, -1])
+    @pytest.mark.parametrize("n_jobs", [0, -1, 2.5, True])
     def test_worker_count_below_one_rejected(self, curve, n_jobs):
         panel = QuotePanel("x", VAL, (IndexQuote(MAT_4Y, 25.0, 0.5),), ())
-        with pytest.raises(CalibrationError, match="n_jobs must be at least 1"):
+        with pytest.raises(CalibrationError, match="n_jobs must be an integer of at least 1"):
             greedy_calibrate(panel, curve, PoolSpec(names=10), GPL, n_jobs=n_jobs)
 
     def test_unknown_model_rejected(self, curve):
@@ -937,30 +953,36 @@ class TestRankedScan:
     @pytest.mark.parametrize("model", [GPCL, GPL])
     def test_score_is_the_fits_first_step(self, monkeypatch, pool, curve, itraxx_panel,
                                           model):
-        # tasks come in the order of |e + J d|^2, for d the first trial step
-        # of the candidate's own fit, ties going to the lower amplitude; the
-        # candidates left unfitted are charged their columns all the same
+        # the scan steps the candidates' stacked starts with the fit's own
+        # solver: each candidate's trial in the scan is its fit's first trial,
+        # bit for bit. Tasks come in the order of |e + J d|^2 for that trial
+        # d, ties going to the lower amplitude; the candidates left unfitted
+        # are charged their columns all the same
         pricer = PanelPricer(itraxx_panel, curve, pool)
         amplitudes, candidates = [1, 30], (2, 3, 17, 31, 60, 125)
         incumbent = fit_intensities(pricer, model, amplitudes, np.full(8, 0.05),
                                     max_evaluations=30)
-        trials, damped_step = [], calibrator_module._damped_step
+        trials, damped_steps = [], calibrator_module._damped_steps
 
         def recording(*args):
-            trials.append(damped_step(*args))
+            trials.append(damped_steps(*args))
             return trials[-1]
 
-        monkeypatch.setattr(calibrator_module, "_damped_step", recording)
+        monkeypatch.setattr(calibrator_module, "_damped_steps", recording)
         monkeypatch.setattr(calibrator_module, "_SCAN_FITS", len(candidates))
         tasks, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
         assert spent == 8 and len(tasks) == len(candidates)
+        (scanned,) = trials
+        assert scanned.shape == (len(candidates), 12)
         scores = {}
         for task in tasks:
             _, new_amplitudes, x0, candidate, budget, start = task
             trials.clear()
             fit_intensities(pricer, model, new_amplitudes, x0, max_evaluations=budget,
                             start=start)
-            r = start[0] + start[1] @ (trials[0] - x0)
+            trial = scanned[candidates.index(candidate)]
+            np.testing.assert_array_equal(trials[0][0], trial)
+            r = start[0] + start[1] @ (trial - x0)
             scores[candidate] = r @ r
         assert [task[3] for task in tasks] == sorted(candidates,
                                                      key=lambda c: (scores[c], c))
@@ -972,8 +994,9 @@ class TestRankedScan:
     @pytest.mark.parametrize("panel_name", ["itraxx", "cdx"])
     @pytest.mark.parametrize("model", [GPCL, GPL])
     def test_stacked_scores_are_the_loops(self, request, pool, curve, model, panel_name):
-        # the candidates' first steps, solved together, against each solved
-        # alone by _stepping and _damped_step (the reference), at an
+        # the candidates' first steps, solved together by the stacked
+        # _stepping and _damped_steps, against each solved alone on the
+        # sub-system of its free increments (the reference), at an
         # incumbent where some candidates' steps stop on a bound
         pricer = PanelPricer(request.getfixturevalue(f"{panel_name}_panel"), curve, pool)
         amplitudes = [1, 30]
@@ -981,24 +1004,27 @@ class TestRankedScan:
                                     max_evaluations=30)
         candidates = [a for a in range(1, pool.names + 1) if a not in amplitudes]
         shared = pricer.jacobian(incumbent.schedule, range(1, pool.names + 1))
-        x, e = incumbent.increments.ravel(), incumbent.errors
-        jac = shared[:, [a - 1 for a in amplitudes]].reshape(len(e), -1)
-        new_columns = shared[:, [a - 1 for a in candidates]]
-        want, stopped = [], 0
+        e, starts, want, stopped = incumbent.errors, [], [], 0
         for candidate in candidates:
             # the candidate's own fit's columns, in amplitude order
             new_amplitudes = sorted(amplitudes + [candidate])
             j = shared[:, [a - 1 for a in new_amplitudes]].reshape(len(e), -1)
             x0 = np.insert(incumbent.increments, new_amplitudes.index(candidate), 0.0,
                            axis=0).ravel()
-            stepping = calibrator_module._stepping(x0, e, j)
-            trial = x0 if stepping is None else calibrator_module._damped_step(
+            starts.append((x0, j))
+            stepping = free_stepping(x0, e, j)
+            trial = x0 if stepping is None else free_damped_step(
                 x0, e, j, stepping[0], calibrator_module._DAMPING * stepping[1])
             if stepping is not None:
                 free = ~stepping[0]
                 stopped += np.any(free & ((trial == 0.0) | (trial == _MAX_INCREMENT)))
             want.append((e + j @ (trial - x0)) @ (e + j @ (trial - x0)))
-        got = calibrator_module._scan_scores(x, e, jac, new_columns)
+        x, jac = np.stack([x0 for x0, _ in starts]), np.stack([j for _, j in starts])
+        gram, gradient, held, going, scale = calibrator_module._stepping(x, e, jac)
+        trials = calibrator_module._damped_steps(x, gradient, gram,
+                                                 calibrator_module._DAMPING * scale,
+                                                 held | ~going[:, None])
+        got = ((e + (jac @ (trials - x)[..., None])[..., 0]) ** 2).sum(axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert stopped > 0
 

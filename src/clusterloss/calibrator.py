@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss_engine import GPCL, GPL, IntensitySchedule, PoolSpec
+from .loss_engine import GPCL, GPL, IntensitySchedule, PoolSpec, _is_integer
 from .market_data import DiscountCurve, QuotePanel
 from .pricer import Instrument, PanelPricer
 
@@ -156,6 +156,10 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
     The greedy scan passes each candidate the incumbent's errors and its
     slice of one tangent pass, charged as the candidate's new columns.
     """
+    amplitudes = tuple(amplitudes)
+    for a in amplitudes:
+        if not _is_integer(a):
+            raise CalibrationError(f"amplitudes must be integers, got {a!r}")
     amplitudes = tuple(int(a) for a in amplitudes)
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != len(amplitudes) * len(pricer.knots):

@@ -111,7 +111,9 @@ def _jump_table(names: int, model: str, amplitude: int) -> tuple[np.ndarray, np.
     0..names, row 0 the jump and row 1 the stay: their chances and their
     cells in P, the flat indices to-state * (names + 1) + y, both shaped
     (2, names + 1). This is the one description of the generator, which
-    ``_unit_transition_matrix`` and ``_stacked_generators`` both read.
+    ``_unit_transition_matrix`` and ``_stacked_generators`` both read; the
+    second serves the series tangent pass, which only gpcl takes, as gpl's
+    tangents are capped shifts of the value rows (``_capped_shift_tangents``).
 
     gpcl: the jump's chance is the binomial ratio, to y + amplitude; where
     that passes the pool size the chance is zero and the cell the pool
@@ -520,6 +522,68 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     amplitudes, knots). An amplitude need not be in the schedule: its
     derivative is taken at density zero. ``columns`` has one row per count.
 
+    gpl's tangents are in closed form (``_capped_shift_tangents``): its
+    modes' generators commute, so a rise of amplitude b over interval i
+    moves the state x(t) by phi_i(t) (T_b - I) x(t), T_b being the capped
+    shift. gpcl's come from the uniformised series (``_series_tangents``).
+
+    The rows' renormalisation is left out: their total mass has zero
+    derivative. The rows and start states come from ``_interval_rows``, so
+    a call after the values costs no solve; tangents are not cached.
+    """
+    times = _checked_times(times)
+    amplitudes = tuple(amplitudes)
+    for a in amplitudes:
+        if not _is_integer(a):
+            raise LossEngineError(f"tangent amplitudes must be integers, got {a!r}")
+    amplitudes = tuple(int(a) for a in amplitudes)
+    if not amplitudes or min(amplitudes) < 1:
+        raise LossEngineError("tangents need one or more amplitudes, each at least 1")
+    columns = _checked_columns(pool, columns)
+    lo = int(np.searchsorted(times, 0.0, side="right"))
+    if lo == len(times):  # no defaults at time zero, whatever the rises
+        return np.zeros((len(times), columns.shape[1], len(amplitudes), len(schedule.knots)))
+    tangents = _capped_shift_tangents if schedule.model == GPL else _series_tangents
+    return tangents(pool, schedule, times, lo, amplitudes, columns)
+
+
+def _capped_shift_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
+                           lo: int, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
+    """``distribution_tangents`` of a gpl schedule, for ``times[lo:]``
+    positive and ``times[:lo]`` zero.
+
+    The generator of amplitude b at unit density is T_b - I, where T_b is
+    the capped shift y -> min(y + b, names). Capped shifts commute, so the
+    state at t is exp(sum_b L_b(t) (T_b - I)) applied to no defaults, with
+    L_b(t) the cumulated intensity at t, and d x(t) / d L_b(t) = (T_b - I)
+    x(t). A rise over interval i, from T_{i-1} to T_i, moves L_b(t) by
+    phi_i(t) = clip((t - T_{i-1}) / (T_i - T_{i-1}), 0, 1) per unit, with
+    no upper clip for the last interval, whose slope carries on past the
+    last knot. Projected onto ``columns``, (T_b - I) x(t) is x(t) times the
+    shifted differences columns[min(y + b, names)] - columns[y], so the
+    tangents are one product of the memo's value rows with those
+    differences, scaled by phi; nothing is summed over a series.
+    """
+    names = pool.names
+    rows = np.concatenate([_interval_rows(*interval)[0]
+                           for *_, interval in _interval_walk(pool, schedule, times, lo)])
+    shifted = np.minimum(np.arange(names + 1)[:, None] + np.array(amplitudes), names)
+    differences = columns[shifted]  # (counts, amplitudes, columns)
+    differences -= columns[:, None, :]
+    moves = (rows @ differences.reshape(names + 1, -1)).reshape(len(rows), len(amplitudes), -1)
+    starts = np.concatenate(([0.0], schedule.knots[:-1]))
+    shares = np.maximum((times[lo:, None] - starts) / (schedule.knots - starts), 0.0)
+    shares[:, :-1] = np.minimum(shares[:, :-1], 1.0)
+    result = np.zeros((len(times), columns.shape[1], len(amplitudes), len(schedule.knots)))
+    np.multiply(moves.transpose(0, 2, 1)[..., None], shares[:, None, None, :], out=result[lo:])
+    return result
+
+
+def _series_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
+                     lo: int, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
+    """``distribution_tangents`` from the uniformised series, for
+    ``times[lo:]`` positive and ``times[:lo]`` zero; the pass gpcl takes.
+
     A rise of r over an interval of width w adds the density r/w, so the
     generator G of the interval moves along G_b / w for amplitude b, where
     G_b is the generator of b at unit density. In an interval with active
@@ -532,23 +596,11 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     sums, projected onto ``columns``, are taken chunk by chunk too. In an
     interval with no active mode, the state v stands still and its tangent
     s years in is s G_b v / w.
-
-    The rows' renormalisation is left out: their total mass has zero
-    derivative. Start states come from ``_interval_rows``, so a call after
-    the values costs no solve; tangents are not cached.
     """
-    times = _checked_times(times)
-    amplitudes = tuple(int(a) for a in amplitudes)
-    if not amplitudes or min(amplitudes) < 1:
-        raise LossEngineError("tangents need one or more amplitudes, each at least 1")
-    columns = _checked_columns(pool, columns)
     n_amps, n_cols = len(amplitudes), columns.shape[1]
     result = np.zeros((len(times), n_cols, len(schedule.knots), n_amps))
     # a view with (interval, amplitude) flattened, interval-major
     out = result.reshape(len(times), n_cols, len(schedule.knots) * n_amps)
-    lo = int(np.searchsorted(times, 0.0, side="right"))
-    if lo == len(times):
-        return result.transpose(0, 1, 3, 2)
     project = np.ascontiguousarray(columns.T)
     generators = _stacked_generators(pool.names, schedule.model, amplitudes)
     # tangents of the state at an interval's start, one column per
@@ -585,7 +637,10 @@ def _stacked_generators(names: int, model: str, amplitudes):
     amplitudes), where G_b = P - I is the generator of amplitude b at unit
     density, P being ``_unit_transition_matrix`` of b alone: its non-zero
     entries, read from the jump tables. Each row's entries are summed in
-    the order of their from-states."""
+    the order of their from-states. The series tangent pass applies it to
+    every series term; that pass serves gpcl, whose generators do not
+    commute, while gpl's tangents take the closed form of
+    ``_capped_shift_tangents``."""
     n, n_amps = names + 1, len(amplitudes)
     chances, cells = _jump_tables(names, model, amplitudes)
     rates, stays = chances[:, 0], chances[:, 1] - 1.0  # as (I + G) - I leaves the diagonal

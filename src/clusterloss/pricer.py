@@ -168,9 +168,11 @@ class PanelPricer:
         """Exact derivatives of ``errors`` with respect to the rise of each of
         ``amplitudes``' cumulated intensity over each knot interval, shaped
         (instruments, amplitudes, knots); an amplitude outside the schedule
-        is taken at zero. One tangent pass of the loss engine, chained
-        through the legs, with the quotient rule for spreads; the legs at
-        the point come from the kernel's cached rows."""
+        is taken at zero. The loss engine's tangents, chained through the
+        legs, with the quotient rule for spreads: for gpl one product of
+        the kernel's cached rows with capped-shift differences of the payout
+        columns, for gpcl one uniformised tangent pass. The legs at the
+        point come from the kernel's cached rows."""
         default_pv, annuity = self._legs(schedule)
         tangents = distribution_tangents(self.pool, schedule, self.grid_times, amplitudes,
                                          self.payout_matrix)

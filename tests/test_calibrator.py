@@ -705,6 +705,13 @@ class TestFitIntensities:
         with pytest.raises(CalibrationError, match="x0 must be finite"):
             fit_intensities(pricer, GPL, (1,), np.array([0.1, bad, 0.1, 0.1]))
 
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, "2"])
+    def test_non_integer_amplitudes_rejected(self, pool, curve, itraxx_panel, bad):
+        # int() would fit 1.7 as amplitude 1
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        with pytest.raises(CalibrationError, match=f"must be integers, got {bad!r}"):
+            fit_intensities(pricer, GPL, (1, bad), np.full(8, 0.1))
+
 
 # cumulated intensities at the four iTraxx knots of amplitudes 1, 5, 11, 19
 # and 79: a greedy gpl calibration of the iTraxx panel (criterion 6's

@@ -708,6 +708,41 @@ class TestDistributionTangents:
                         tangents[i, :, j, k], expm_tangent(pool, schedule, t, amplitude, k),
                         rtol=0.0, atol=1e-10)
 
+    def test_gpl_mass_on_the_cap_matches_block_expm(self):
+        # 12 names at a Poisson mean of about 30 by the last time: most of
+        # the mass sits on the cap, where every capped shift stands still,
+        # and the times past the last knot carry the last interval's share
+        # beyond one
+        pool = PoolSpec(names=12)
+        schedule = make_schedule(GPL, (1, 3), (1.0, 2.0), [(6.0, 15.0), (2.0, 5.0)])
+        times = [0.4, 1.0, 1.5, 2.0, 2.6, 3.4]
+        assert distribution_term_structure(pool, schedule, times)[-1, -1] > 0.9
+        amplitudes = (1, 2, 3, 11, 12, 15)
+        tangents = distribution_tangents(pool, schedule, times, amplitudes, np.eye(13))
+        for i, t in enumerate(times):
+            for j, amplitude in enumerate(amplitudes):
+                for k in range(2):
+                    np.testing.assert_allclose(
+                        tangents[i, :, j, k], expm_tangent(pool, schedule, t, amplitude, k),
+                        rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    def test_gpl_closed_form_is_the_series_pass(self, index):
+        # the series pass is exact for gpl too; the capped shifts give its
+        # tangents without summing any series
+        with open(schedule_path(GPL, index)) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        times = np.linspace(0.0, 12.0, 25)
+        for names in (60, 125, 250):
+            pool = PoolSpec(names=names)
+            columns = np.random.default_rng(names).random((names + 1, 5))
+            for amplitudes in ((1,), (1, 11), tuple(range(1, names + 1))):
+                closed = distribution_tangents(pool, schedule, times, amplitudes, columns)
+                series = loss_engine._series_tangents(pool, schedule, times, 1, amplitudes,
+                                                      columns)
+                np.testing.assert_allclose(closed, series, rtol=0.0,
+                                           atol=1e-12 * np.abs(series).max())
+
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_mass_has_zero_derivative(self, model):
         with open(schedule_path(model, "itraxx")) as fh:
@@ -730,20 +765,22 @@ class TestDistributionTangents:
         np.testing.assert_allclose(everything[:, :, [a - 1 for a in amplitudes]], own,
                                    rtol=1e-12, atol=1e-12 * np.abs(own).max())
 
-    def test_values_come_from_the_cache_untouched(self, gpcl_schedule, pool):
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_values_come_from_the_cache_untouched(self, model, pool):
+        with open(schedule_path(model, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
         times = np.linspace(0.0, 10.0, 21)
-        rows = distribution_term_structure(pool, gpcl_schedule, times)
+        rows = distribution_term_structure(pool, schedule, times)
         info = loss_engine._interval_rows.cache_info()
-        distribution_tangents(pool, gpcl_schedule, times, (1, 2), np.eye(126))
+        distribution_tangents(pool, schedule, times, (1, 2), np.eye(126))
         assert loss_engine._interval_rows.cache_info().misses == info.misses
-        np.testing.assert_array_equal(
-            distribution_term_structure(pool, gpcl_schedule, times), rows)
+        np.testing.assert_array_equal(distribution_term_structure(pool, schedule, times), rows)
 
     def test_memory_does_not_grow_with_the_series(self):
-        # one knot interval of Poisson mean 1e4: about 11,000 terms, whose
-        # tangents over every amplitude would take about 1.4 GB if kept
+        # one gpcl knot interval of Poisson mean 2e3: about 2,400 terms, whose
+        # tangents over every amplitude would take about 300 MB if kept
         pool = PoolSpec()
-        schedule = make_schedule(GPL, (1, 5), (1.0,), [(6e3,), (4e3,)])
+        schedule = make_schedule(GPCL, (1, 5), (1.0,), [(1.2e3,), (0.8e3,)])
         times = np.linspace(0.05, 1.0, 20)
         columns = np.ones((126, 8))
         distribution_term_structure(pool, schedule, times)
@@ -770,6 +807,16 @@ class TestDistributionTangents:
         for amplitudes in ((), (0, 1)):
             with pytest.raises(LossEngineError, match="at least 1"):
                 distribution_tangents(pool, gpl_schedule, [1.0], amplitudes, np.eye(126))
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, "2"])
+    def test_non_integer_amplitudes_rejected(self, bad, gpl_schedule, pool):
+        # int() would take 1.7 for amplitude 1 and give its tangents
+        with pytest.raises(LossEngineError, match=f"must be integers, got {bad!r}"):
+            distribution_tangents(pool, gpl_schedule, [1.0], (1, bad), np.eye(126))
+        np.testing.assert_array_equal(
+            distribution_tangents(pool, gpl_schedule, [1.0], (np.int64(1), np.uint8(3)),
+                                  np.eye(126)),
+            distribution_tangents(pool, gpl_schedule, [1.0], (1, 3), np.eye(126)))
 
 
 class TestBinomialRatioCache:

@@ -111,9 +111,8 @@ def _jump_table(names: int, model: str, amplitude: int) -> tuple[np.ndarray, np.
     0..names, row 0 the jump and row 1 the stay: their chances and their
     cells in P, the flat indices to-state * (names + 1) + y, both shaped
     (2, names + 1). This is the one description of the generator, which
-    ``_unit_transition_matrix`` and ``_stacked_generators`` both read; the
-    second serves the series tangent pass, which only gpcl takes, as gpl's
-    tangents are capped shifts of the value rows (``_capped_shift_tangents``).
+    ``_unit_transition_matrix``, ``_stacked_generators`` (the series tangent
+    pass) and ``_commuting_tangents`` (the closed form) all read.
 
     gpcl: the jump's chance is the binomial ratio, to y + amplitude; where
     that passes the pool size the chance is zero and the cell the pool
@@ -522,10 +521,14 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     amplitudes, knots). An amplitude need not be in the schedule: its
     derivative is taken at density zero. ``columns`` has one row per count.
 
-    gpl's tangents are in closed form (``_capped_shift_tangents``): its
-    modes' generators commute, so a rise of amplitude b over interval i
-    moves the state x(t) by phi_i(t) (T_b - I) x(t), T_b being the capped
-    shift. gpcl's come from the uniformised series (``_series_tangents``).
+    Where every requested amplitude's generator commutes with every knot
+    interval's, the tangents are in closed form (``_commuting_tangents``): a
+    rise of amplitude b over interval i moves the state x(t) by phi_i(t)
+    G_b x(t). That is every gpl request, as capped shifts commute, and a
+    gpcl request in which no interval has an active mode other than the one
+    requested amplitude, or none at all; the active modes are those of the
+    intervals' memo keys. Every other gpcl request takes the uniformised
+    series (``_series_tangents``).
 
     The rows' renormalisation is left out: their total mass has zero
     derivative. The rows and start states come from ``_interval_rows``, so
@@ -543,46 +546,61 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     lo = int(np.searchsorted(times, 0.0, side="right"))
     if lo == len(times):  # no defaults at time zero, whatever the rises
         return np.zeros((len(times), columns.shape[1], len(amplitudes), len(schedule.knots)))
-    tangents = _capped_shift_tangents if schedule.model == GPL else _series_tangents
-    return tangents(pool, schedule, times, lo, amplitudes, columns)
+    walk = list(_interval_walk(pool, schedule, times, lo))
+    modes = {a for *_, interval in walk for a, _ in interval[-1]}  # active anywhere
+    if schedule.model == GPL or all(modes <= {b} for b in amplitudes):
+        return _commuting_tangents(pool, schedule, times, walk, amplitudes, columns)
+    return _series_tangents(pool, schedule, times, lo, amplitudes, columns)
 
 
-def _capped_shift_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
-                           lo: int, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
-    """``distribution_tangents`` of a gpl schedule, for ``times[lo:]``
-    positive and ``times[:lo]`` zero.
+def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
+                        walk: list, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
+    """``distribution_tangents`` where the generator of every one of
+    ``amplitudes`` commutes with that of every interval of ``walk``, the
+    ``_interval_walk`` of ``times`` from its first positive time on.
 
-    The generator of amplitude b at unit density is T_b - I, where T_b is
-    the capped shift y -> min(y + b, names). Capped shifts commute, so the
-    state at t is exp(sum_b L_b(t) (T_b - I)) applied to no defaults, with
-    L_b(t) the cumulated intensity at t, and d x(t) / d L_b(t) = (T_b - I)
-    x(t). A rise over interval i, from T_{i-1} to T_i, moves L_b(t) by
-    phi_i(t) = clip((t - T_{i-1}) / (T_i - T_{i-1}), 0, 1) per unit, with
-    no upper clip for the last interval, whose slope carries on past the
-    last knot. Projected onto ``columns``, (T_b - I) x(t) is x(t) times the
-    shifted differences columns[min(y + b, names)] - columns[y], so the
-    tangents are one product of the memo's value rows with those
-    differences, scaled by phi; nothing is summed over a series.
+    The generator G_b of amplitude b at unit density moves each state y to
+    to_b(y) at rate chance_b(y), the jump of ``_jump_table``. Where G_b
+    commutes with every interval's generator, a rise of b over interval i,
+    from T_{i-1} to T_i, moves the state x(t) by phi_i(t) G_b x(t) per unit,
+    with phi_i(t) = clip((t - T_{i-1}) / (T_i - T_{i-1}), 0, 1) and no upper
+    clip for the last interval, whose slope carries on past the last knot.
+    That holds for every gpl amplitude, as capped shifts commute, and for a
+    gpcl amplitude whose intervals have no other active mode. Projected
+    onto ``columns``, G_b x(t) is x(t) times the differences
+    chance_b(y) (columns[to_b(y)] - columns[y]), so the tangents are one
+    product of the memo's value rows with those differences, scaled by phi;
+    nothing is summed over a series. The differences are built in blocks of
+    amplitudes, each holding no more doubles than the result.
     """
-    names = pool.names
-    rows = np.concatenate([_interval_rows(*interval)[0]
-                           for *_, interval in _interval_walk(pool, schedule, times, lo)])
-    shifted = np.minimum(np.arange(names + 1)[:, None] + np.array(amplitudes), names)
-    differences = columns[shifted]  # (counts, amplitudes, columns)
-    differences -= columns[:, None, :]
-    moves = (rows @ differences.reshape(names + 1, -1)).reshape(len(rows), len(amplitudes), -1)
+    names, lo = pool.names, walk[0][0]
+    rows = np.concatenate([_interval_rows(*interval)[0] for *_, interval in walk])
+    chances, cells = _jump_tables(names, schedule.model, amplitudes)
     starts = np.concatenate(([0.0], schedule.knots[:-1]))
     shares = np.maximum((times[lo:, None] - starts) / (schedule.knots - starts), 0.0)
     shares[:, :-1] = np.minimum(shares[:, :-1], 1.0)
     result = np.zeros((len(times), columns.shape[1], len(amplitudes), len(schedule.knots)))
-    np.multiply(moves.transpose(0, 2, 1)[..., None], shares[:, None, None, :], out=result[lo:])
+    # a block's differences, (names + 1) x block x columns doubles, are at
+    # most the result's times x columns x amplitudes x knots
+    block = max(1, len(times) * len(amplitudes) * len(schedule.knots) // (names + 1))
+    for first in range(0, len(amplitudes), block):
+        part = slice(first, first + block)
+        differences = columns[cells[part, 0].T // (names + 1)]  # (counts, block, columns)
+        differences -= columns[:, None, :]
+        differences *= chances[part, 0].T[..., None]
+        moves = (rows @ differences.reshape(names + 1, -1)).reshape(
+            len(rows), -1, columns.shape[1])
+        del differences  # before the next block's are made
+        np.multiply(moves.transpose(0, 2, 1)[..., None], shares[:, None, None, :],
+                    out=result[lo:, :, part])
     return result
 
 
 def _series_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
                      lo: int, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
     """``distribution_tangents`` from the uniformised series, for
-    ``times[lo:]`` positive and ``times[:lo]`` zero; the pass gpcl takes.
+    ``times[lo:]`` positive and ``times[:lo]`` zero; the pass of gpcl
+    requests whose generators do not commute with the schedule's.
 
     A rise of r over an interval of width w adds the density r/w, so the
     generator G of the interval moves along G_b / w for amplitude b, where
@@ -638,9 +656,9 @@ def _stacked_generators(names: int, model: str, amplitudes):
     density, P being ``_unit_transition_matrix`` of b alone: its non-zero
     entries, read from the jump tables. Each row's entries are summed in
     the order of their from-states. The series tangent pass applies it to
-    every series term; that pass serves gpcl, whose generators do not
-    commute, while gpl's tangents take the closed form of
-    ``_capped_shift_tangents``."""
+    every series term; it serves the gpcl requests whose generators do not
+    commute with the schedule's, while the others take the closed form of
+    ``_commuting_tangents``."""
     n, n_amps = names + 1, len(amplitudes)
     chances, cells = _jump_tables(names, model, amplitudes)
     rates, stays = chances[:, 0], chances[:, 1] - 1.0  # as (I + G) - I leaves the diagonal

@@ -169,10 +169,12 @@ class PanelPricer:
         ``amplitudes``' cumulated intensity over each knot interval, shaped
         (instruments, amplitudes, knots); an amplitude outside the schedule
         is taken at zero. The loss engine's tangents, chained through the
-        legs, with the quotient rule for spreads: for gpl one product of
-        the kernel's cached rows with capped-shift differences of the payout
-        columns, for gpcl one uniformised tangent pass. The legs at the
-        point come from the kernel's cached rows."""
+        legs, with the quotient rule for spreads: where the amplitudes'
+        generators commute with the schedule's (every gpl request, and a
+        gpcl request about its one active mode) one product of the kernel's
+        cached rows with differences of the payout columns, otherwise one
+        uniformised tangent pass. The legs at the point come from the
+        kernel's cached rows."""
         default_pv, annuity = self._legs(schedule)
         tangents = distribution_tangents(self.pool, schedule, self.grid_times, amplitudes,
                                          self.payout_matrix)

@@ -674,23 +674,32 @@ class TestDistributionTangents:
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_matches_block_expm(self, model, names):
         pool = PoolSpec(names=names)
-        schedule = self.awkward_schedule(model, names)
+        awkward = self.awkward_schedule(model, names)
         times = [0.0, 0.3, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5]
         # 2: not in the schedule; names - 1, names, names + 9: below, at and
         # above the pool size
         amplitudes = (1, 2, 3, names - 1, names, names + 5, names + 9)
-        tangents = distribution_tangents(pool, schedule, times, amplitudes, np.eye(names + 1))
-        assert tangents.shape == (len(times), names + 1, len(amplitudes), 3)
-        for i, t in enumerate(times):
-            for j, amplitude in enumerate(amplitudes):
-                for k in range(3):
-                    np.testing.assert_allclose(
-                        tangents[i, :, j, k], expm_tangent(pool, schedule, t, amplitude, k),
-                        rtol=0.0, atol=1e-10)
-        # a rise after a time leaves the state at that time alone
-        assert not tangents[2, :, :, 1:].any() and not tangents[0].any()
-        if model == GPCL:  # clusters larger than the pool never fire
-            assert not tangents[:, :, amplitudes.index(names + 9)].any()
+        # beside the awkward schedule, one mode alone asked about itself,
+        # whose gpcl generator commutes with itself, and no mode at all
+        requests = [(awkward, amplitudes)] + [
+            (make_schedule(model, (b,), awkward.knots, [(0.2, 0.2, 0.5)]), (b,))
+            for b in (1, names - 1, names, names + 9)] + [
+            (awkward.with_cumulated(np.zeros_like(awkward.cumulated)), amplitudes)]
+        for schedule, requested in requests:
+            tangents = distribution_tangents(pool, schedule, times, requested,
+                                             np.eye(names + 1))
+            assert tangents.shape == (len(times), names + 1, len(requested), 3)
+            for i, t in enumerate(times):
+                for j, amplitude in enumerate(requested):
+                    for k in range(3):
+                        np.testing.assert_allclose(
+                            tangents[i, :, j, k], expm_tangent(pool, schedule, t, amplitude, k),
+                            rtol=0.0, atol=1e-10)
+            # a rise after a time leaves the state at that time alone
+            assert not tangents[2, :, :, 1:].any() and not tangents[0].any()
+            # clusters larger than the pool never fire
+            if model == GPCL and names + 9 in requested:
+                assert not tangents[:, :, requested.index(names + 9)].any()
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_long_series_matches_block_expm(self, model):
@@ -727,21 +736,49 @@ class TestDistributionTangents:
                         rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("index", ["itraxx", "cdx"])
-    def test_gpl_closed_form_is_the_series_pass(self, index):
-        # the series pass is exact for gpl too; the capped shifts give its
-        # tangents without summing any series
-        with open(schedule_path(GPL, index)) as fh:
-            schedule = IntensitySchedule.from_json(fh.read())
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_closed_form_is_the_series_pass(self, model, index):
+        # the series pass is exact wherever the closed form serves: every gpl
+        # request, and a gpcl request about the schedule's one mode
+        with open(schedule_path(model, index)) as fh:
+            shipped = IntensitySchedule.from_json(fh.read())
         times = np.linspace(0.0, 12.0, 25)
         for names in (60, 125, 250):
             pool = PoolSpec(names=names)
             columns = np.random.default_rng(names).random((names + 1, 5))
-            for amplitudes in ((1,), (1, 11), tuple(range(1, names + 1))):
+            if model == GPL:
+                requests = [(shipped, amplitudes)
+                            for amplitudes in ((1,), (1, 11), tuple(range(1, names + 1)))]
+            else:  # the shipped row of amplitude 1, alone or as amplitude 7's
+                requests = [(IntensitySchedule(GPCL, (b,), shipped.knots, shipped.cumulated[:1]),
+                             (b,)) for b in (1, 7)]
+            for schedule, amplitudes in requests:
                 closed = distribution_tangents(pool, schedule, times, amplitudes, columns)
                 series = loss_engine._series_tangents(pool, schedule, times, 1, amplitudes,
                                                       columns)
                 np.testing.assert_allclose(closed, series, rtol=0.0,
                                            atol=1e-12 * np.abs(series).max())
+
+    def test_gpcl_series_serves_two_active_modes(self, monkeypatch):
+        # a second mode, active over a late interval or only over the first,
+        # by a rise of 1e-16 that dips back by roundoff to a last value of
+        # zero, does not commute with the first: every request takes the series
+        with open(schedule_path(GPCL, "itraxx")) as fh:
+            shipped = IntensitySchedule.from_json(fh.read())
+        pool, times = PoolSpec(), np.linspace(0.0, 12.0, 25)
+        columns = np.random.default_rng(3).random((126, 5))
+        for second in ([0.0, 0.0, 0.05, 0.1], [1e-16, 0.0, 0.0, 0.0]):
+            schedule = IntensitySchedule(GPCL, (1, 7), shipped.knots,
+                                         [shipped.cumulated[0], second])
+            for amplitudes in ((1,), (7,), (1, 7)):
+                np.testing.assert_array_equal(
+                    distribution_tangents(pool, schedule, times, amplitudes, columns),
+                    loss_engine._series_tangents(pool, schedule, times, 1, amplitudes, columns))
+        # a mode of zero density is no active mode: amplitude 1 alone runs no series
+        schedule = IntensitySchedule(GPCL, (1, 7), shipped.knots,
+                                     [shipped.cumulated[0], [0.0] * 4])
+        monkeypatch.setattr(loss_engine, "_series_tangents", None)  # a call fails
+        assert distribution_tangents(pool, schedule, times, (1,), columns).any()
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_mass_has_zero_derivative(self, model):
@@ -791,6 +828,21 @@ class TestDistributionTangents:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    def test_closed_form_memory_is_bounded_by_its_result(self):
+        # full rows of every amplitude: the column differences of all
+        # amplitudes at once would take 3.1 times the 38 MiB result
+        with open(schedule_path(GPL, "itraxx")) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        pool, times = PoolSpec(names=250), np.linspace(0.5, 10.0, 20)
+        distribution_term_structure(pool, schedule, times)
+        tracemalloc.start()
+        try:
+            tangents = distribution_tangents(pool, schedule, times, range(1, 251), np.eye(251))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * tangents.nbytes
 
     def test_zero_and_empty_times(self, gpl_schedule, pool):
         columns = np.eye(126)

@@ -391,16 +391,19 @@ class TestJacobian:
     def test_matches_differences_on_the_shipped_schedules(self, model, index, pool, curve,
                                                           itraxx_panel, cdx_panel):
         with open(schedule_path(model, index)) as fh:
-            schedule = IntensitySchedule.from_json(fh.read())
+            shipped = IntensitySchedule.from_json(fh.read())
         panel = itraxx_panel if index == "itraxx" else cdx_panel
         pricer = PanelPricer(panel, curve, pool)
-        jacobian = pricer.jacobian(schedule, schedule.amplitudes)
-        assert jacobian.shape == (len(pricer.instruments), schedule.n_modes, 4)
-        for j in range(schedule.n_modes):
-            for k in range(4):
-                expected = self.differences(pricer, schedule, j, k, 1e-5)
-                np.testing.assert_allclose(jacobian[:, j, k], expected, rtol=1e-5,
-                                           atol=1e-5 * np.abs(expected).max())
+        # and the row of amplitude 1 alone, whose gpcl tangents take the closed form
+        single = IntensitySchedule(model, (1,), shipped.knots, shipped.cumulated[:1])
+        for schedule in (shipped, single):
+            jacobian = pricer.jacobian(schedule, schedule.amplitudes)
+            assert jacobian.shape == (len(pricer.instruments), schedule.n_modes, 4)
+            for j in range(schedule.n_modes):
+                for k in range(4):
+                    expected = self.differences(pricer, schedule, j, k, 1e-5)
+                    np.testing.assert_allclose(jacobian[:, j, k], expected, rtol=1e-5,
+                                               atol=1e-5 * np.abs(expected).max())
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_new_amplitude_is_taken_at_zero(self, model, pool, curve, itraxx_panel):

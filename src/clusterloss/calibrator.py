@@ -218,10 +218,6 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
 # dropped, and a greedy step whose new mode ends below it stops the search
 _NEGLIGIBLE_INTENSITY = 1e-7
 
-# a scan pool worker's pricer, set once by the pool's initializer; the serial
-# scan passes its own pricer instead, so calibrations in threads stay apart
-_WORKER_PRICER: PanelPricer | None = None
-
 
 # a scan fits only its best-scored candidates (``_scan_tasks``). At the
 # benchmark's budgets the full scan's winner scores 2nd to 4th, and at
@@ -230,23 +226,19 @@ _WORKER_PRICER: PanelPricer | None = None
 _SCAN_FITS = 12
 
 
-def _scan_init(pricer: PanelPricer) -> None:
-    global _WORKER_PRICER
-    _WORKER_PRICER = pricer
-
-
-def _scan_candidate(task, pricer: PanelPricer | None = None
-                    ) -> tuple[int, float, np.ndarray, int]:
-    model, amplitudes, x0, candidate, budget, start = task
-    fit = fit_intensities(pricer or _WORKER_PRICER, model, amplitudes, x0,
-                          max_evaluations=budget, start=start)
+def _scan_candidate(task) -> tuple[int, float, np.ndarray, int]:
+    """Fit a task of ``_scan_tasks`` with the calibration's pricer it carries, serially or
+    in a pool worker alike: the candidate, its objective, increments and evaluations."""
+    pricer, model, amplitudes, x0, candidate, budget, start = task
+    fit = fit_intensities(pricer, model, amplitudes, x0, max_evaluations=budget, start=start)
     return candidate, fit.objective, fit.increments.ravel(), fit.n_evaluations
 
 
 def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: FitResult,
                 candidates, budget: int) -> tuple[list[tuple], int]:
     """The scan tasks of the ``_SCAN_FITS`` best-scored candidate amplitudes,
-    best first, and the evaluations spent on their shared start.
+    best first, and the evaluations spent on their shared start. A task
+    holds the arguments of the candidate's fit, ``pricer`` first.
 
     Each candidate starts from the incumbent with its new mode at zero. The
     kernel leaves zero-density modes out of its cache keys, so at that start
@@ -267,8 +259,8 @@ def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: Fit
         new_amplitudes = tuple(sorted(amplitudes + [candidate]))
         x0 = np.insert(fit.increments, new_amplitudes.index(candidate), 0.0, axis=0).ravel()
         jac0 = shared[:, np.searchsorted(everything, new_amplitudes)].reshape(len(e), -1)
-        tasks.append((model, new_amplitudes, x0, candidate, budget, (e, jac0, n_knots)))
-    x, jac = np.stack([task[2] for task in tasks]), np.stack([task[5][1] for task in tasks])
+        tasks.append((pricer, model, new_amplitudes, x0, candidate, budget, (e, jac0, n_knots)))
+    x, jac = np.stack([task[3] for task in tasks]), np.stack([task[6][1] for task in tasks])
     gram, gradient, held, going, scale = _stepping(x, e, jac)
     # a fit that does not step keeps its start
     trials = _damped_steps(x, gradient, gram, _DAMPING * scale, held | ~going[:, None])
@@ -392,11 +384,10 @@ def greedy_calibrate(panel: QuotePanel, curve: DiscountCurve, pool: PoolSpec, mo
                     import multiprocessing
 
                     # later scans have no more tasks than this first one
-                    workers = multiprocessing.Pool(min(n_jobs, len(tasks)), _scan_init,
-                                                   (pricer,))
+                    workers = multiprocessing.Pool(min(n_jobs, len(tasks)))
                 scan = workers.map(_scan_candidate, tasks, chunksize=1)
             else:
-                scan = [_scan_candidate(t, pricer) for t in tasks]
+                scan = [_scan_candidate(t) for t in tasks]
             total_evals += sum(s[3] for s in scan)
             scan_log = sorted(((cand, f) for cand, f, _, _ in scan), key=lambda cf: cf[0])
             best_candidate, _, best_x, _ = min(scan, key=lambda s: (s[1], s[0]))

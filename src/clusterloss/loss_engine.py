@@ -41,8 +41,8 @@ STRATEGIES = (STRATEGY_REPEATED, STRATEGY_CAPPED, STRATEGY_SINGLE_NAME, STRATEGY
 
 _NEGATIVE_CLAMP_TOL = 1e-12
 _MASS_TOL = 1e-9  # largest |row sum - 1| the kernel renormalises
-# one 1000-name gpcl scan's (names, amplitude) keys, in the binomial-ratio and
-# the jump-table caches alike
+# the jump tables _jump_table keeps: one 1000-name gpcl scan's (names,
+# amplitude) keys
 _BINOMIAL_CACHE_ENTRIES = 1024
 
 
@@ -85,13 +85,12 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-@lru_cache(maxsize=_BINOMIAL_CACHE_ENTRIES)
 def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
     """C(names - y, amplitude) / C(names, amplitude) for y = 0..names: the
     chance that a uniformly random amplitude-subset of the pool misses y
     given names, which scales the gpcl transition rates and the simulator's
-    s2 firing chance. Read-only because the cache hands out the same array
-    to every caller.
+    s2 firing chance. Not cached itself: callers read it from the gpcl
+    ``_jump_table``, the jump's chances.
 
     Computed in log space: C(125, 62) ~ 1e36 overflows nothing here because
     only the ratio is ever exponentiated.
@@ -101,7 +100,6 @@ def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
     for y in range(names + 1):
         num = log_binomial(names - y, amplitude)
         out[y] = 0.0 if num == -math.inf else math.exp(num - denom)
-    out.flags.writeable = False
     return out
 
 
@@ -110,9 +108,10 @@ def _jump_table(names: int, model: str, amplitude: int) -> tuple[np.ndarray, np.
     """The moves of one amplitude at unit density out of each state y =
     0..names, row 0 the jump and row 1 the stay: their chances and their
     cells in P, the flat indices to-state * (names + 1) + y, both shaped
-    (2, names + 1). This is the one description of the generator, which
-    ``_unit_transition_matrix``, ``_stacked_generators`` (the series tangent
-    pass) and ``_commuting_tangents`` (the closed form) all read.
+    (2, names + 1). This is the one cached description of the generator,
+    which ``_unit_transition_matrix``, ``_stacked_generators`` (the series
+    tangent pass), ``_commuting_tangents`` (the closed form) and the
+    simulator's s2 firing chances all read.
 
     gpcl: the jump's chance is the binomial ratio, to y + amplitude; where
     that passes the pool size the chance is zero and the cell the pool
@@ -307,6 +306,8 @@ class LossDistribution:
         probs = np.array(self.probs, dtype=float)  # a copy: the caller keeps its array
         if probs.ndim != 1:
             raise LossEngineError("probability vector must be one-dimensional")
+        if not probs.size:
+            raise LossEngineError("probability vector is empty: it needs one entry per count")
         total = float(probs.sum())
         if not math.isfinite(total):  # a nan or an infinity reaches the sum
             raise LossEngineError("probabilities must be finite")
@@ -376,17 +377,13 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
         columns = _checked_columns(pool, columns)
         project = np.ones((len(columns), columns.shape[1] + 1))
         project[:, :-1] = columns
-    out = np.zeros((len(times), pool.names + 1 if project is None else project.shape[1]))
-    lo = int(np.searchsorted(times, 0.0, side="right"))
-    # no defaults at time zero
-    out[:lo] = np.eye(1, pool.names + 1)[0] if project is None else project[0]
-    if lo < len(times):
-        for lo, hi, _, interval in _interval_walk(pool, schedule, times, lo):
-            rows = _interval_rows(*interval)[0]
-            if project is None:
-                out[lo:hi] = rows
-            else:
-                np.dot(rows, project, out=out[lo:hi])
+    out = np.empty((len(times), pool.names + 1 if project is None else project.shape[1]))
+    for lo, hi, _, interval in _interval_walk(pool, schedule, times):
+        rows = _interval_rows(*interval)[0]
+        if project is None:
+            out[lo:hi] = rows
+        else:
+            np.dot(rows, project, out=out[lo:hi])
     if project is None:
         sums = out.sum(axis=1)
     else:
@@ -423,12 +420,16 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def _interval_walk(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray, lo: int):
-    """The knot intervals, first to the one holding the last of ``times``:
-    (lo, hi, width, interval) each, where times[lo:hi] fall in the interval,
-    ``width`` is its length between knots and ``interval`` is the argument
-    tuple of ``_interval_rows`` that names it. ``times[lo:]`` must be
-    positive. The final interval's slope carries on beyond the last knot."""
+def _interval_walk(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray):
+    """The knot intervals, first to the one holding the last of ``times``,
+    if any: (lo, hi, width, interval) each, where times[lo:hi] fall in the
+    interval, ``width`` is its length between knots and ``interval`` is the
+    argument tuple of ``_interval_rows`` that names it. A time at zero lies
+    in the first interval at offset zero, where the Poisson weights are one
+    on the first term, so its row is the start state e_0 bit for bit. The
+    final interval's slope carries on beyond the last knot."""
+    if not len(times):
+        return
     knots, rises, widths = schedule.knots, schedule.cumulated.copy(), schedule.knots.copy()
     rises[:, 1:] -= schedule.cumulated[:, :-1]  # in place: np.diff's prepend= is slower
     widths[1:] -= knots[:-1]
@@ -436,7 +437,7 @@ def _interval_walk(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarra
     densities = (np.maximum(rises, 0.0) / widths).T.tolist()
     his = np.searchsorted(times, knots[:-1], side="right").tolist() + [len(times)]
     ends = np.minimum(knots[:-1], times[-1]).tolist() + [float(times[-1])]
-    interval = None
+    lo, interval = 0, None
     for hi, end, width, slopes in zip(his, ends, widths.tolist(), densities):
         active = tuple((a, s) for a, s in zip(schedule.amplitudes, slopes) if s > 0.0)
         interval = (schedule.model, pool.names, interval, times[lo:hi].tobytes(), end, active)
@@ -543,28 +544,28 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     if not amplitudes or min(amplitudes) < 1:
         raise LossEngineError("tangents need one or more amplitudes, each at least 1")
     columns = _checked_columns(pool, columns)
-    lo = int(np.searchsorted(times, 0.0, side="right"))
-    if lo == len(times):  # no defaults at time zero, whatever the rises
-        return np.zeros((len(times), columns.shape[1], len(amplitudes), len(schedule.knots)))
-    walk = list(_interval_walk(pool, schedule, times, lo))
+    if not len(times):
+        return np.zeros((0, columns.shape[1], len(amplitudes), len(schedule.knots)))
+    walk = list(_interval_walk(pool, schedule, times))
     modes = {a for *_, interval in walk for a, _ in interval[-1]}  # active anywhere
     if schedule.model == GPL or all(modes <= {b} for b in amplitudes):
         return _commuting_tangents(pool, schedule, times, walk, amplitudes, columns)
-    return _series_tangents(pool, schedule, times, lo, amplitudes, columns)
+    return _series_tangents(pool, schedule, times, walk, amplitudes, columns)
 
 
 def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
                         walk: list, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
     """``distribution_tangents`` where the generator of every one of
     ``amplitudes`` commutes with that of every interval of ``walk``, the
-    ``_interval_walk`` of ``times`` from its first positive time on.
+    ``_interval_walk`` of ``times``.
 
     The generator G_b of amplitude b at unit density moves each state y to
     to_b(y) at rate chance_b(y), the jump of ``_jump_table``. Where G_b
     commutes with every interval's generator, a rise of b over interval i,
     from T_{i-1} to T_i, moves the state x(t) by phi_i(t) G_b x(t) per unit,
     with phi_i(t) = clip((t - T_{i-1}) / (T_i - T_{i-1}), 0, 1) and no upper
-    clip for the last interval, whose slope carries on past the last knot.
+    clip for the last interval, whose slope carries on past the last knot;
+    at t = 0 every phi is zero.
     That holds for every gpl amplitude, as capped shifts commute, and for a
     gpcl amplitude whose intervals have no other active mode. Projected
     onto ``columns``, G_b x(t) is x(t) times the differences
@@ -573,13 +574,13 @@ def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.n
     nothing is summed over a series. The differences are built in blocks of
     amplitudes, each holding no more doubles than the result.
     """
-    names, lo = pool.names, walk[0][0]
+    names = pool.names
     rows = np.concatenate([_interval_rows(*interval)[0] for *_, interval in walk])
     chances, cells = _jump_tables(names, schedule.model, amplitudes)
     starts = np.concatenate(([0.0], schedule.knots[:-1]))
-    shares = np.maximum((times[lo:, None] - starts) / (schedule.knots - starts), 0.0)
+    shares = np.maximum((times[:, None] - starts) / (schedule.knots - starts), 0.0)
     shares[:, :-1] = np.minimum(shares[:, :-1], 1.0)
-    result = np.zeros((len(times), columns.shape[1], len(amplitudes), len(schedule.knots)))
+    result = np.empty((len(times), columns.shape[1], len(amplitudes), len(schedule.knots)))
     # a block's differences, (names + 1) x block x columns doubles, are at
     # most the result's times x columns x amplitudes x knots
     block = max(1, len(times) * len(amplitudes) * len(schedule.knots) // (names + 1))
@@ -592,15 +593,15 @@ def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.n
             len(rows), -1, columns.shape[1])
         del differences  # before the next block's are made
         np.multiply(moves.transpose(0, 2, 1)[..., None], shares[:, None, None, :],
-                    out=result[lo:, :, part])
+                    out=result[:, :, part])
     return result
 
 
 def _series_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
-                     lo: int, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
-    """``distribution_tangents`` from the uniformised series, for
-    ``times[lo:]`` positive and ``times[:lo]`` zero; the pass of gpcl
-    requests whose generators do not commute with the schedule's.
+                     walk: list, amplitudes: tuple, columns: np.ndarray) -> np.ndarray:
+    """``distribution_tangents`` from the uniformised series over ``walk``,
+    the ``_interval_walk`` of ``times``; the pass of gpcl requests whose
+    generators do not commute with the schedule's.
 
     A rise of r over an interval of width w adds the density r/w, so the
     generator G of the interval moves along G_b / w for amplitude b, where
@@ -613,7 +614,8 @@ def _series_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndar
     come from the value kernel's chunks, and the tangents' Poisson-weighted
     sums, projected onto ``columns``, are taken chunk by chunk too. In an
     interval with no active mode, the state v stands still and its tangent
-    s years in is s G_b v / w.
+    s years in is s G_b v / w. A time at zero has offset zero in the first
+    interval, where Y_0 = 0, so its tangents are zero.
     """
     n_amps, n_cols = len(amplitudes), columns.shape[1]
     result = np.zeros((len(times), n_cols, len(schedule.knots), n_amps))
@@ -624,7 +626,7 @@ def _series_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndar
     # tangents of the state at an interval's start, one column per
     # (interval, amplitude), interval-major; later intervals' columns are zero
     tangents = np.zeros((pool.names + 1, out.shape[2]))
-    for k, (lo, hi, width, interval) in enumerate(_interval_walk(pool, schedule, times, lo)):
+    for k, (lo, hi, width, interval) in enumerate(walk):
         state, offsets, series = _interval_series(*interval)
         own, used = slice(k * n_amps, (k + 1) * n_amps), (k + 1) * n_amps
         if series is None:
@@ -733,8 +735,9 @@ def counting_intensity(strategy: str, pool: PoolSpec, cluster_rates: dict[int, f
                        count: int) -> float:
     """Intensity of the pool counting process given ``count`` defaults so far.
 
-    ``cluster_rates`` maps amplitude -> per-cluster rate (size-homogeneous).
-    The four constructions:
+    ``cluster_rates`` maps amplitude -> per-cluster rate (size-homogeneous);
+    an amplitude is an integer of at least 1, and one above the pool size
+    adds nothing. The four constructions:
 
     * ``repeated``: sum_j j C(M, j) rate_j (state-independent),
     * ``s0``: sum_j min(j, M - count) C(M, j) rate_j (count capped at M),
@@ -748,11 +751,15 @@ def counting_intensity(strategy: str, pool: PoolSpec, cluster_rates: dict[int, f
         raise LossEngineError(f"count must be an integer in [0, {m}], got {count!r}")
     total = 0.0
     for amplitude, rate in cluster_rates.items():
+        # int() would read 2.5 as 2, True as 1 and '3' as 3
+        if not (_is_integer(amplitude) and amplitude >= 1):
+            raise LossEngineError(f"cluster rate amplitudes must be integers of at least 1, "
+                                  f"got {amplitude!r}")
         amplitude = int(amplitude)
         if not (0 <= rate < math.inf):  # a nan fails this too
             raise LossEngineError(f"cluster rate of amplitude {amplitude} must be "
                                   f"non-negative and finite, got {rate!r}")
-        if rate == 0.0 or amplitude < 1 or amplitude > m:
+        if rate == 0.0 or amplitude > m:
             continue
         log_rate = math.log(rate)
         if strategy == STRATEGY_REPEATED:

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss_engine import (
+    GPCL,
     STRATEGIES,
     STRATEGY_CLUSTER,
     STRATEGY_REPEATED,
@@ -58,8 +59,8 @@ from .loss_engine import (
     IntensitySchedule,
     LossDistribution,
     PoolSpec,
-    _binomial_ratio_column,
     _is_integer,
+    _jump_table,
 )
 
 
@@ -251,9 +252,9 @@ def _name_aware_counts(rng: np.random.Generator, n: int, strategy: str, names: i
     first = np.cumsum(per_path) - per_path
     defaulted = np.zeros(n, dtype=np.int64)
     increments = np.zeros(len(cell), dtype=np.int64)
-    # C(M - y, a) / C(M, a): the chance that a uniformly random a-subset
-    # misses all y defaulted names
-    avoidance = np.stack([_binomial_ratio_column(names, a) for a in amplitudes.tolist()])
+    # C(M - y, a) / C(M, a), the gpcl jump chance: the chance that a
+    # uniformly random a-subset misses all y defaulted names
+    avoidance = np.stack([_jump_table(names, GPCL, a)[0][0] for a in amplitudes.tolist()])
     live = np.flatnonzero(per_path)
     rank = 0
     while live.size:

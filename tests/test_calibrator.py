@@ -580,9 +580,10 @@ class TestFitIntensities:
         tasks, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
         assert spent == 8
         # tasks come best score first
-        for (_, new_amplitudes, x0, candidate, budget, (e, jac, charge)), expected in zip(
-                sorted(tasks, key=lambda task: task[3]), candidates):
+        for task, expected in zip(sorted(tasks, key=lambda task: task[4]), candidates):
+            carried, _, new_amplitudes, x0, candidate, budget, (e, jac, charge) = task
             assert candidate == expected and budget == 20 and charge == 4
+            assert carried is pricer  # the task carries the calibration's pricer
             assert new_amplitudes == tuple(sorted(amplitudes + [candidate]))
             assert not x0.reshape(3, 4)[new_amplitudes.index(candidate)].any()
             schedule = IntensitySchedule(model, new_amplitudes, pricer.knots,
@@ -817,12 +818,11 @@ class TestGreedyCalibrate:
         class InProcessPool:
             """Stands in for multiprocessing.Pool and records its use."""
 
-            def __init__(self, processes, initializer, initargs):
+            def __init__(self, processes):
                 self.processes = processes
                 self.maps, self.chunksizes = 0, []
                 self.terminated = False
                 pools.append(self)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -949,8 +949,8 @@ class TestRankedScan:
         monkeypatch.setattr(calibrator_module, "_SCAN_FITS", fits)
         scanned = {}
 
-        def recording(task, pricer=None):
-            out = _scan_candidate(task, pricer)
+        def recording(task):
+            out = _scan_candidate(task)
             scanned[out[0]] = out
             return out
 
@@ -983,7 +983,7 @@ class TestRankedScan:
         assert scanned.shape == (len(candidates), 12)
         scores = {}
         for task in tasks:
-            _, new_amplitudes, x0, candidate, budget, start = task
+            _, _, new_amplitudes, x0, candidate, budget, start = task
             trials.clear()
             fit_intensities(pricer, model, new_amplitudes, x0, max_evaluations=budget,
                             start=start)
@@ -991,11 +991,11 @@ class TestRankedScan:
             np.testing.assert_array_equal(trials[0][0], trial)
             r = start[0] + start[1] @ (trial - x0)
             scores[candidate] = r @ r
-        assert [task[3] for task in tasks] == sorted(candidates,
+        assert [task[4] for task in tasks] == sorted(candidates,
                                                      key=lambda c: (scores[c], c))
         monkeypatch.setattr(calibrator_module, "_SCAN_FITS", 4)
         fitted, spent = _scan_tasks(pricer, model, amplitudes, incumbent, candidates, 20)
-        assert [task[3] for task in fitted] == [task[3] for task in tasks[:4]]
+        assert [task[4] for task in fitted] == [task[4] for task in tasks[:4]]
         assert spent == 8 + 2 * 4
 
     @pytest.mark.parametrize("panel_name", ["itraxx", "cdx"])

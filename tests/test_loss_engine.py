@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -754,7 +755,8 @@ class TestDistributionTangents:
                              (b,)) for b in (1, 7)]
             for schedule, amplitudes in requests:
                 closed = distribution_tangents(pool, schedule, times, amplitudes, columns)
-                series = loss_engine._series_tangents(pool, schedule, times, 1, amplitudes,
+                walk = list(loss_engine._interval_walk(pool, schedule, times))
+                series = loss_engine._series_tangents(pool, schedule, times, walk, amplitudes,
                                                       columns)
                 np.testing.assert_allclose(closed, series, rtol=0.0,
                                            atol=1e-12 * np.abs(series).max())
@@ -770,10 +772,12 @@ class TestDistributionTangents:
         for second in ([0.0, 0.0, 0.05, 0.1], [1e-16, 0.0, 0.0, 0.0]):
             schedule = IntensitySchedule(GPCL, (1, 7), shipped.knots,
                                          [shipped.cumulated[0], second])
+            walk = list(loss_engine._interval_walk(pool, schedule, times))
             for amplitudes in ((1,), (7,), (1, 7)):
                 np.testing.assert_array_equal(
                     distribution_tangents(pool, schedule, times, amplitudes, columns),
-                    loss_engine._series_tangents(pool, schedule, times, 1, amplitudes, columns))
+                    loss_engine._series_tangents(pool, schedule, times, walk, amplitudes,
+                                                 columns))
         # a mode of zero density is no active mode: amplitude 1 alone runs no series
         schedule = IntensitySchedule(GPCL, (1, 7), shipped.knots,
                                      [shipped.cumulated[0], [0.0] * 4])
@@ -871,22 +875,71 @@ class TestDistributionTangents:
             distribution_tangents(pool, gpl_schedule, [1.0], (1, 3), np.eye(126)))
 
 
-class TestBinomialRatioCache:
+class TestTimeZero:
+    """A time at zero walks like any other: it lies in the first knot
+    interval at offset zero, so its row is the start state e_0 bit for bit,
+    its projection is columns[0] and both tangent passes give it zero."""
+
+    @staticmethod
+    def _schedule(kind):
+        with open(schedule_path(GPL if kind == "gpl" else GPCL, "itraxx")) as fh:
+            shipped = IntensitySchedule.from_json(fh.read())
+        if kind == "gpl":
+            return shipped
+        modes = 1 if kind == "gpcl, one mode" else 2
+        return IntensitySchedule(GPCL, shipped.amplitudes[:modes], shipped.knots,
+                                 shipped.cumulated[:modes])
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.0, 0.5, 1.0, 7.0, 12.0], []])
+    @pytest.mark.parametrize("kind", ["gpl", "gpcl, one mode", "gpcl, two modes"])
+    def test_rows_and_tangents_at_zero(self, kind, times):
+        schedule, pool = self._schedule(kind), PoolSpec()
+        times, zeros = np.array(times), times.count(0.0)
+        columns = np.random.default_rng(11).random((126, 4))
+        rows = distribution_term_structure(pool, schedule, times)
+        projected = distribution_term_structure(pool, schedule, times, columns)
+        assert rows.shape == (len(times), 126) and projected.shape == (len(times), 4)
+        np.testing.assert_array_equal(rows[:zeros], np.eye(126)[[0] * zeros])
+        np.testing.assert_array_equal(projected[:zeros], columns[[0] * zeros])
+        amplitudes = (1, 7)
+        tangents = distribution_tangents(pool, schedule, times, amplitudes, columns)
+        assert tangents.shape == (len(times), 4, 2, 4)
+        assert not tangents[:zeros].any()
+        if not zeros:
+            return
+        # the positive times' rows are those of a call without the zeros
+        np.testing.assert_allclose(rows[zeros:], distribution_term_structure(
+            pool, schedule, times[zeros:]), rtol=1e-14, atol=0.0)
+        # both passes, whichever the dispatch takes: the series pass is exact
+        # for every request, the closed form at t = 0 for every request too
+        walk = list(loss_engine._interval_walk(pool, schedule, times))
+        assert walk[0][0] == 0 and walk[0][1] >= zeros  # the first interval holds them
+        for tangent_pass in (loss_engine._commuting_tangents, loss_engine._series_tangents):
+            passed = tangent_pass(pool, schedule, times, walk, amplitudes, columns)
+            assert not passed[:zeros].any()
+
+
+class TestJumpTableCache:
+    """The gpcl jump table is the one cached copy of the binomial ratios."""
+
     def test_bounded_and_values_unchanged(self):
-        ratio = loss_engine._binomial_ratio_column
+        table = loss_engine._jump_table
+        assert not hasattr(loss_engine._binomial_ratio_column, "cache_info")
         keys = [(names, a) for names in range(1, 48) for a in range(1, names + 1)]
         assert len(keys) >= 1100
-        first = {key: ratio(*key).copy() for key in keys[:50]}
-        for key in keys:
-            ratio(*key)
-        info = ratio.cache_info()
+        first = {key: table(key[0], GPCL, key[1])[0].copy() for key in keys[:50]}
+        for names, a in keys:
+            table(names, GPCL, a)
+        info = table.cache_info()
         assert 1024 <= info.maxsize and info.currsize <= info.maxsize
-        for key, value in first.items():
-            np.testing.assert_array_equal(ratio(*key), value)
+        for (names, a), value in first.items():  # evicted and made again
+            np.testing.assert_array_equal(table(names, GPCL, a)[0], value)
         names, a = keys[-1]
         exact = [math.comb(names - y, a) / math.comb(names, a) for y in range(names + 1)]
-        np.testing.assert_allclose(ratio(names, a), exact, rtol=1e-12, atol=0.0)
-        assert not ratio(names, a).flags.writeable  # one array serves every caller
+        np.testing.assert_allclose(table(names, GPCL, a)[0][0], exact, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(table(names, GPCL, a)[0][0],
+                                      loss_engine._binomial_ratio_column(names, a))
+        assert not table(names, GPCL, a)[0].flags.writeable  # one array serves every caller
 
 
 class TestNonFiniteTimes:
@@ -938,6 +991,11 @@ class TestLossDistribution:
         assert dist.probs[1] == 0.0
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_empty_vector_rejected(self):
+        # numpy's min() of no entries would raise its own ValueError
+        with pytest.raises(LossEngineError, match="probability vector is empty"):
+            LossDistribution(time=1.0, probs=[])
+
     def test_expected_count(self):
         dist = LossDistribution(time=1.0, probs=np.array([0.25, 0.5, 0.25]))
         assert dist.expected_count() == pytest.approx(1.0)
@@ -986,6 +1044,21 @@ class TestCountingIntensity:
     def test_bad_rate_rejected(self, bad):
         with pytest.raises(LossEngineError, match="amplitude 1"):
             counting_intensity("s2", PoolSpec(10), {1: bad}, 0)
+
+    @pytest.mark.parametrize("key", [2.5, 2.0, True, "3", 0, -2, None])
+    def test_bad_amplitude_key_rejected(self, key):
+        # int() would read 2.5 as 2, True as 1 and '3' as 3, and 0 and -2
+        # would add nothing
+        message = f"integers of at least 1, got {re.escape(repr(key))}$"
+        with pytest.raises(LossEngineError, match=message):
+            counting_intensity("repeated", PoolSpec(10), {4: 1e-3, key: 1e-3}, 0)
+
+    def test_numpy_and_oversized_amplitude_keys(self):
+        # a numpy integer is an amplitude; one above the pool size adds nothing
+        pool = PoolSpec(10)
+        for strategy in STRATEGIES:
+            assert counting_intensity(strategy, pool, {np.int64(2): 1e-3, 11: 5.0}, 3) == \
+                counting_intensity(strategy, pool, {2: 1e-3}, 3)
 
     def test_out_of_range_count_rejected(self, pool):
         with pytest.raises(LossEngineError):

@@ -174,8 +174,9 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
                                f"{max_evaluations!r}")
     x = np.clip(x, 0.0, _MAX_INCREMENT)
     schedule = functools.partial(_schedule_from_increments, model, amplitudes, pricer.knots)
+    point = schedule(x)  # the schedule at x, built once and priced, differentiated and returned
     if start is None:
-        evaluations, e, jac, charge = 1, pricer.errors(schedule(x)), None, x.size
+        evaluations, e, jac, charge = 1, pricer.errors(point), None, x.size
     else:
         evaluations, charge = 0, int(start[2])
         e, jac = np.asarray(start[0], dtype=float), np.array(start[1], dtype=float)
@@ -189,7 +190,7 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
             break
         evaluations += charge
         if jac is None:
-            jac = pricer.jacobian(schedule(x), amplitudes).reshape(len(e), x.size)
+            jac = pricer.jacobian(point, amplitudes).reshape(len(e), x.size)
         gram, gradient, held, going, scale = _stepping(x[None], e, jac[None])
         if not going[0]:
             break
@@ -199,13 +200,14 @@ def fit_intensities(pricer: PanelPricer, model: str, amplitudes, x0,
                 break
             trial = _damped_steps(x[None], gradient, gram, damping * scale, held)[0]
             evaluations += 1
-            e_trial = pricer.errors(schedule(trial))
+            trial_point = schedule(trial)
+            e_trial = pricer.errors(trial_point)
             if e_trial @ e_trial < e @ e:
-                x, e, jac, charge = trial, e_trial, None, x.size
+                x, point, e, jac, charge = trial, trial_point, e_trial, None, x.size
                 damping = max(damping / 10.0, _DAMPING_RANGE[0])
             else:
                 damping *= 10.0
-    return FitResult(schedule=schedule(x), objective=float(e @ e), errors=e,
+    return FitResult(schedule=point, objective=float(e @ e), errors=e,
                      increments=x.reshape(len(amplitudes), -1), n_evaluations=evaluations,
                      converged=warning is None, warning=warning)
 

@@ -25,8 +25,8 @@ from .loss_engine import (
     LossEngineError,
     PoolSpec,
     STRATEGIES,
+    cluster_cumulated_intensity,
     counting_intensity,
-    log_binomial,
     loss_distribution,
 )
 from .market_data import MarketDataError, format_date, load_curve, load_quotes, parse_date
@@ -226,12 +226,9 @@ def cmd_intensity_curve(args) -> int:
     if not (math.isfinite(at_time) and at_time >= 0):
         raise InputError(f"--at-time must be a finite, non-negative year fraction, "
                          f"got {at_time}")
-    # per-cluster rates from the aggregate values (both schedule kinds store
-    # amplitude totals over C(names, amplitude) clusters)
-    rates = {}
-    for amplitude, total in zip(schedule.amplitudes, schedule.aggregate_cumulated(at_time)):
-        if total > 0 and amplitude <= pool.names:
-            rates[amplitude] = float(total) * math.exp(-log_binomial(pool.names, amplitude))
+    rates = {a: cluster_cumulated_intensity(schedule, pool, a, at_time)
+             for a in schedule.amplitudes if a <= pool.names}
+    rates = {a: rate for a, rate in rates.items() if rate > 0}
     if not rates:
         raise InputError("schedule has no active amplitudes at the requested time")
     out_dir = Path(args.out)

@@ -41,9 +41,10 @@ STRATEGIES = (STRATEGY_REPEATED, STRATEGY_CAPPED, STRATEGY_SINGLE_NAME, STRATEGY
 
 _NEGATIVE_CLAMP_TOL = 1e-12
 _MASS_TOL = 1e-9  # largest |row sum - 1| the kernel renormalises
-# the jump tables _jump_table keeps: one 1000-name gpcl scan's (names,
-# amplitude) keys
-_BINOMIAL_CACHE_ENTRIES = 1024
+# the tables _jump_table keeps, one per pool size: at 1000 names the gpcl
+# chances of three take 24 MB, and 32 MB while a fourth is built
+_JUMP_TABLE_ENTRIES = 3
+_JUMP_AND_STAY = np.array([1, 0])  # a mode's jump and, as amplitude zero, its stay
 
 
 class LossEngineError(ValueError):
@@ -85,55 +86,56 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _binomial_ratio_column(names: int, amplitude: int) -> np.ndarray:
-    """C(names - y, amplitude) / C(names, amplitude) for y = 0..names: the
-    chance that a uniformly random amplitude-subset of the pool misses y
-    given names, which scales the gpcl transition rates and the simulator's
-    s2 firing chance. Not cached itself: callers read it from the gpcl
-    ``_jump_table``, the jump's chances.
-
-    Computed in log space: C(125, 62) ~ 1e36 overflows nothing here because
-    only the ratio is ever exponentiated.
-    """
-    denom = log_binomial(names, amplitude)
-    out = np.zeros(names + 1)
-    for y in range(names + 1):
-        num = log_binomial(names - y, amplitude)
-        out[y] = 0.0 if num == -math.inf else math.exp(num - denom)
-    return out
-
-
-@lru_cache(maxsize=_BINOMIAL_CACHE_ENTRIES)
-def _jump_table(names: int, model: str, amplitude: int) -> tuple[np.ndarray, np.ndarray]:
-    """The moves of one amplitude at unit density out of each state y =
-    0..names, row 0 the jump and row 1 the stay: their chances and their
-    cells in P, the flat indices to-state * (names + 1) + y, both shaped
-    (2, names + 1). This is the one cached description of the generator,
-    which ``_unit_transition_matrix``, ``_stacked_generators`` (the series
-    tangent pass), ``_commuting_tangents`` (the closed form) and the
-    simulator's s2 firing chances all read.
-
-    gpcl: the jump's chance is the binomial ratio, to y + amplitude; where
-    that passes the pool size the chance is zero and the cell the pool
-    size's. gpl: the chance is one below the cap and zero at it, to
-    min(y + amplitude, names). The stay's chance is one minus the jump's.
-    Both arrays are read-only, as the cache hands them to every caller.
+@lru_cache(maxsize=_JUMP_TABLE_ENTRIES)
+def _jump_table(names: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the moves out of states y = 0..names (columns),
+    row a for amplitude a = 0..names + 1, where the last row stands for
+    every amplitude above the pool size and amplitude zero for the stay:
+    the gpcl jump chances C(names - y, a) / C(names, a), made in log space
+    from the log-factorials in ``log_binomial``'s order; the cells
+    min(y + a, names) * (names + 1) + y of the jumps in P, plus a, a view of
+    one vector, as they depend on y + a alone; and the gpl chances of a jump
+    and a stay, one below the cap and zero at it for every amplitude alike.
     """
     n = names + 1
-    states = np.arange(n)
-    rate = _binomial_ratio_column(names, amplitude) if model == GPCL else (
-        (states < names).astype(float))
-    chances = np.array([rate, 1.0 - rate])
-    cells = np.array([np.minimum(states + amplitude, names), states]) * n + states
-    chances.flags.writeable = cells.flags.writeable = False
-    return chances, cells
+    chances = np.zeros((n + 1, n))
+    body = chances[:-1]  # amplitudes 0..names
+    factorials = _log_factorials(n)
+    # log (names - i)! at i = 0..names, and +inf past names, where no subset fits
+    falling = np.concatenate((factorials[::-1], np.full(names, np.inf)))
+    np.subtract(falling[:n], factorials[:, None], out=body)
+    body -= np.lib.stride_tricks.sliding_window_view(falling, n)  # [a, y]: log (M - y - a)!
+    body -= ((factorials[names] - factorials) - falling[:n])[:, None]
+    np.exp(body, out=body)
+    reach = np.arange(2 * n)
+    shifted = np.lib.stride_tricks.sliding_window_view(np.minimum(reach, names) * n + reach, n)
+    capped = np.array([reach[:n] < names, reach[:n] == names], dtype=float)
+    chances.flags.writeable = capped.flags.writeable = False
+    return chances, shifted, capped
 
 
-def _jump_tables(names: int, model: str, amplitudes) -> tuple[np.ndarray, np.ndarray]:
-    """``_jump_table`` of each amplitude, stacked: chances and cells, shaped
-    (amplitudes, 2, names + 1)."""
-    tables = [_jump_table(names, model, a) for a in amplitudes]
-    return np.array([c for c, _ in tables]), np.array([c for _, c in tables])
+def _jump_moves(names: int, model: str, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """The moves of each of ``amplitudes`` at unit density out of states
+    y = 0..names, row 0 the jump, to min(y + a, names), and row 1 the stay:
+    their chances and their flat cells to-state * (names + 1) + y in P, both
+    (amplitudes, 2, names + 1) and made afresh from ``_jump_table``. This is
+    the one description of the generator, which ``_unit_transition_matrix``,
+    ``_stacked_generators``, ``_commuting_tangents`` and the simulator's s2
+    firing chances read. The gpcl jump's chance is the binomial ratio, the
+    gpl one's one below the cap, and the stay's one minus the jump's.
+    """
+    chances, shifted, capped = _jump_table(names)
+    rows = np.minimum(amplitudes, names + 1)[:, None] * _JUMP_AND_STAY
+    cells = shifted[rows]
+    cells -= rows[..., None]
+    moves = np.empty(cells.shape)
+    if model == GPCL:
+        jumps = chances[rows[:, 0]]
+        moves[:, 0] = jumps
+        moves[:, 1] = 1.0 - jumps
+    else:
+        moves[:] = capped
+    return moves, cells
 
 
 def _array_of(value, kinds: str, ndim: int, message: str) -> np.ndarray:
@@ -272,13 +274,11 @@ def cluster_cumulated_intensity(schedule: IntensitySchedule, pool: PoolSpec,
                                 amplitude: int, t: float) -> float:
     """Per-cluster cumulated intensity of one amplitude at time t.
 
-    Schedules store the aggregate value — the per-cluster intensity times the
-    number of size-``amplitude`` clusters of the whole pool — so this divides
-    by C(names, amplitude) (in log space, the binomial is astronomically
-    large mid-range).
+    Schedules of both kinds store the aggregate value — the per-cluster
+    intensity times the number of size-``amplitude`` clusters of the whole
+    pool — so this divides by C(names, amplitude) (in log space, the
+    binomial is astronomically large mid-range).
     """
-    if schedule.model != GPCL:
-        raise LossEngineError("per-cluster intensities are defined for gpcl schedules")
     if amplitude not in schedule.amplitudes:
         raise LossEngineError(f"unknown amplitude {amplitude}")
     if amplitude > pool.names:
@@ -560,7 +560,7 @@ def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.n
     ``_interval_walk`` of ``times``.
 
     The generator G_b of amplitude b at unit density moves each state y to
-    to_b(y) at rate chance_b(y), the jump of ``_jump_table``. Where G_b
+    to_b(y) at rate chance_b(y), the jump of ``_jump_moves``. Where G_b
     commutes with every interval's generator, a rise of b over interval i,
     from T_{i-1} to T_i, moves the state x(t) by phi_i(t) G_b x(t) per unit,
     with phi_i(t) = clip((t - T_{i-1}) / (T_i - T_{i-1}), 0, 1) and no upper
@@ -576,7 +576,7 @@ def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.n
     """
     names = pool.names
     rows = np.concatenate([_interval_rows(*interval)[0] for *_, interval in walk])
-    chances, cells = _jump_tables(names, schedule.model, amplitudes)
+    chances, cells = _jump_moves(names, schedule.model, amplitudes)
     starts = np.concatenate(([0.0], schedule.knots[:-1]))
     shares = np.maximum((times[:, None] - starts) / (schedule.knots - starts), 0.0)
     shares[:, :-1] = np.minimum(shares[:, :-1], 1.0)
@@ -656,13 +656,13 @@ def _stacked_generators(names: int, model: str, amplitudes):
     """A function of a state x giving the columns G_b x, (names + 1,
     amplitudes), where G_b = P - I is the generator of amplitude b at unit
     density, P being ``_unit_transition_matrix`` of b alone: its non-zero
-    entries, read from the jump tables. Each row's entries are summed in
+    entries, read from ``_jump_moves``. Each row's entries are summed in
     the order of their from-states. The series tangent pass applies it to
     every series term; it serves the gpcl requests whose generators do not
     commute with the schedule's, while the others take the closed form of
     ``_commuting_tangents``."""
     n, n_amps = names + 1, len(amplitudes)
-    chances, cells = _jump_tables(names, model, amplitudes)
+    chances, cells = _jump_moves(names, model, amplitudes)
     rates, stays = chances[:, 0], chances[:, 1] - 1.0  # as (I + G) - I leaves the diagonal
     jumps, held = rates != 0.0, stays != 0.0
     mode, states = np.arange(n_amps)[:, None], np.broadcast_to(np.arange(n), rates.shape)
@@ -681,15 +681,15 @@ def _unit_transition_matrix(names: int, model: str, shares) -> np.ndarray:
     intensity densities over their sum q. A state leaves at rate at most q
     in both models (gpcl: the binomial ratio is at most one; gpl: exactly q
     below the cap, zero at it), so every entry is non-negative and each
-    column sums to one. Each mode adds its share of the chances of its jump
-    tables' moves to their cells, mode after mode in the order given: a
+    column sums to one. Each mode adds its share of the chances of its
+    ``_jump_moves`` to their cells, mode after mode in the order given: a
     mode's moves reach distinct cells, apart from the gpcl stand-in cell at
     the pool size, whose jump chance is zero. The gpl cap absorbs.
     """
     n = names + 1
     amplitudes, weights = zip(*shares)
-    chances, cells = _jump_tables(names, model, amplitudes)
-    moves = np.array(weights)[:, None, None] * chances
+    moves, cells = _jump_moves(names, model, amplitudes)
+    moves *= np.array(weights)[:, None, None]  # fresh arrays: weighted in place
     p = np.bincount(cells.ravel(), moves.ravel(), n * n).reshape(n, n)  # adds in order
     if model == GPL:
         p[names, names] = 1.0

@@ -60,7 +60,7 @@ from .loss_engine import (
     LossDistribution,
     PoolSpec,
     _is_integer,
-    _jump_table,
+    _jump_moves,
 )
 
 
@@ -254,7 +254,7 @@ def _name_aware_counts(rng: np.random.Generator, n: int, strategy: str, names: i
     increments = np.zeros(len(cell), dtype=np.int64)
     # C(M - y, a) / C(M, a), the gpcl jump chance: the chance that a
     # uniformly random a-subset misses all y defaulted names
-    avoidance = np.stack([_jump_table(names, GPCL, a)[0][0] for a in amplitudes.tolist()])
+    avoidance = _jump_moves(names, GPCL, amplitudes)[0][:, 0]
     live = np.flatnonzero(per_path)
     rank = 0
     while live.size:

@@ -13,7 +13,9 @@ Each computes what the package computes by a different route:
 * ``expm_distribution``: the cluster-model distribution from an ordered
   product of matrix exponentials of the integrated transition-rate matrix,
   one per knot-to-knot piece, with binomial ratios in exact integer
-  arithmetic;
+  arithmetic; given ``single_name_generator``, the same product gives the
+  s1 count law, whose chain defaults Hypergeometric(M, M - y, a) fresh
+  names per shock of amplitude a from a scipy pmf table;
 * ``expm_tangent``: the derivative of a distribution with respect to one
   amplitude's rise over one knot interval, from the matrix exponential of
   the block-triangular generator [[G, G_b], [0, G]] (Van Loan, IEEE TAC
@@ -21,7 +23,7 @@ Each computes what the package computes by a different route:
 * ``dense_transition_matrix`` and ``dense_generator_columns``: the
   kernel's transition matrix and generator columns built on dense
   matrices, one strided sub-diagonal per mode, against the kernel's jump
-  tables, which must give the same bits;
+  moves, which must give the same bits;
 * ``sample_shock_stream`` and ``apply_strategy``: the name-level simulation,
   one path at a time. Each mode's events get times by inverting uniforms
   under its piecewise-linear cumulated intensity, and each event hits a
@@ -56,6 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.stats
 
 from clusterloss.calibrator import _GRADIENT_TOL, _MAX_INCREMENT, _SCALE_FLOOR
 from clusterloss.loss_engine import (
@@ -70,7 +73,7 @@ from clusterloss.loss_engine import (
     LossDistribution,
     LossEngineError,
     PoolSpec,
-    _binomial_ratio_column,
+    _jump_table,
 )
 from clusterloss.market_data import (
     DAYS_PER_YEAR,
@@ -348,8 +351,38 @@ def _knot_pieces(schedule: IntensitySchedule, t: float) -> list[tuple[float, flo
     return list(zip(edges[:-1], edges[1:]))
 
 
-def expm_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> LossDistribution:
-    """Counting distribution of the cluster-adjusted model at time t.
+def single_name_generator(pool: PoolSpec, schedule: IntensitySchedule,
+                          t0: float, t1: float) -> np.ndarray:
+    """Integral over [t0, t1] of the transition-rate matrix of the s1 count
+    chain, indexed (to-state, from-state), for either schedule kind.
+
+    With y names defaulted the defaulted set is a uniformly random y-subset,
+    so a shock of amplitude a defaults Hypergeometric(M, M - y, a) fresh
+    names: entry (y + k, y), k >= 1, is the sum over amplitudes of the
+    aggregate cumulated-intensity increment times the chance of k fresh
+    names, and the diagonal balances each column. Amplitudes above the pool
+    size never fire. The chances come from one scipy call over every
+    (amplitude, k, y).
+    """
+    m = pool.names
+    amplitudes = np.array(schedule.amplitudes)
+    increments = schedule.aggregate_cumulated(t1) - schedule.aggregate_cumulated(t0)
+    fire = amplitudes <= m
+    states = np.arange(m + 1)
+    pmf = scipy.stats.hypergeom.pmf(states[:, None], m, m - states,
+                                    amplitudes[fire, None, None])  # (amplitude, k, y)
+    rates = np.tensordot(increments[fire], pmf, axes=1)  # (k, y)
+    gen = np.zeros((m + 1, m + 1))
+    to, frm = np.tril_indices(m + 1, -1)
+    gen[to, frm] = rates[to - frm, frm]
+    gen[states, states] = -gen.sum(axis=0)
+    return gen
+
+
+def expm_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float,
+                      generator=cumulated_generator) -> LossDistribution:
+    """Counting distribution of the cluster-adjusted model at time t, or of
+    the chain whose cumulated generator over a piece is ``generator``.
 
     Ordered product of one matrix exponential per knot-to-knot piece of
     [0, t]; generators of different pieces need not commute, so the product
@@ -361,7 +394,7 @@ def expm_distribution(pool: PoolSpec, schedule: IntensitySchedule, t: float) -> 
     state[0] = 1.0
     if t > 0:
         for a, b in _knot_pieces(schedule, t):
-            state = matrix_exponential(cumulated_generator(pool, schedule, a, b)) @ state
+            state = matrix_exponential(generator(pool, schedule, a, b)) @ state
     return LossDistribution(time=t, probs=state)
 
 
@@ -392,14 +425,16 @@ def dense_transition_matrix(names: int, model: str, shares) -> np.ndarray:
     each (amplitude, share) adds its share of the binomial ratios (gpcl) or
     of one (gpl, with every jump reaching the cap landing on it) along its
     sub-diagonal, through strided views, and of one minus them along the
-    diagonal; the gpl cap absorbs. The kernel's jump tables must give these
-    entries to the last bit."""
+    diagonal; the gpl cap absorbs. The gpcl ratios are the rows of the
+    kernel's chance table, whose last row stands for every amplitude above
+    the pool size; the kernel's moves must give these entries to the last
+    bit."""
     n = names + 1
     p = np.zeros((n, n))
     flat = p.reshape(-1)
     for amplitude, share in shares:
         if model == GPCL:
-            ratio = _binomial_ratio_column(names, amplitude)
+            ratio = _jump_table(names)[0][min(amplitude, n)]
             if amplitude <= names:
                 flat[amplitude * n::n + 1] += share * ratio[:n - amplitude]
             flat[::n + 1] += share * (1.0 - ratio)

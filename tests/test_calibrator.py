@@ -513,6 +513,36 @@ class TestFitIntensities:
         assert "budget" in known.warning
         np.testing.assert_array_equal(known.increments.ravel(), x0)
 
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_each_priced_point_is_built_once(self, pool, curve, itraxx_panel, model,
+                                             monkeypatch):
+        # a fit builds one schedule per point it prices, and differentiates
+        # and returns schedules it priced, not copies built again
+        built, priced, differentiated = [], [], []
+        make = calibrator_module._schedule_from_increments
+        errors, jacobian = PanelPricer.errors, PanelPricer.jacobian
+
+        def building(*args):
+            built.append(make(*args))
+            return built[-1]
+
+        def recording_errors(self, schedule):
+            priced.append(schedule)
+            return errors(self, schedule)
+
+        def recording_jacobian(self, schedule, amplitudes):
+            differentiated.append(schedule)
+            return jacobian(self, schedule, amplitudes)
+
+        monkeypatch.setattr(calibrator_module, "_schedule_from_increments", building)
+        monkeypatch.setattr(PanelPricer, "errors", recording_errors)
+        monkeypatch.setattr(PanelPricer, "jacobian", recording_jacobian)
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        fit = fit_intensities(pricer, model, (1, 12), np.full(8, 0.05), max_evaluations=60)
+        assert len(differentiated) >= 2  # a trial was accepted and differentiated
+        assert len(built) == len(priced) and all(b is p for b, p in zip(built, priced))
+        assert all(any(d is p for p in priced) for d in differentiated + [fit.schedule])
+
     def test_no_fit_exceeds_its_budget(self, pool, curve, itraxx_panel, monkeypatch):
         # every pricing of the errors costs one evaluation, every Jacobian
         # its column count

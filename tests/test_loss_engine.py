@@ -312,6 +312,14 @@ class TestClusterCumulatedIntensity:
                                             gpcl_schedule.knots[-1])
         assert value == pytest.approx(stored)
 
+    def test_gpl_schedules_share_the_convention(self, gpl_schedule, pool):
+        # both kinds store amplitude totals over C(names, amplitude) clusters
+        t = gpl_schedule.knots[1]
+        totals = gpl_schedule.aggregate_cumulated(t)
+        for amplitude, total in zip(gpl_schedule.amplitudes, totals):
+            assert cluster_cumulated_intensity(gpl_schedule, pool, amplitude, t) == pytest.approx(
+                total / math.comb(125, amplitude), rel=1e-12)
+
     def test_zero_at_time_zero(self, gpcl_schedule, pool):
         for amplitude in gpcl_schedule.amplitudes:
             assert cluster_cumulated_intensity(gpcl_schedule, pool, amplitude, 0.0) == 0.0
@@ -920,26 +928,57 @@ class TestTimeZero:
 
 
 class TestJumpTableCache:
-    """The gpcl jump table is the one cached copy of the binomial ratios."""
+    """The jump table of a pool size is the one cached copy of the binomial
+    ratios."""
 
     def test_bounded_and_values_unchanged(self):
         table = loss_engine._jump_table
-        assert not hasattr(loss_engine._binomial_ratio_column, "cache_info")
-        keys = [(names, a) for names in range(1, 48) for a in range(1, names + 1)]
-        assert len(keys) >= 1100
-        first = {key: table(key[0], GPCL, key[1])[0].copy() for key in keys[:50]}
-        for names, a in keys:
-            table(names, GPCL, a)
+        first = {names: [part.copy() for part in table(names)] for names in range(1, 6)}
+        for names in range(1, 48):
+            table(names)
         info = table.cache_info()
-        assert 1024 <= info.maxsize and info.currsize <= info.maxsize
-        for (names, a), value in first.items():  # evicted and made again
-            np.testing.assert_array_equal(table(names, GPCL, a)[0], value)
-        names, a = keys[-1]
-        exact = [math.comb(names - y, a) / math.comb(names, a) for y in range(names + 1)]
-        np.testing.assert_allclose(table(names, GPCL, a)[0][0], exact, rtol=1e-12, atol=0.0)
-        np.testing.assert_array_equal(table(names, GPCL, a)[0][0],
-                                      loss_engine._binomial_ratio_column(names, a))
-        assert not table(names, GPCL, a)[0].flags.writeable  # one array serves every caller
+        assert info.currsize <= info.maxsize == loss_engine._JUMP_TABLE_ENTRIES
+        for names, parts in first.items():  # evicted and made again
+            for part, value in zip(table(names), parts):
+                np.testing.assert_array_equal(part, value)
+        for part in table(47):  # one array serves every caller
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 0.5
+
+    @pytest.mark.parametrize("names", [47, 60, 125, 250])
+    def test_exact_ratios(self, names):
+        chances = loss_engine._jump_table(names)[0]
+        exact = [[math.comb(names - y, a) / math.comb(names, a) for y in range(names + 1)]
+                 for a in range(1, names + 1)]
+        np.testing.assert_allclose(chances[1:-1], exact, rtol=1e-12, atol=0.0)
+        assert (chances[0] == 1.0).all()  # amplitude zero misses everyone
+        assert not chances[-1].any()  # amplitudes above the pool size never fire
+
+    def test_exact_ratios_at_a_thousand_names(self):
+        # log 1000! ~ 5912 carries an ulp of 9e-13, so the log-space ratios
+        # stray up to 3.8e-12 from the exact ones here
+        names, amplitudes = 1000, [1, 2, 10, 100, 500, 999, 1000]
+        chances = loss_engine._jump_table(names)[0][amplitudes]
+        exact = [[math.comb(names - y, a) / math.comb(names, a) for y in range(names + 1)]
+                 for a in amplitudes]
+        np.testing.assert_allclose(chances, exact, rtol=5e-12, atol=0.0)
+
+    def test_memory_at_a_thousand_names(self):
+        # the per-amplitude cache these tables replaced held 1024 pairs of
+        # (2, 1001) arrays at 1000 names, 33.4 MB under tracemalloc
+        table = loss_engine._jump_table
+        table.cache_clear()
+        loss_engine._log_factorials(1001)
+        tracemalloc.start()
+        try:
+            for names in range(995, 1001):
+                table(names)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.cache_info().currsize == loss_engine._JUMP_TABLE_ENTRIES
+        assert current <= 24.5e6 and peak <= 33.4e6, (current, peak)
 
 
 class TestNonFiniteTimes:
@@ -1132,13 +1171,30 @@ class TestJumpTables:
 
     def test_tables_are_bounded_and_read_only(self):
         table = loss_engine._jump_table
+        table.cache_clear()
         for names in range(1, 48):
-            for a in range(1, names + 1):
-                table(names, GPL if a % 2 else GPCL, a)
+            for model in MODEL_KINDS:
+                loss_engine._jump_moves(names, model, range(1, names + 2))
         info = table.cache_info()
-        assert info.currsize <= info.maxsize == loss_engine._BINOMIAL_CACHE_ENTRIES
-        chances, cells = table(47, GPCL, 47)
-        assert not chances.flags.writeable and not cells.flags.writeable
+        assert info.misses == 47  # one table per pool size, for both models
+        assert info.currsize <= info.maxsize == loss_engine._JUMP_TABLE_ENTRIES
+        assert not any(part.flags.writeable for part in table(47))
+
+    @pytest.mark.parametrize("names", [1, 12, 125])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_moves_read_the_table(self, model, names):
+        amplitudes = list(range(1, names + 4))
+        chances, cells = loss_engine._jump_moves(names, model, amplitudes)
+        n, states = names + 1, np.arange(names + 1)
+        assert chances.shape == cells.shape == (len(amplitudes), 2, n)
+        for j, a in enumerate(amplitudes):
+            jump = (loss_engine._jump_table(names)[0][min(a, n)] if model == GPCL
+                    else (states < names).astype(float))
+            np.testing.assert_array_equal(chances[j], [jump, 1.0 - jump])
+            np.testing.assert_array_equal(cells[j], [np.minimum(states + a, names) * n + states,
+                                                     states * n + states])
+        if model == GPCL:  # above the pool size: no jump
+            assert not chances[names:, 0].any()
 
 
 class TestProjectedRows:

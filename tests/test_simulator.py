@@ -25,8 +25,10 @@ from clusterloss.simulator import (
 from reference_engines import (
     ShockEvent,
     apply_strategy,
+    expm_distribution,
     sample_shock_stream,
     single_name_default_times,
+    single_name_generator,
 )
 
 
@@ -466,6 +468,54 @@ class TestCells:
                                   np.rint(freq * self.N_PATHS).astype(int))
             assert abs(two_sample_z(simulated, names[:, row])) <= 5.0
             assert abs(two_sample_z(simulated == 0, names[:, row] == 0)) <= 5.0
+
+
+class TestSingleNameLaw:
+    """The s1 count is a Markov chain: with y names defaulted, a shock of
+    amplitude a defaults Hypergeometric(M, M - y, a) fresh names. Its exact
+    law, by matrix exponentials per knot piece, checks the simulator's s1
+    histograms as the kernel's laws check s0 and s2: every bin within five
+    binomial standard errors plus 1/n, and the mean and the chance of no
+    default within five standard errors."""
+
+    @staticmethod
+    def assert_matches(pool, schedule, emps, n_paths):
+        counts = np.arange(pool.names + 1)
+        for emp in emps:
+            exact = expm_distribution(pool, schedule, emp.distribution.time,
+                                      single_name_generator).probs
+            freq = emp.distribution.probs
+            bound = 5.0 * np.sqrt(exact * (1.0 - exact) / n_paths) + 1.0 / n_paths
+            assert np.all(np.abs(freq - exact) <= bound), (emp.distribution.time, freq, exact)
+            for stat in (counts, counts == 0):
+                mean = stat @ exact
+                sd = math.sqrt(stat ** 2 @ exact - mean ** 2)
+                z = (stat @ freq - mean) / (sd / math.sqrt(n_paths)) if sd > 0 else 0.0
+                assert abs(z) <= 5.0, (emp.distribution.time, z)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_single_names_default_binomially(self, model):
+        # each of M names is hit Poisson(L / M) times, independently
+        pool = PoolSpec(names=12)
+        schedule = make_schedule(model, (1, 20), (1.0, 2.0), [(0.7, 3.0), (0.4, 0.9)])
+        for t in (0.0, 0.5, 1.0, 3.0):
+            law = expm_distribution(pool, schedule, t, single_name_generator).probs
+            hit = -math.expm1(-float(schedule.aggregate_cumulated(t)[0]) / pool.names)
+            binomial = [math.comb(12, k) * hit ** k * (1.0 - hit) ** (12 - k) for k in range(13)]
+            np.testing.assert_allclose(law, binomial, rtol=0.0, atol=1e-14)
+
+    def test_cells_match_exact_law(self):
+        pool, schedule = TestCells.POOL, TestCells.switching_schedule()
+        emps = empirical_distributions(pool, schedule, "s1", TestCells.TIMES,
+                                       TestCells.N_PATHS, seed=47)
+        assert emps[0].distribution.probs[0] == 1.0
+        self.assert_matches(pool, schedule, emps, TestCells.N_PATHS)
+
+    def test_shipped_schedule_matches_exact_law(self, gpcl_schedule, pool):
+        n_paths = 200_000
+        emps = empirical_distributions(pool, gpcl_schedule, "s1", [3.0, 5.0, 7.0, 10.0],
+                                       n_paths, seed=53)
+        self.assert_matches(pool, gpcl_schedule, emps, n_paths)
 
 
 class TestCappedCounts:

@@ -245,8 +245,10 @@ def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: Fit
     Each candidate starts from the incumbent with its new mode at zero. The
     kernel leaves zero-density modes out of its cache keys, so at that start
     a candidate's errors are the incumbent's, bit for bit, and its Jacobian
-    is a slice of one tangent pass at the incumbent over the incumbent's and
-    every candidate's amplitudes. A candidate's score is |e + J d|^2 for the
+    is a slice of one Jacobian at the incumbent over the incumbent's and
+    every candidate's amplitudes: for gpl the closed-form tangents, for
+    gpcl, whose request has more tangent columns than the panel has leg
+    functionals, the kernel's adjoint pass. A candidate's score is |e + J d|^2 for the
     first trial step d of its fit, which prices nothing: the candidates'
     starts are stacked and stepped by the fit's own ``_stepping`` and
     ``_damped_steps``. Ties go to the lower amplitude. The pass is charged

@@ -397,9 +397,15 @@ def distribution_term_structure(pool: PoolSpec, schedule: IntensitySchedule,
 
 def _checked_columns(pool: PoolSpec, columns) -> np.ndarray:
     """``columns`` as a float array of one row per count, or an error that
-    names what is wrong with it."""
-    columns = _array_of(columns, "biuf", 2, f"columns must be a two-dimensional table of "
-                        f"numbers with {pool.names + 1} rows, one per count")
+    names what is wrong with it. A read-only float64 array, such as a
+    pricer's payout matrix, is taken as it is; anything else is copied."""
+    message = (f"columns must be a two-dimensional table of numbers with {pool.names + 1} "
+               f"rows, one per count")
+    if not (isinstance(columns, np.ndarray) and columns.dtype == np.float64
+            and not columns.flags.writeable):
+        columns = _array_of(columns, "biuf", 2, message)
+    elif columns.ndim != 2:
+        raise LossEngineError(message)
     if len(columns) != pool.names + 1:
         raise LossEngineError(f"columns must have {pool.names + 1} rows, one per count, "
                               f"got {len(columns)}")
@@ -535,6 +541,24 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     derivative. The rows and start states come from ``_interval_rows``, so
     a call after the values costs no solve; tangents are not cached.
     """
+    return _tangent_pass(pool, schedule, times, amplitudes, columns)[0]
+
+
+# a series request whose tangent columns (amplitudes x knots) outnumber the
+# live functionals by more than this factor takes the adjoint pass: on the
+# shipped gpcl schedules and panels the two passes cost the same at 10-12
+# amplitudes, 40-48 columns against 48-50 functionals (CHANGES.md)
+_ADJOINT_CROSSOVER = 1
+
+
+def _tangent_pass(pool: PoolSpec, schedule: IntensitySchedule, times, amplitudes,
+                  columns, weights=None) -> tuple:
+    """``distribution_tangents`` as (tangents, None), or, given functionals'
+    ``weights`` (times, columns, functionals), (None, their derivatives from
+    ``_series_adjoints``) for a series request whose tangent columns
+    outnumber the functionals that read any weight by more than
+    ``_ADJOINT_CROSSOVER``: a request that pays for its tangents column by
+    column then pays for the functionals instead."""
     times = _checked_times(times)
     amplitudes = tuple(amplitudes)
     for a in amplitudes:
@@ -545,12 +569,16 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
         raise LossEngineError("tangents need one or more amplitudes, each at least 1")
     columns = _checked_columns(pool, columns)
     if not len(times):
-        return np.zeros((0, columns.shape[1], len(amplitudes), len(schedule.knots)))
+        return np.zeros((0, columns.shape[1], len(amplitudes), len(schedule.knots))), None
     walk = list(_interval_walk(pool, schedule, times))
     modes = {a for *_, interval in walk for a, _ in interval[-1]}  # active anywhere
     if schedule.model == GPL or all(modes <= {b} for b in amplitudes):
-        return _commuting_tangents(pool, schedule, times, walk, amplitudes, columns)
-    return _series_tangents(pool, schedule, times, walk, amplitudes, columns)
+        return _commuting_tangents(pool, schedule, times, walk, amplitudes, columns), None
+    if weights is not None and len(amplitudes) * len(schedule.knots) > (
+            _ADJOINT_CROSSOVER * np.count_nonzero(weights.any(axis=(0, 1)))):
+        return None, _series_adjoints(pool, schedule, times, walk, amplitudes, columns,
+                                      weights)
+    return _series_tangents(pool, schedule, times, walk, amplitudes, columns), None
 
 
 def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
@@ -650,6 +678,75 @@ def _series_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndar
         out[lo:hi, :, :used] = sums.reshape(hi - lo, n_cols, used)
         tangents[:, :used] = end
     return result.transpose(0, 1, 3, 2)
+
+
+def _series_adjoints(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
+                     walk: list, amplitudes: tuple, columns: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """The derivatives of the functionals F_f = sum_{t, c} weights[t, c, f]
+    T[t, c], where T is ``_series_tangents``' result over ``walk``, the
+    ``_interval_walk`` of ``times``, shaped (functionals, amplitudes,
+    knots): the reverse (adjoint) form of that pass, whose cost grows with
+    the functionals, not with the tangent columns (Giles and Glasserman,
+    "Smoking adjoints", Risk, 2006).
+
+    The intervals are taken last first. In one with active modes, the
+    functionals read sum_n S_n . Y_n of the series of tangents Y_n, where
+    the seed S_n is the weights at the interval's times, lifted onto the
+    states by ``columns`` and summed with the Poisson weights of term n,
+    plus the adjoint mu' handed back from the later intervals, weighted as
+    the interval's end. The backward recurrence mu_n = S_n + P^T mu_{n+1},
+    from mu = 0 past the last term, then gives the derivative along
+    amplitude b as sum_n mu_{n+1} . G_b x_n / (q w), and mu_0 is the adjoint
+    of the interval's start state, handed to the interval before. The terms
+    x_n are made again from the memo's start state, chunk by chunk, last
+    chunk first, from each chunk's first term, kept on a first pass. In an
+    interval with no active mode, whose tangents are T + s G_b v / w, the
+    seed is the weights times each offset s, plus mu' times the end's
+    offset. A functional reads nothing after the last time it weighs, so
+    its adjoint is zero over the intervals past that time, which leave it
+    out.
+    """
+    names, n_funcs = pool.names, weights.shape[2]
+    result = np.zeros((n_funcs, len(amplitudes), len(schedule.knots)))
+    generators = _stacked_generators(names, schedule.model, amplitudes)
+    weighed = weights.any(axis=1)  # (times, functionals)
+    last = np.where(weighed.any(axis=0), len(times) - 1 - np.argmax(weighed[::-1], axis=0), -1)
+    live, adjoint = np.zeros(0, dtype=int), np.zeros((names + 1, 0))
+    for k in reversed(range(len(walk))):
+        lo, hi, width, interval = walk[k]
+        reading = np.flatnonzero(last >= lo)
+        if not len(reading):
+            continue
+        handed = np.zeros((names + 1, len(reading)))
+        handed[:, np.searchsorted(reading, live)] = adjoint
+        live, adjoint = reading, handed
+        legs = weights[lo:hi][:, :, live]  # (times in the interval, columns, live)
+        state, offsets, series = _interval_series(*interval)
+        if series is None:
+            seed = columns @ np.tensordot(offsets[:-1], legs, axes=1) + offsets[-1] * adjoint
+            result[live, :, k] = (generators(state).T @ seed).T / width
+            adjoint = adjoint + columns @ legs.sum(axis=0)
+            continue
+        q, transition, poisson = series
+        n_terms = poisson.shape[1]
+        firsts = [terms[0].copy() for _, terms in _series_terms(transition, state, n_terms)]
+        mu, moved = np.zeros_like(adjoint), np.zeros((len(amplitudes), len(live)))
+        flat = legs.reshape(len(legs), -1)
+        for first in reversed(range(0, n_terms, _SERIES_CHUNK)):
+            _, terms = next(_series_terms(transition, firsts[first // _SERIES_CHUNK],
+                                          min(_SERIES_CHUNK, n_terms - first)))
+            lifted = (poisson[:-1, first:first + len(terms)].T @ flat).reshape(
+                len(terms), -1, len(live))
+            for j in reversed(range(len(terms))):
+                if first + j < n_terms - 1:  # mu_{n+1} is zero past the last term
+                    moved += generators(terms[j]).T @ mu
+                mu = transition.T @ mu
+                mu += columns @ lifted[j]
+                mu += poisson[-1, first + j] * adjoint
+        result[live, :, k] = moved.T / (q * width)
+        adjoint = mu
+    return result
 
 
 def _stacked_generators(names: int, model: str, amplitudes):

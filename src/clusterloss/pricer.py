@@ -17,7 +17,9 @@ grid steps share the panel's part of that data from a small process-wide
 memo, and build only the pool's. Evaluations that share leading knot
 intervals, as the calibrator's do, are served by the kernel's process-wide
 cache of solved intervals. ``PanelPricer.jacobian`` differentiates the
-quote errors exactly, from one tangent pass of the kernel.
+quote errors exactly: from one forward tangent pass of the kernel, chained
+through the legs, or, for a gpcl request with more tangent columns than leg
+functionals, from one adjoint pass that takes the legs' weights.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .loss_engine import (
     IntensitySchedule,
     LossDistribution,
     PoolSpec,
-    distribution_tangents,
+    _tangent_pass,
     distribution_term_structure,
 )
 from .market_data import (
@@ -141,6 +143,7 @@ class PanelPricer:
         self.payout_matrix = np.column_stack(
             [counts / pool.names, (1.0 - pool.recovery) * counts / pool.names]
             + [tranche_payout_by_count(TrancheDef(*s), pool) for s in self._slices])
+        self.payout_matrix.flags.writeable = False  # the kernel takes it without a copy
 
     def _legs(self, schedule: IntensitySchedule) -> tuple[np.ndarray, np.ndarray]:
         """Default-leg and annuity values of every instrument."""
@@ -173,15 +176,22 @@ class PanelPricer:
         generators commute with the schedule's (every gpl request, and a
         gpcl request about its one active mode) one product of the kernel's
         cached rows with differences of the payout columns, otherwise one
-        uniformised tangent pass. The legs at the point come from the
-        kernel's cached rows."""
+        uniformised tangent pass: forward for a request of at most as many
+        tangent columns (amplitudes x knots) as leg functionals (two per
+        instrument), and for a wider one, such as the greedy scan's, an
+        adjoint pass over the legs' weights, which returns the legs'
+        derivatives. The legs at the point come from the kernel's cached
+        rows."""
         default_pv, annuity = self._legs(schedule)
-        tangents = distribution_tangents(self.pool, schedule, self.grid_times, amplitudes,
-                                         self.payout_matrix)
-        tangents = tangents.reshape(*tangents.shape[:2], -1)  # (grid, n_cols, parameters)
-        d_default_pv = _leg_tangents(self._increment_weights, np.diff(tangents, axis=0),
-                                     self._loss_cols)
-        d_annuity = -_leg_tangents(self._payment_weights, tangents, self._notional_cols)
+        tangents, legs = _tangent_pass(self.pool, schedule, self.grid_times, amplitudes,
+                                       self.payout_matrix, self._leg_weights)
+        if legs is None:
+            tangents = tangents.reshape(*tangents.shape[:2], -1)  # (grid, n_cols, parameters)
+            d_default_pv = _leg_tangents(self._increment_weights, np.diff(tangents, axis=0),
+                                         self._loss_cols)
+            d_annuity = -_leg_tangents(self._payment_weights, tangents, self._notional_cols)
+        else:  # the legs' own derivatives, default legs first
+            d_default_pv, d_annuity = legs.reshape(2, len(self.instruments), -1)
         d_values = d_default_pv - self._running[:, None] * d_annuity
         spreads = ~self._upfront
         d_values[spreads] = 1e4 * (d_default_pv[spreads] * annuity[spreads, None]
@@ -262,6 +272,17 @@ def _panel_block(panel: QuotePanel, curve: DiscountCurve, grid_step_days: float)
     # index legs, then one per distinct tranche slice, in sorted order
     slices = sorted({(q.attachment, q.detachment) for q in tranches})
     tranche_cols = [2 + slices.index((q.attachment, q.detachment)) for q in tranches]
+    loss_cols = np.array([1] * len(indices) + tranche_cols)
+    notional_cols = np.array([0] * len(indices) + tranche_cols)
+    # the same legs as weights on the payout columns at each grid time, one
+    # functional per leg, default legs first, then annuities: a loss
+    # increment's weight counts for the later grid time and against the
+    # earlier, and the surviving notional is one minus the column
+    legs = np.arange(len(instruments))
+    leg_weights = np.zeros((len(grid_times), 2 + len(slices), 2 * len(instruments)))
+    leg_weights[1:, loss_cols, legs] += increment_weights
+    leg_weights[:-1, loss_cols, legs] -= increment_weights
+    leg_weights[:, notional_cols, len(instruments) + legs] = -payment_weights
     block = {
         "grid_times": grid_times,
         "knots": tuple(year_fraction(panel.valuation_date, m) for m in panel.maturities),
@@ -272,9 +293,10 @@ def _panel_block(panel: QuotePanel, curve: DiscountCurve, grid_step_days: float)
         "_running": np.array([ins.running if ins.is_upfront else 0.0 for ins in instruments]),
         "_increment_weights": increment_weights,
         "_payment_weights": payment_weights,
+        "_leg_weights": leg_weights,
         "_slices": tuple(slices),
-        "_loss_cols": np.array([1] * len(indices) + tranche_cols),
-        "_notional_cols": np.array([0] * len(indices) + tranche_cols),
+        "_loss_cols": loss_cols,
+        "_notional_cols": notional_cols,
     }
     for value in block.values():
         if isinstance(value, np.ndarray):

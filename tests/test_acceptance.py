@@ -65,6 +65,32 @@ class TestCriterion1GpclExpectedTranchedLosses:
             "Carlo and closed forms elsewhere in this suite)")
 
 
+
+class TestCriterion1Explanation:
+    """Why criterion 1 fails: the shipped gpcl schedule's exact law misses
+    the reference table under every repeated-default treatment, not only
+    the kernel's s2, and already at 3y, where its equity loss is at least
+    20.1% against the table's 18.7%. Criterion 1 itself is left as it is."""
+
+    def test_every_treatment_misses_the_table(self, pool, gpcl_schedule):
+        from reference_engines import expm_distribution, single_name_generator
+
+        capped = IntensitySchedule(GPL, gpcl_schedule.amplitudes, gpcl_schedule.knots,
+                                   gpcl_schedule.cumulated)  # s0: the capped count
+        laws = {"s2": lambda t: loss_distribution(pool, gpcl_schedule, t),
+                "s1": lambda t: expm_distribution(pool, gpcl_schedule, t,
+                                                  single_name_generator),
+                "s0": lambda t: loss_distribution(pool, capped, t)}
+        misses = {"s2": 3.80, "s1": 5.40, "s0": 7.46}
+        reference = np.asarray(REFERENCE_ETL_GPCL)
+        for strategy, law in laws.items():
+            table = np.asarray([[100 * expected_tranched_loss(law(t), TrancheDef(a, b), pool)
+                                 for a, b in TRANCHE_LADDER] for t in gpcl_schedule.knots])
+            worst = float(np.abs(table - reference).max())
+            assert worst > 0.5
+            assert worst == pytest.approx(misses[strategy], abs=0.005), strategy
+            assert table[0, 0] >= 20.1 > reference[0, 0] == 18.7
+
 class TestCriterion2GplExpectedTranchedLosses:
     def test_reference_schedule_reproduces_reference_losses(self, pool, gpl_schedule):
         started = time.perf_counter()

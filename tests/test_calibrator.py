@@ -842,6 +842,25 @@ class TestGreedyCalibrate:
         assert doc["seed"] == 2
         assert "settings" in doc and doc["settings"]["max_modes"] == 1
 
+    # the benchmark's budgets on the unjittered shipped panels, seed 7,
+    # serially: the amplitudes chosen, the evaluations charged and the
+    # objective each calibration ends on
+    PINNED = {("itraxx", GPL): ((1, 11), 702, 1291.8084884095256),
+              ("itraxx", GPCL): ((1, 12), 702, 1679.7439069084398),
+              ("cdx", GPL): ((1, 36), 638, 440.73643064215537),
+              ("cdx", GPCL): ((1, 37), 652, 438.5367085722679)}
+
+    @pytest.mark.parametrize("index, model", sorted(PINNED))
+    def test_benchmark_budget_calibrations_are_pinned(self, request, pool, curve, index,
+                                                      model):
+        panel = request.getfixturevalue(f"{index}_panel")
+        result = greedy_calibrate(panel, curve, pool, model, max_modes=2, scan_budget=12,
+                                  refine_budget=200, polish_budget=200, seed=7, n_jobs=1)
+        amplitudes, evaluations, objective = self.PINNED[index, model]
+        assert result.schedule.amplitudes == amplitudes
+        assert result.n_evaluations == evaluations
+        assert result.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
+
     def test_scan_pool_built_once_per_calibration(self, monkeypatch):
         pools = []
 
@@ -1064,6 +1083,31 @@ class TestRankedScan:
         got = ((e + (jac @ (trials - x)[..., None])[..., 0]) ** 2).sum(axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert stopped > 0
+
+    @pytest.mark.parametrize("model", [GPCL, GPL])
+    def test_only_the_gpcl_scan_takes_the_adjoint(self, monkeypatch, pool, curve,
+                                                  itraxx_panel, model):
+        # the scan's all-amplitude gpcl Jacobian takes the adjoint pass; the
+        # fits' Jacobians, of at most 8 tangent columns, and every gpl
+        # request keep the forward passes
+        passes = []
+        for name in ("_series_adjoints", "_series_tangents", "_commuting_tangents"):
+            original = getattr(loss_engine, name)
+
+            def spy(*args, name=name, original=original):
+                passes.append((name, len(args[4])))
+                return original(*args)
+
+            monkeypatch.setattr(loss_engine, name, spy)
+        greedy_calibrate(itraxx_panel, curve, pool, model, **self.BUDGETS)
+        scans = [p for p in passes if p[1] == pool.names]
+        if model == GPL:
+            assert {name for name, _ in passes} == {"_commuting_tangents"}
+            assert scans == [("_commuting_tangents", pool.names)]
+        else:
+            assert scans == [("_series_adjoints", pool.names)]
+            assert {p for p in passes if p[1] < pool.names} == {
+                ("_commuting_tangents", 1), ("_series_tangents", 2)}
 
     @pytest.mark.parametrize("model", [GPCL, GPL])
     def test_ranked_scan_is_the_full_scan(self, monkeypatch, pool, curve, itraxx_panel, model):

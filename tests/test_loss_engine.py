@@ -841,6 +841,80 @@ class TestDistributionTangents:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    @staticmethod
+    def adjoint_against_forward(pool, schedule, times, amplitudes, columns, weights):
+        walk = list(loss_engine._interval_walk(pool, schedule, times))
+        forward = np.einsum("tcf,tcak->fak", weights, loss_engine._series_tangents(
+            pool, schedule, times, walk, tuple(amplitudes), columns))
+        adjoint = loss_engine._series_adjoints(pool, schedule, times, walk, tuple(amplitudes),
+                                               columns, weights)
+        assert adjoint.shape == forward.shape
+        np.testing.assert_allclose(adjoint, forward, rtol=0.0,
+                                   atol=1e-12 * np.abs(forward).max())
+        return adjoint
+
+    @pytest.mark.parametrize("names", [12, 30])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_adjoint_matches_block_expm(self, model, names):
+        # the awkward schedule's inactive interval, zero-density mode,
+        # amplitudes at and above the pool size, a time at zero and times
+        # past the last knot, through functionals that each read a few rows
+        pool = PoolSpec(names=names)
+        schedule = self.awkward_schedule(model, names)
+        times = np.array([0.0, 0.3, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5])
+        amplitudes = (1, 2, 3, names - 1, names, names + 5, names + 9)
+        rng = np.random.default_rng(names)
+        columns = rng.random((names + 1, 3))
+        weights = rng.standard_normal((len(times), 3, 5))
+        weights[4:, :, 1] = 0.0  # a functional that stops reading at 1.7 years
+        weights[:, :, 2] = 0.0  # and one that reads nothing
+        walk = list(loss_engine._interval_walk(pool, schedule, times))
+        adjoint = loss_engine._series_adjoints(pool, schedule, times, walk, amplitudes,
+                                               columns, weights)
+        exact = np.array([[[sum(weights[i][:, f] @ (columns.T @ expm_tangent(
+            pool, schedule, t, amplitude, k)) for i, t in enumerate(times))
+            for k in range(3)] for amplitude in amplitudes] for f in range(5)])
+        np.testing.assert_allclose(adjoint, exact, rtol=0.0, atol=1e-10)
+        assert not adjoint[2].any() and not adjoint[1, :, 2].any()
+
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_adjoint_is_the_forward_pass(self, model, index):
+        # the shipped schedules at three pool sizes, for every amplitude,
+        # every third one and the schedule's own, against the forward
+        # tangents contracted with the same weights
+        with open(schedule_path(model, index)) as fh:
+            schedule = IntensitySchedule.from_json(fh.read())
+        times = np.linspace(0.0, 10.5, 43)
+        for names in (60, 125, 250):
+            pool = PoolSpec(names=names)
+            rng = np.random.default_rng(names)
+            columns = rng.random((names + 1, 6))
+            weights = rng.standard_normal((len(times), 6, 9))
+            weights[20:, :, :4] = 0.0
+            for amplitudes in (range(1, names + 1), range(1, names + 1, 3),
+                               schedule.amplitudes):
+                self.adjoint_against_forward(pool, schedule, times, amplitudes, columns,
+                                             weights)
+
+    def test_adjoint_memory_does_not_grow_with_the_series(self):
+        # the series of test_memory_does_not_grow_with_the_series, run
+        # backward: its terms are made again chunk by chunk, not kept
+        pool = PoolSpec()
+        schedule = make_schedule(GPCL, (1, 5), (1.0,), [(1.2e3,), (0.8e3,)])
+        times = np.linspace(0.05, 1.0, 20)
+        columns, weights = np.ones((126, 8)), np.ones((20, 8, 50))
+        distribution_term_structure(pool, schedule, times)
+        walk = list(loss_engine._interval_walk(pool, schedule, times))
+        tracemalloc.start()
+        try:
+            loss_engine._series_adjoints(pool, schedule, times, walk, tuple(range(1, 126)),
+                                         columns, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
     def test_closed_form_memory_is_bounded_by_its_result(self):
         # full rows of every amplitude: the column differences of all
         # amplitudes at once would take 3.1 times the 38 MiB result

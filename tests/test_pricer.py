@@ -12,9 +12,11 @@ from clusterloss.loss_engine import (
     GPCL,
     IntensitySchedule,
     LossDistribution,
+    LossEngineError,
     PoolSpec,
     distribution_term_structure,
 )
+from clusterloss import loss_engine
 from clusterloss import pricer as pricer_module
 from clusterloss.fixtures import schedule_path
 from clusterloss.market_data import (
@@ -422,6 +424,61 @@ class TestJacobian:
             np.testing.assert_allclose(jacobian[:, 0, k], expected, rtol=1e-5,
                                        atol=1e-5 * np.abs(expected).max())
 
+
+    @staticmethod
+    def forward(pricer, schedule, amplitudes, monkeypatch):
+        """The Jacobian with the adjoint pass switched off."""
+        with monkeypatch.context() as patched:
+            patched.setattr(loss_engine, "_ADJOINT_CROSSOVER", math.inf)
+            return pricer.jacobian(schedule, amplitudes)
+
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    def test_wide_gpcl_requests_take_the_adjoint(self, index, request, pool, curve,
+                                                 monkeypatch):
+        # every amplitude, every third, and the 2-mode point a fit reaches
+        # from the 1-mode incumbent; the legs' weights read as the legs do
+        from clusterloss.calibrator import fit_intensities
+        with open(schedule_path(GPCL, index)) as fh:
+            shipped = IntensitySchedule.from_json(fh.read())
+        pricer = PanelPricer(request.getfixturevalue(f"{index}_panel"), curve, pool)
+        one = fit_intensities(pricer, GPCL, [1], np.full(4, 0.1), max_evaluations=60)
+        two = fit_intensities(pricer, GPCL, [1, 12], np.insert(one.increments, 1, 0.0,
+                                                                axis=0),
+                              max_evaluations=60)
+        adjoints = []
+        original = loss_engine._series_adjoints
+        monkeypatch.setattr(loss_engine, "_series_adjoints",
+                            lambda *args: adjoints.append(args[4]) or original(*args))
+        for schedule in (shipped, two.schedule):
+            for amplitudes in (range(1, 126), range(1, 126, 3)):
+                adjoints.clear()
+                jacobian = pricer.jacobian(schedule, amplitudes)
+                assert adjoints == [tuple(amplitudes)]
+                forward = self.forward(pricer, schedule, amplitudes, monkeypatch)
+                np.testing.assert_allclose(jacobian, forward, rtol=0.0,
+                                           atol=1e-12 * np.abs(forward).max())
+        # a request of at most as many tangent columns as leg functionals
+        # keeps the forward pass and its bits
+        adjoints.clear()
+        narrow = pricer.jacobian(shipped, shipped.amplitudes)
+        assert not adjoints
+        np.testing.assert_array_equal(
+            narrow, self.forward(pricer, shipped, shipped.amplitudes, monkeypatch))
+
+    def test_payout_matrix_is_read_only_and_not_copied(self, pool, curve, itraxx_panel):
+        pricer = PanelPricer(itraxx_panel, curve, pool)
+        assert not pricer.payout_matrix.flags.writeable
+        assert loss_engine._checked_columns(pool, pricer.payout_matrix) is pricer.payout_matrix
+        writeable = np.array(pricer.payout_matrix)
+        assert loss_engine._checked_columns(pool, writeable) is not writeable
+        for bad in (pricer.payout_matrix[:, 0], pricer.payout_matrix[1:]):
+            with pytest.raises(LossEngineError, match="columns must"):
+                loss_engine._checked_columns(pool, bad)
+        broken = np.array(pricer.payout_matrix)
+        broken[3, 1] = math.nan
+        broken.flags.writeable = False
+        with pytest.raises(LossEngineError, match="finite"):
+            loss_engine._checked_columns(pool, broken)
 
 class TestPanelMemo:
     """Pricers of equal (panel, curve, grid step) share one read-only panel

@@ -248,12 +248,12 @@ def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: Fit
     is a slice of one Jacobian at the incumbent over the incumbent's and
     every candidate's amplitudes: for gpl the closed-form tangents, for
     gpcl, whose request has more tangent columns than the panel has leg
-    functionals, the kernel's adjoint pass. A candidate's score is |e + J d|^2 for the
-    first trial step d of its fit, which prices nothing: the candidates'
-    starts are stacked and stepped by the fit's own ``_stepping`` and
-    ``_damped_steps``. Ties go to the lower amplitude. The pass is charged
-    in full: the incumbent's columns, and each candidate's new columns, paid
-    by its fit if it is fitted.
+    functionals, the kernel's adjoint pass. A candidate's score is
+    |e + J d|^2 for the first trial step d of its fit, which prices
+    nothing: the candidates' starts are stacked and stepped by the fit's
+    own ``_stepping`` and ``_damped_steps``. Ties go to the lower
+    amplitude. The pass is charged in full: the incumbent's columns, and
+    each candidate's new columns, paid by its fit if it is fitted.
     """
     everything = sorted(set(amplitudes) | set(candidates))
     shared = pricer.jacobian(fit.schedule, everything)  # (instruments, amplitudes, knots)

@@ -556,9 +556,9 @@ def _tangent_pass(pool: PoolSpec, schedule: IntensitySchedule, times, amplitudes
     """``distribution_tangents`` as (tangents, None), or, given functionals'
     ``weights`` (times, columns, functionals), (None, their derivatives from
     ``_series_adjoints``) for a series request whose tangent columns
-    outnumber the functionals that read any weight by more than
-    ``_ADJOINT_CROSSOVER``: a request that pays for its tangents column by
-    column then pays for the functionals instead."""
+    outnumber ``_ADJOINT_CROSSOVER`` times the functionals that read any
+    weight: the forward pass's cost grows with the tangent columns, the
+    adjoint's with the functionals."""
     times = _checked_times(times)
     amplitudes = tuple(amplitudes)
     for a in amplitudes:

@@ -246,9 +246,10 @@ def _scan_tasks(pricer: PanelPricer, model: str, amplitudes: list[int], fit: Fit
     kernel leaves zero-density modes out of its cache keys, so at that start
     a candidate's errors are the incumbent's, bit for bit, and its Jacobian
     is a slice of one Jacobian at the incumbent over the incumbent's and
-    every candidate's amplitudes: for gpl the closed-form tangents, for
-    gpcl, whose request has more tangent columns than the panel has leg
-    functionals, the kernel's adjoint pass. A candidate's score is
+    every candidate's amplitudes. That request has more tangent columns
+    than the panel has leg functionals, so the kernel contracts the legs'
+    weights first: in closed form for gpl, by the adjoint series pass for
+    gpcl. A candidate's score is
     |e + J d|^2 for the first trial step d of its fit, which prices
     nothing: the candidates' starts are stacked and stepped by the fit's
     own ``_stepping`` and ``_damped_steps``. Ties go to the lower

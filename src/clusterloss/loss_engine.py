@@ -120,9 +120,10 @@ def _jump_moves(names: int, model: str, amplitudes) -> tuple[np.ndarray, np.ndar
     their chances and their flat cells to-state * (names + 1) + y in P, both
     (amplitudes, 2, names + 1) and made afresh from ``_jump_table``. This is
     the one description of the generator, which ``_unit_transition_matrix``,
-    ``_stacked_generators``, ``_commuting_tangents`` and the simulator's s2
-    firing chances read. The gpcl jump's chance is the binomial ratio, the
-    gpl one's one below the cap, and the stay's one minus the jump's.
+    ``_stacked_generators``, the closed form's ``_commuting_tangents`` and
+    ``_commuting_adjoints`` and the simulator's s2 firing chances read. The
+    gpcl jump's chance is the binomial ratio, the gpl one's one below the
+    cap, and the stay's one minus the jump's.
     """
     chances, shifted, capped = _jump_table(names)
     rows = np.minimum(amplitudes, names + 1)[:, None] * _JUMP_AND_STAY
@@ -541,24 +542,30 @@ def distribution_tangents(pool: PoolSpec, schedule: IntensitySchedule, times,
     derivative. The rows and start states come from ``_interval_rows``, so
     a call after the values costs no solve; tangents are not cached.
     """
-    return _tangent_pass(pool, schedule, times, amplitudes, columns)[0]
+    return _tangent_pass(pool, schedule, times, amplitudes, columns)
 
 
-# a series request whose tangent columns (amplitudes x knots) outnumber the
-# live functionals by more than this factor takes the adjoint pass: on the
-# shipped gpcl schedules and panels the two passes cost the same at 10-12
-# amplitudes, 40-48 columns against 48-50 functionals (CHANGES.md)
+# a request whose tangent columns (amplitudes x knots) outnumber the live
+# functionals by more than this factor is wide, and contracts the weights
+# first, with either method: on the shipped schedules and panels the orders
+# cost the same at 10-12 amplitudes, 40-48 columns against 48-50 functionals,
+# for the series (CHANGES.md) and for the closed form (ROADMAP item 8)
 _ADJOINT_CROSSOVER = 1
 
 
 def _tangent_pass(pool: PoolSpec, schedule: IntensitySchedule, times, amplitudes,
-                  columns, weights=None) -> tuple:
-    """``distribution_tangents`` as (tangents, None), or, given functionals'
-    ``weights`` (times, columns, functionals), (None, their derivatives from
-    ``_series_adjoints``) for a series request whose tangent columns
-    outnumber ``_ADJOINT_CROSSOVER`` times the functionals that read any
-    weight: the forward pass's cost grows with the tangent columns, the
-    adjoint's with the functionals."""
+                  columns, weights=None, reads=None) -> np.ndarray:
+    """``distribution_tangents``, or, given functionals F_f = sum_t
+    weights[t, f] T[t, reads[f]] of its result T, one payout column each,
+    their derivatives, shaped (functionals, amplitudes, knots).
+
+    Both methods order their work by one rule: a request whose tangent
+    columns outnumber ``_ADJOINT_CROSSOVER`` times the functionals that read
+    any weight is wide, and contracts the weights into the states first
+    (``_commuting_adjoints``, ``_series_adjoints``), so its cost grows with
+    the functionals; a narrow one makes the tangents
+    (``_commuting_tangents``, ``_series_tangents``) and contracts them, one
+    product per payout column."""
     times = _checked_times(times)
     amplitudes = tuple(amplitudes)
     for a in amplitudes:
@@ -569,16 +576,29 @@ def _tangent_pass(pool: PoolSpec, schedule: IntensitySchedule, times, amplitudes
         raise LossEngineError("tangents need one or more amplitudes, each at least 1")
     columns = _checked_columns(pool, columns)
     if not len(times):
-        return np.zeros((0, columns.shape[1], len(amplitudes), len(schedule.knots))), None
+        shape = (0, columns.shape[1]) if weights is None else (weights.shape[1],)
+        return np.zeros(shape + (len(amplitudes), len(schedule.knots)))
     walk = list(_interval_walk(pool, schedule, times))
     modes = {a for *_, interval in walk for a, _ in interval[-1]}  # active anywhere
-    if schedule.model == GPL or all(modes <= {b} for b in amplitudes):
-        return _commuting_tangents(pool, schedule, times, walk, amplitudes, columns), None
+    commuting = schedule.model == GPL or all(modes <= {b} for b in amplitudes)
     if weights is not None and len(amplitudes) * len(schedule.knots) > (
-            _ADJOINT_CROSSOVER * np.count_nonzero(weights.any(axis=(0, 1)))):
-        return None, _series_adjoints(pool, schedule, times, walk, amplitudes, columns,
-                                      weights)
-    return _series_tangents(pool, schedule, times, walk, amplitudes, columns), None
+            _ADJOINT_CROSSOVER * np.count_nonzero(weights.any(axis=0))):
+        adjoints = _commuting_adjoints if commuting else _series_adjoints
+        return adjoints(pool, schedule, times, walk, amplitudes, columns, weights, reads)
+    tangents = (_commuting_tangents if commuting else _series_tangents)(
+        pool, schedule, times, walk, amplitudes, columns)
+    return tangents if weights is None else _contracted(tangents, weights, reads)
+
+
+def _contracted(tangents: np.ndarray, weights: np.ndarray, reads: np.ndarray) -> np.ndarray:
+    """sum_t weights[t, f] tangents[t, reads[f]] for every functional f,
+    (functionals, amplitudes, knots): one product per payout column."""
+    out = np.empty((weights.shape[1],) + tangents.shape[2:])
+    for column in np.unique(reads):
+        read = reads == column
+        out[read] = (weights[:, read].T @ tangents[:, column].reshape(len(tangents), -1)
+                     ).reshape(-1, *tangents.shape[2:])
+    return out
 
 
 def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
@@ -622,6 +642,47 @@ def _commuting_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.n
         del differences  # before the next block's are made
         np.multiply(moves.transpose(0, 2, 1)[..., None], shares[:, None, None, :],
                     out=result[:, :, part])
+    return result
+
+
+def _commuting_adjoints(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
+                        walk: list, amplitudes: tuple, columns: np.ndarray,
+                        weights: np.ndarray, reads: np.ndarray) -> np.ndarray:
+    """The derivatives of the functionals F_f = sum_t weights[t, f]
+    T[t, reads[f]], where T is ``_commuting_tangents``' result over
+    ``walk``, shaped (functionals, amplitudes, knots), with the weights
+    contracted first, so that no tangent is made.
+
+    With the closed form's phi and differences, F_f moves along b over
+    interval i by D_c(b) . S_i(f), where c = reads[f], D_c(b) is column b of
+    D_c[y, b] = chance_b(y) (columns[to_b(y), c] - columns[y, c]) and
+    S_i = sum_t weights[t] phi_i(t) x(t). Over the times of interval k,
+    phi_i is one for i < k, the interval's share ramp for i = k and zero
+    for i > k, so with Z_k = rows_k^T [W_k, W_k phi_k] = [V_k, U_k], S_i is
+    U_i plus the V_k of every later interval. The times of an interval lie
+    between its knots, so its ramp needs no clip; past the last knot it
+    carries on above one. The cost grows with the functionals, not with
+    the tangent columns: one product of each interval's rows with its
+    weights, and one of each payout column's differences with the S of the
+    functionals that read it.
+    """
+    n, n_funcs, n_knots = pool.names + 1, weights.shape[1], len(schedule.knots)
+    seeds, later = np.zeros((n, n_knots, n_funcs)), np.zeros((n, n_funcs))
+    for k in reversed(range(len(walk))):
+        lo, hi, width, interval = walk[k]
+        ramp = (times[lo:hi] - (schedule.knots[k - 1] if k else 0.0)) / width
+        held = weights[lo:hi]
+        both = _interval_rows(*interval)[0].T @ np.hstack([held, held * ramp[:, None]])
+        np.add(both[:, n_funcs:], later, out=seeds[:, k])
+        later += both[:, :n_funcs]
+    chances, cells = _jump_moves(pool.names, schedule.model, amplitudes)
+    to, rates = cells[:, 0] // n, chances[:, 0]  # (amplitudes, counts)
+    result = np.empty((n_funcs, len(amplitudes), n_knots))
+    for column in np.unique(reads):
+        read = reads == column
+        differences = rates * (columns[to, column] - columns[:, column])  # D_c^T
+        moved = differences @ seeds[:, :, read].reshape(n, -1)  # (amplitudes, knots x read)
+        result[read] = moved.reshape(len(amplitudes), n_knots, -1).transpose(2, 0, 1)
     return result
 
 
@@ -682,9 +743,9 @@ def _series_tangents(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndar
 
 def _series_adjoints(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndarray,
                      walk: list, amplitudes: tuple, columns: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
-    """The derivatives of the functionals F_f = sum_{t, c} weights[t, c, f]
-    T[t, c], where T is ``_series_tangents``' result over ``walk``, the
+                     weights: np.ndarray, reads: np.ndarray) -> np.ndarray:
+    """The derivatives of the functionals F_f = sum_t weights[t, f]
+    T[t, reads[f]], where T is ``_series_tangents``' result over ``walk``, the
     ``_interval_walk`` of ``times``, shaped (functionals, amplitudes,
     knots): the reverse (adjoint) form of that pass, whose cost grows with
     the functionals, not with the tangent columns (Giles and Glasserman,
@@ -692,25 +753,25 @@ def _series_adjoints(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndar
 
     The intervals are taken last first. In one with active modes, the
     functionals read sum_n S_n . Y_n of the series of tangents Y_n, where
-    the seed S_n is the weights at the interval's times, lifted onto the
-    states by ``columns`` and summed with the Poisson weights of term n,
-    plus the adjoint mu' handed back from the later intervals, weighted as
-    the interval's end. The backward recurrence mu_n = S_n + P^T mu_{n+1},
-    from mu = 0 past the last term, then gives the derivative along
-    amplitude b as sum_n mu_{n+1} . G_b x_n / (q w), and mu_0 is the adjoint
-    of the interval's start state, handed to the interval before. The terms
-    x_n are made again from the memo's start state, chunk by chunk, last
-    chunk first, from each chunk's first term, kept on a first pass. In an
-    interval with no active mode, whose tangents are T + s G_b v / w, the
-    seed is the weights times each offset s, plus mu' times the end's
-    offset. A functional reads nothing after the last time it weighs, so
-    its adjoint is zero over the intervals past that time, which leave it
-    out.
+    the seed S_n is the weights at the interval's times, summed with the
+    Poisson weights of term n and lifted onto the states by the column each
+    functional reads, plus the adjoint mu' handed back from the later
+    intervals, weighted as the interval's end. The backward recurrence
+    mu_n = S_n + P^T mu_{n+1}, from mu = 0 past the last term, then gives
+    the derivative along amplitude b as sum_n mu_{n+1} . G_b x_n / (q w),
+    and mu_0 is the adjoint of the interval's start state, handed to the
+    interval before. The terms x_n are made again from the memo's start
+    state, chunk by chunk, last chunk first, from each chunk's first term,
+    kept on a first pass. In an interval with no active mode, whose
+    tangents are T + s G_b v / w, the seed is the weights times each offset
+    s, plus mu' times the end's offset. A functional reads nothing after the
+    last time it weighs, so its adjoint is zero over the intervals past
+    that time, which leave it out.
     """
-    names, n_funcs = pool.names, weights.shape[2]
+    names, n_funcs = pool.names, weights.shape[1]
     result = np.zeros((n_funcs, len(amplitudes), len(schedule.knots)))
     generators = _stacked_generators(names, schedule.model, amplitudes)
-    weighed = weights.any(axis=1)  # (times, functionals)
+    weighed = weights != 0.0  # (times, functionals)
     last = np.where(weighed.any(axis=0), len(times) - 1 - np.argmax(weighed[::-1], axis=0), -1)
     live, adjoint = np.zeros(0, dtype=int), np.zeros((names + 1, 0))
     for k in reversed(range(len(walk))):
@@ -721,28 +782,27 @@ def _series_adjoints(pool: PoolSpec, schedule: IntensitySchedule, times: np.ndar
         handed = np.zeros((names + 1, len(reading)))
         handed[:, np.searchsorted(reading, live)] = adjoint
         live, adjoint = reading, handed
-        legs = weights[lo:hi][:, :, live]  # (times in the interval, columns, live)
+        legs = weights[lo:hi, live]  # (times in the interval, live)
+        lift = columns[:, reads[live]]  # (counts, live)
         state, offsets, series = _interval_series(*interval)
         if series is None:
-            seed = columns @ np.tensordot(offsets[:-1], legs, axes=1) + offsets[-1] * adjoint
+            seed = lift * (offsets[:-1] @ legs) + offsets[-1] * adjoint
             result[live, :, k] = (generators(state).T @ seed).T / width
-            adjoint = adjoint + columns @ legs.sum(axis=0)
+            adjoint = adjoint + lift * legs.sum(axis=0)
             continue
         q, transition, poisson = series
         n_terms = poisson.shape[1]
         firsts = [terms[0].copy() for _, terms in _series_terms(transition, state, n_terms)]
         mu, moved = np.zeros_like(adjoint), np.zeros((len(amplitudes), len(live)))
-        flat = legs.reshape(len(legs), -1)
         for first in reversed(range(0, n_terms, _SERIES_CHUNK)):
             _, terms = next(_series_terms(transition, firsts[first // _SERIES_CHUNK],
                                           min(_SERIES_CHUNK, n_terms - first)))
-            lifted = (poisson[:-1, first:first + len(terms)].T @ flat).reshape(
-                len(terms), -1, len(live))
+            summed = poisson[:-1, first:first + len(terms)].T @ legs  # (terms, live)
             for j in reversed(range(len(terms))):
                 if first + j < n_terms - 1:  # mu_{n+1} is zero past the last term
                     moved += generators(terms[j]).T @ mu
                 mu = transition.T @ mu
-                mu += columns @ lifted[j]
+                mu += lift * summed[j]
                 mu += poisson[-1, first + j] * adjoint
         result[live, :, k] = moved.T / (q * width)
         adjoint = mu

@@ -16,10 +16,11 @@ and a pickled copy is an ordinary one. Pricers of equal panels, curves and
 grid steps share the panel's part of that data from a small process-wide
 memo, and build only the pool's. Evaluations that share leading knot
 intervals, as the calibrator's do, are served by the kernel's process-wide
-cache of solved intervals. ``PanelPricer.jacobian`` differentiates the
-quote errors exactly: from one forward tangent pass of the kernel, chained
-through the legs, or, for a gpcl request with more tangent columns than leg
-functionals, from one adjoint pass that takes the legs' weights.
+cache of solved intervals. Each leg is a functional of one payout column:
+a constant plus a weighted sum over the grid. ``PanelPricer.jacobian``
+differentiates the quote errors exactly: the kernel takes the legs'
+functionals and returns their derivatives, whichever tangent pass it
+takes, and the quotient rule makes the spreads'.
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ class PanelPricer:
 
     Set-up fixes the panel's part first: the grid, the instruments (index
     quotes by maturity, then tranches by attachment, detachment, maturity)
-    and their discount and annuity weights. The grid is built in whole days
+    and their legs' functionals. The grid is built in whole days
     after the trade date (day zero, every payment date, and multiples of
     ``grid_step_days``, at least one day, rounded to the day) and divided by
     365 once, so every payment date is a grid point by construction. This
@@ -145,15 +146,12 @@ class PanelPricer:
             + [tranche_payout_by_count(TrancheDef(*s), pool) for s in self._slices])
         self.payout_matrix.flags.writeable = False  # the kernel takes it without a copy
 
-    def _legs(self, schedule: IntensitySchedule) -> tuple[np.ndarray, np.ndarray]:
-        """Default-leg and annuity values of every instrument."""
+    def _legs(self, schedule: IntensitySchedule) -> np.ndarray:
+        """Default-leg and annuity values of every instrument, (2, instruments)."""
         stats = distribution_term_structure(self.pool, schedule, self.grid_times,
                                             self.payout_matrix)  # (grid, n_cols)
-        default_pv = np.einsum("ti,ti->i", self._increment_weights,
-                               (stats[1:] - stats[:-1])[:, self._loss_cols])
-        annuity = np.einsum("ti,ti->i", self._payment_weights,
-                            1.0 - stats[:, self._notional_cols])
-        return default_pv, annuity
+        legs = np.einsum("tf,tf->f", self._leg_weights, stats[:, self._leg_reads])
+        return (self._leg_constants + legs).reshape(2, -1)
 
     def model_values(self, schedule: IntensitySchedule) -> np.ndarray:
         """Model quotes of every instrument, in ``instruments`` order."""
@@ -171,27 +169,21 @@ class PanelPricer:
         """Exact derivatives of ``errors`` with respect to the rise of each of
         ``amplitudes``' cumulated intensity over each knot interval, shaped
         (instruments, amplitudes, knots); an amplitude outside the schedule
-        is taken at zero. The loss engine's tangents, chained through the
-        legs, with the quotient rule for spreads: where the amplitudes'
-        generators commute with the schedule's (every gpl request, and a
-        gpcl request about its one active mode) one product of the kernel's
-        cached rows with differences of the payout columns, otherwise one
-        uniformised tangent pass: forward for a request of at most as many
-        tangent columns (amplitudes x knots) as leg functionals (two per
-        instrument), and for a wider one, such as the greedy scan's, an
-        adjoint pass over the legs' weights, which returns the legs'
-        derivatives. The legs at the point come from the kernel's cached
-        rows."""
+        is taken at zero. The loss engine returns the legs' derivatives from
+        their functionals, and the quotient rule makes the spreads'. Where
+        the amplitudes' generators commute with the schedule's (every gpl
+        request, and a gpcl request about its one active mode) the kernel
+        takes the closed form, which reads its cached rows, and otherwise
+        one uniformised tangent pass. Either way a request of at most as
+        many tangent columns (amplitudes x knots) as leg functionals (two
+        per instrument) makes the tangents and contracts them with the
+        legs' weights, and a wider one, such as the greedy scan's, contracts
+        the weights first. The legs at the point come from the kernel's
+        cached rows."""
         default_pv, annuity = self._legs(schedule)
-        tangents, legs = _tangent_pass(self.pool, schedule, self.grid_times, amplitudes,
-                                       self.payout_matrix, self._leg_weights)
-        if legs is None:
-            tangents = tangents.reshape(*tangents.shape[:2], -1)  # (grid, n_cols, parameters)
-            d_default_pv = _leg_tangents(self._increment_weights, np.diff(tangents, axis=0),
-                                         self._loss_cols)
-            d_annuity = -_leg_tangents(self._payment_weights, tangents, self._notional_cols)
-        else:  # the legs' own derivatives, default legs first
-            d_default_pv, d_annuity = legs.reshape(2, len(self.instruments), -1)
+        d_default_pv, d_annuity = _tangent_pass(
+            self.pool, schedule, self.grid_times, amplitudes, self.payout_matrix,
+            self._leg_weights, self._leg_reads).reshape(2, len(self.instruments), -1)
         d_values = d_default_pv - self._running[:, None] * d_annuity
         spreads = ~self._upfront
         d_values[spreads] = 1e4 * (d_default_pv[spreads] * annuity[spreads, None]
@@ -211,12 +203,13 @@ _PANEL_ENTRIES = 8  # panel blocks _panel_block keeps
 @lru_cache(maxsize=_PANEL_ENTRIES)
 def _panel_block(panel: QuotePanel, curve: DiscountCurve, grid_step_days: float) -> dict:
     """The attributes of a ``PanelPricer`` that do not depend on the pool:
-    the grid, the knots, the instruments, their mids and widths, the leg
-    weights and the payout column each instrument's legs read. The panel and
-    the curve are frozen and compare by value, so the cache, which keeps the
-    ``_PANEL_ENTRIES`` blocks used last, serves every pricer of equal ones in
-    the process; a block that fails is not kept. The arrays are read-only,
-    as every such pricer shares them."""
+    the grid, the knots, the instruments, their mids and widths, and the
+    legs' functionals: their weights on the grid, their constants and the
+    payout column each reads. The panel and the curve are frozen and
+    compare by value, so the cache, which keeps the ``_PANEL_ENTRIES``
+    blocks used last, serves every pricer of equal ones in the process; a
+    block that fails is not kept. The arrays are read-only, as every such
+    pricer shares them."""
     # days after the trade date; the maturity is each schedule's last day
     pay_days = {m: np.array([(d - panel.valuation_date).days
                              for d in quarterly_payment_dates(panel.valuation_date, m)])
@@ -240,15 +233,19 @@ def _panel_block(panel: QuotePanel, curve: DiscountCurve, grid_step_days: float)
         maturity=q.maturity, maturity_time=year_fraction(panel.valuation_date, q.maturity),
         mid=q.quote, width=q.bid_ask_width, is_upfront=q.is_upfront,
         running=q.running_premium_if_upfront) for q in tranches]
-    # every leg is a weighted sum over the grid: the default leg weighs the
-    # loss increment of each grid cell up to maturity by the discount
-    # factor at the cell's midpoint, the annuity weighs the surviving
-    # notional at each payment date by its discounted year fraction; the
-    # weights depend on the maturity alone
+    # every leg is a weighted sum over the grid of one payout column, a
+    # functional: the default leg weighs the loss increment of each grid
+    # cell up to maturity by the discount factor at the cell's midpoint, so
+    # a grid time's weight is the factor of the cell it ends less that of
+    # the cell it starts; the annuity weighs the surviving notional, one
+    # minus the column, at each payment date by its discounted year
+    # fraction, so its column's weights are those fractions negated and
+    # their sum is a constant. One functional per leg, default legs first,
+    # then annuities; the weights depend on the maturity alone
     with np.errstate(over="ignore"):  # an infinite factor is an error below
         disc_mid = curve.discount_factor(0.5 * (grid_times[1:] + grid_times[:-1]))
-    increment_weights = np.zeros((len(grid_times) - 1, len(instruments)))
-    payment_weights = np.zeros((len(grid_times), len(instruments)))
+    n = len(instruments)
+    leg_weights, leg_constants = np.zeros((len(grid_times), 2 * n)), np.zeros(2 * n)
     for maturity in panel.maturities:
         pay_idx = np.searchsorted(grid_days, pay_days[maturity])
         pay_times = grid_times[pay_idx]
@@ -261,28 +258,22 @@ def _panel_block(panel: QuotePanel, curve: DiscountCurve, grid_step_days: float)
             raise MarketDataError(f"discount factors up to the maturity "
                                   f"{format_date(maturity)} must be finite and positive")
         pay_weights = np.diff(pay_times, prepend=0.0) * pay_discount
-        if not pay_weights.sum() > 0.0:
+        annuity = pay_weights.sum()
+        if not annuity > 0.0:
             raise MarketDataError(f"payment weights of the maturity "
                                   f"{format_date(maturity)} sum to zero")
         cols = np.flatnonzero([ins.maturity == maturity for ins in instruments])
-        increment_weights[:n_rows - 1, cols] = disc_mid[:n_rows - 1, None]
-        payment_weights[np.ix_(pay_idx, cols)] = pay_weights[:, None]
+        leg_weights[1:n_rows, cols] += disc_mid[:n_rows - 1, None]
+        leg_weights[:n_rows - 1, cols] -= disc_mid[:n_rows - 1, None]
+        leg_weights[np.ix_(pay_idx, n + cols)] = -pay_weights[:, None]
+        leg_constants[n + cols] = annuity
 
     # payout columns: the defaulted fraction (0) and pool loss (1) of the
     # index legs, then one per distinct tranche slice, in sorted order
     slices = sorted({(q.attachment, q.detachment) for q in tranches})
     tranche_cols = [2 + slices.index((q.attachment, q.detachment)) for q in tranches]
-    loss_cols = np.array([1] * len(indices) + tranche_cols)
-    notional_cols = np.array([0] * len(indices) + tranche_cols)
-    # the same legs as weights on the payout columns at each grid time, one
-    # functional per leg, default legs first, then annuities: a loss
-    # increment's weight counts for the later grid time and against the
-    # earlier, and the surviving notional is one minus the column
-    legs = np.arange(len(instruments))
-    leg_weights = np.zeros((len(grid_times), 2 + len(slices), 2 * len(instruments)))
-    leg_weights[1:, loss_cols, legs] += increment_weights
-    leg_weights[:-1, loss_cols, legs] -= increment_weights
-    leg_weights[:, notional_cols, len(instruments) + legs] = -payment_weights
+    loss_cols = [1] * len(indices) + tranche_cols
+    notional_cols = [0] * len(indices) + tranche_cols
     block = {
         "grid_times": grid_times,
         "knots": tuple(year_fraction(panel.valuation_date, m) for m in panel.maturities),
@@ -291,24 +282,13 @@ def _panel_block(panel: QuotePanel, curve: DiscountCurve, grid_step_days: float)
         "widths": np.array([ins.width for ins in instruments]),
         "_upfront": np.array([ins.is_upfront for ins in instruments]),
         "_running": np.array([ins.running if ins.is_upfront else 0.0 for ins in instruments]),
-        "_increment_weights": increment_weights,
-        "_payment_weights": payment_weights,
         "_leg_weights": leg_weights,
+        "_leg_constants": leg_constants,
+        "_leg_reads": np.array(loss_cols + notional_cols),
         "_slices": tuple(slices),
-        "_loss_cols": loss_cols,
-        "_notional_cols": notional_cols,
     }
     for value in block.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return block
 
-
-def _leg_tangents(weights: np.ndarray, tangents: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum_t weights[t, i] * tangents[t, cols[i]] for every instrument i:
-    one product per payout column."""
-    out = np.empty((weights.shape[1], tangents.shape[2]))
-    for col in np.unique(cols):
-        rows = cols == col
-        out[rows] = weights[:, rows].T @ tangents[:, col]
-    return out

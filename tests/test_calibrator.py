@@ -1085,29 +1085,36 @@ class TestRankedScan:
         assert stopped > 0
 
     @pytest.mark.parametrize("model", [GPCL, GPL])
-    def test_only_the_gpcl_scan_takes_the_adjoint(self, monkeypatch, pool, curve,
-                                                  itraxx_panel, model):
-        # the scan's all-amplitude gpcl Jacobian takes the adjoint pass; the
-        # fits' Jacobians, of at most 8 tangent columns, and every gpl
-        # request keep the forward passes
+    def test_scans_contract_first_and_fits_contract_tangents(self, monkeypatch, pool, curve,
+                                                            itraxx_panel, model):
+        # the scan's all-amplitude Jacobian contracts the legs' weights first:
+        # gpl in closed form, gpcl by the adjoint series pass; the fits'
+        # Jacobians, of at most 8 tangent columns, make the tangents (in
+        # closed form for gpl and gpcl's single-mode step 1, by the series
+        # for gpcl's 2-mode refits) and contract them
         passes = []
-        for name in ("_series_adjoints", "_series_tangents", "_commuting_tangents"):
+        for name in ("_commuting_adjoints", "_series_adjoints", "_commuting_tangents",
+                     "_series_tangents", "_contracted"):
             original = getattr(loss_engine, name)
 
             def spy(*args, name=name, original=original):
-                passes.append((name, len(args[4])))
+                width = args[0].shape[2] if name == "_contracted" else len(args[4])
+                passes.append((name, width))
                 return original(*args)
 
             monkeypatch.setattr(loss_engine, name, spy)
         greedy_calibrate(itraxx_panel, curve, pool, model, **self.BUDGETS)
         scans = [p for p in passes if p[1] == pool.names]
+        fits = [p for p in passes if p[1] < pool.names]
         if model == GPL:
-            assert {name for name, _ in passes} == {"_commuting_tangents"}
-            assert scans == [("_commuting_tangents", pool.names)]
+            assert scans == [("_commuting_adjoints", pool.names)]
+            tangents = {("_commuting_tangents", 1), ("_commuting_tangents", 2)}
         else:
             assert scans == [("_series_adjoints", pool.names)]
-            assert {p for p in passes if p[1] < pool.names} == {
-                ("_commuting_tangents", 1), ("_series_tangents", 2)}
+            tangents = {("_commuting_tangents", 1), ("_series_tangents", 2)}
+        # every fit's tangents, and nothing else, are contracted at once
+        assert set(fits[::2]) == tangents
+        assert fits[1::2] == [("_contracted", width) for _, width in fits[::2]]
 
     @pytest.mark.parametrize("model", [GPCL, GPL])
     def test_ranked_scan_is_the_full_scan(self, monkeypatch, pool, curve, itraxx_panel, model):

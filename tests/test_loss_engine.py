@@ -841,13 +841,41 @@ class TestDistributionTangents:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    # each pass that contracts the weights first, and the forward pass whose
+    # contracted tangents it must equal
+    FORWARD = {"_commuting_adjoints": "_commuting_tangents",
+               "_series_adjoints": "_series_tangents"}
+
     @staticmethod
-    def adjoint_against_forward(pool, schedule, times, amplitudes, columns, weights):
+    def compact(weights):
+        """Dense functionals, weights (times, columns, functionals) on every
+        column, as compact ones: one per column and functional, column-major,
+        with the column each reads."""
+        n_times, n_cols, n_funcs = weights.shape
+        return weights.reshape(n_times, -1), np.repeat(np.arange(n_cols), n_funcs)
+
+    @staticmethod
+    def leg_tangents(tangents, weights, reads):
+        """sum_t weights[t, f] tangents[t, reads[f]] for every functional f:
+        the contraction of forward tangents that the pricer made before the
+        kernel took its functionals, one product per payout column."""
+        tangents = tangents.reshape(*tangents.shape[:2], -1)
+        out = np.empty((weights.shape[1], tangents.shape[2]))
+        for col in np.unique(reads):
+            rows = reads == col
+            out[rows] = weights[:, rows].T @ tangents[:, col]
+        return out
+
+    def adjoint_against_forward(self, adjoints, pool, schedule, times, amplitudes, columns,
+                                weights, reads):
         walk = list(loss_engine._interval_walk(pool, schedule, times))
-        forward = np.einsum("tcf,tcak->fak", weights, loss_engine._series_tangents(
-            pool, schedule, times, walk, tuple(amplitudes), columns))
-        adjoint = loss_engine._series_adjoints(pool, schedule, times, walk, tuple(amplitudes),
-                                               columns, weights)
+        amplitudes = tuple(amplitudes)
+        tangents = getattr(loss_engine, self.FORWARD[adjoints])(pool, schedule, times, walk,
+                                                               amplitudes, columns)
+        forward = self.leg_tangents(tangents, weights, reads).reshape(
+            len(reads), len(amplitudes), -1)
+        adjoint = getattr(loss_engine, adjoints)(pool, schedule, times, walk, amplitudes,
+                                                 columns, weights, reads)
         assert adjoint.shape == forward.shape
         np.testing.assert_allclose(adjoint, forward, rtol=0.0,
                                    atol=1e-12 * np.abs(forward).max())
@@ -858,31 +886,48 @@ class TestDistributionTangents:
     def test_adjoint_matches_block_expm(self, model, names):
         # the awkward schedule's inactive interval, zero-density mode,
         # amplitudes at and above the pool size, a time at zero and times
-        # past the last knot, through functionals that each read a few rows
+        # past the last knot, through functionals that each read a few rows;
+        # both passes are exact for gpl, the series for gpcl, and the closed
+        # form for a gpcl mode alone asked about itself, or no mode at all
         pool = PoolSpec(names=names)
-        schedule = self.awkward_schedule(model, names)
+        awkward = self.awkward_schedule(model, names)
         times = np.array([0.0, 0.3, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5])
         amplitudes = (1, 2, 3, names - 1, names, names + 5, names + 9)
         rng = np.random.default_rng(names)
         columns = rng.random((names + 1, 3))
-        weights = rng.standard_normal((len(times), 3, 5))
-        weights[4:, :, 1] = 0.0  # a functional that stops reading at 1.7 years
-        weights[:, :, 2] = 0.0  # and one that reads nothing
-        walk = list(loss_engine._interval_walk(pool, schedule, times))
-        adjoint = loss_engine._series_adjoints(pool, schedule, times, walk, amplitudes,
-                                               columns, weights)
-        exact = np.array([[[sum(weights[i][:, f] @ (columns.T @ expm_tangent(
-            pool, schedule, t, amplitude, k)) for i, t in enumerate(times))
-            for k in range(3)] for amplitude in amplitudes] for f in range(5)])
-        np.testing.assert_allclose(adjoint, exact, rtol=0.0, atol=1e-10)
-        assert not adjoint[2].any() and not adjoint[1, :, 2].any()
+        dense = rng.standard_normal((len(times), 3, 5))
+        dense[4:, :, 1] = 0.0  # a functional that stops reading at 1.7 years
+        dense[:, :, 2] = 0.0  # and one that reads nothing
+        weights, reads = self.compact(dense)
+        requests = [("_series_adjoints", awkward, amplitudes)]
+        if model == GPL:
+            requests.append(("_commuting_adjoints", awkward, amplitudes))
+        else:
+            requests += [("_commuting_adjoints",
+                          make_schedule(model, (b,), awkward.knots, [(0.2, 0.2, 0.5)]), (b,))
+                         for b in (1, names - 1, names, names + 9)]
+            requests.append(("_commuting_adjoints",
+                             awkward.with_cumulated(np.zeros_like(awkward.cumulated)),
+                             amplitudes))
+        for adjoints, schedule, requested in requests:
+            walk = list(loss_engine._interval_walk(pool, schedule, times))
+            adjoint = getattr(loss_engine, adjoints)(pool, schedule, times, walk, requested,
+                                                     columns, weights, reads)
+            exact = np.array([[[columns.T @ expm_tangent(pool, schedule, t, amplitude, k)
+                                for k in range(3)] for amplitude in requested] for t in times])
+            exact = np.einsum("tf,takf->fak", weights, exact[..., reads])
+            np.testing.assert_allclose(adjoint, exact, rtol=0.0, atol=1e-10)
+            stops, nothing = np.arange(1, 15, 5), np.arange(2, 15, 5)  # as compacted
+            assert not adjoint[nothing].any() and not adjoint[stops, :, 2].any()
 
     @pytest.mark.parametrize("index", ["itraxx", "cdx"])
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_adjoint_is_the_forward_pass(self, model, index):
         # the shipped schedules at three pool sizes, for every amplitude,
         # every third one and the schedule's own, against the forward
-        # tangents contracted with the same weights
+        # tangents contracted with the same weights; the closed form's
+        # contraction is an identity of its formula, so it is checked on
+        # the gpcl schedules too, where the formula is not their tangents
         with open(schedule_path(model, index)) as fh:
             schedule = IntensitySchedule.from_json(fh.read())
         times = np.linspace(0.0, 10.5, 43)
@@ -890,12 +935,50 @@ class TestDistributionTangents:
             pool = PoolSpec(names=names)
             rng = np.random.default_rng(names)
             columns = rng.random((names + 1, 6))
-            weights = rng.standard_normal((len(times), 6, 9))
-            weights[20:, :, :4] = 0.0
+            dense = rng.standard_normal((len(times), 6, 3))
+            dense[20:, :, :2] = 0.0
+            weights, reads = self.compact(dense)
             for amplitudes in (range(1, names + 1), range(1, names + 1, 3),
                                schedule.amplitudes):
-                self.adjoint_against_forward(pool, schedule, times, amplitudes, columns,
-                                             weights)
+                for adjoints in self.FORWARD:
+                    self.adjoint_against_forward(adjoints, pool, schedule, times, amplitudes,
+                                                 columns, weights, reads)
+
+    @pytest.mark.parametrize("model", [GPL, GPCL])
+    def test_functionals_of_a_wide_request_contract_first(self, model, monkeypatch):
+        # one width rule for both methods: a request of more tangent columns
+        # than live functionals contracts first, a narrower one contracts
+        # the tangents; a gpcl schedule with no active mode takes the closed
+        # form, a functional that reads nothing is no live one, and both
+        # orders agree
+        pool = PoolSpec(names=30)
+        awkward = self.awkward_schedule(model, 30)
+        schedules = [awkward, awkward.with_cumulated(np.zeros_like(awkward.cumulated))]
+        times = np.array([0.0, 0.3, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5])
+        rng = np.random.default_rng(7)
+        columns = rng.random((31, 3))
+        weights, reads = self.compact(rng.standard_normal((len(times), 3, 2)))
+        weights[:, 5] = 0.0  # 5 live functionals
+        calls = []
+        for name in ("_commuting_adjoints", "_series_adjoints", "_commuting_tangents",
+                     "_series_tangents"):
+            original = getattr(loss_engine, name)
+            monkeypatch.setattr(loss_engine, name, lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        for schedule in schedules:
+            commuting = model == GPL or not schedule.cumulated.any()
+            for amplitudes, wide in (((1,), False), ((1, 2), True)):  # 3 or 6 columns
+                calls.clear()
+                got = loss_engine._tangent_pass(pool, schedule, times, amplitudes, columns,
+                                                weights, reads)
+                adjoints = "_commuting_adjoints" if commuting else "_series_adjoints"
+                assert calls == [adjoints if wide else self.FORWARD[adjoints]]
+                walk = list(loss_engine._interval_walk(pool, schedule, times))
+                forward = self.leg_tangents(getattr(loss_engine, self.FORWARD[adjoints])(
+                    pool, schedule, times, walk, amplitudes, columns), weights, reads)
+                np.testing.assert_allclose(got.reshape(len(reads), -1), forward, rtol=0.0,
+                                           atol=1e-12 * np.abs(forward).max())
+                assert not got[5].any()
 
     def test_adjoint_memory_does_not_grow_with_the_series(self):
         # the series of test_memory_does_not_grow_with_the_series, run
@@ -903,13 +986,13 @@ class TestDistributionTangents:
         pool = PoolSpec()
         schedule = make_schedule(GPCL, (1, 5), (1.0,), [(1.2e3,), (0.8e3,)])
         times = np.linspace(0.05, 1.0, 20)
-        columns, weights = np.ones((126, 8)), np.ones((20, 8, 50))
+        columns, weights, reads = np.ones((126, 8)), np.ones((20, 50)), np.arange(50) % 8
         distribution_term_structure(pool, schedule, times)
         walk = list(loss_engine._interval_walk(pool, schedule, times))
         tracemalloc.start()
         try:
             loss_engine._series_adjoints(pool, schedule, times, walk, tuple(range(1, 126)),
-                                         columns, weights)
+                                         columns, weights, reads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -936,6 +1019,10 @@ class TestDistributionTangents:
             0, 126, 1, 4)
         assert not distribution_tangents(pool, gpl_schedule, [0.0, 0.0], (1, 3),
                                          columns).any()
+        # functionals of no time: their derivatives are zero
+        derivatives = loss_engine._tangent_pass(pool, gpl_schedule, [], (1, 3), columns,
+                                                np.zeros((0, 2)), np.array([0, 5]))
+        assert derivatives.shape == (2, 2, 4) and not derivatives.any()
 
     def test_invalid_requests_rejected(self, gpl_schedule, pool):
         with pytest.raises(LossEngineError, match="one per count"):

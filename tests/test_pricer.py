@@ -427,7 +427,7 @@ class TestJacobian:
 
     @staticmethod
     def forward(pricer, schedule, amplitudes, monkeypatch):
-        """The Jacobian with the adjoint pass switched off."""
+        """The Jacobian with every request narrow: tangents made, then contracted."""
         with monkeypatch.context() as patched:
             patched.setattr(loss_engine, "_ADJOINT_CROSSOVER", math.inf)
             return pricer.jacobian(schedule, amplitudes)
@@ -465,6 +465,29 @@ class TestJacobian:
         np.testing.assert_array_equal(
             narrow, self.forward(pricer, shipped, shipped.amplitudes, monkeypatch))
 
+    @pytest.mark.parametrize("index", ["itraxx", "cdx"])
+    def test_wide_gpl_requests_contract_first(self, index, request, pool, curve, monkeypatch):
+        # the closed form follows the adjoint's width rule: every amplitude
+        # and every third contract the legs' weights first, the schedule's
+        # own amplitudes make the tangents, and both orders agree
+        with open(schedule_path(GPL, index)) as fh:
+            shipped = IntensitySchedule.from_json(fh.read())
+        pricer = PanelPricer(request.getfixturevalue(f"{index}_panel"), curve, pool)
+        single = IntensitySchedule(GPL, (1,), shipped.knots, shipped.cumulated[:1])
+        first = []
+        original = loss_engine._commuting_adjoints
+        monkeypatch.setattr(loss_engine, "_commuting_adjoints",
+                            lambda *args: first.append(args[4]) or original(*args))
+        for schedule in (shipped, single):
+            for amplitudes in (range(1, 126), range(1, 126, 3), schedule.amplitudes):
+                first.clear()
+                jacobian = pricer.jacobian(schedule, amplitudes)
+                wide = len(amplitudes) * 4 > 2 * len(pricer.instruments)
+                assert first == ([tuple(amplitudes)] if wide else [])
+                forward = self.forward(pricer, schedule, amplitudes, monkeypatch)
+                np.testing.assert_allclose(jacobian, forward, rtol=0.0,
+                                           atol=1e-12 * np.abs(forward).max())
+
     def test_payout_matrix_is_read_only_and_not_copied(self, pool, curve, itraxx_panel):
         pricer = PanelPricer(itraxx_panel, curve, pool)
         assert not pricer.payout_matrix.flags.writeable
@@ -485,7 +508,7 @@ class TestPanelMemo:
     block from a bounded process-wide memo and build only their pool block."""
 
     PANEL_ARRAYS = ("grid_times", "mids", "widths", "_upfront", "_running",
-                    "_increment_weights", "_payment_weights", "_loss_cols", "_notional_cols")
+                    "_leg_weights", "_leg_constants", "_leg_reads")
 
     @staticmethod
     def equal_copies(panel, curve):
@@ -512,8 +535,8 @@ class TestPanelMemo:
         # another grid step or curve is another block
         assert PanelPricer(itraxx_panel, curve, PoolSpec(), 15.0).grid_times is not \
             first.grid_times
-        assert PanelPricer(itraxx_panel, flat_curve(0.03), PoolSpec())._payment_weights is not \
-            first._payment_weights
+        assert PanelPricer(itraxx_panel, flat_curve(0.03), PoolSpec())._leg_weights is not \
+            first._leg_weights
 
     @pytest.mark.parametrize("model", [GPL, GPCL])
     def test_memo_hits_price_the_bits_of_a_cleared_memo(self, model, curve, itraxx_panel):
@@ -560,3 +583,14 @@ class TestPanelMemo:
         np.testing.assert_array_equal(restored.model_values(gpcl_schedule),
                                       pricer.model_values(gpcl_schedule))
         assert restored.instruments == pricer.instruments
+
+    def test_pickled_pricer_is_small(self, curve, itraxx_panel, gpl_schedule):
+        # the legs' functionals are (grid, legs) weights on one payout column
+        # each, not a dense (grid, columns, legs) tensor, which took 608 KB
+        pricer = PanelPricer(itraxx_panel, curve, PoolSpec())
+        data = pickle.dumps(pricer)
+        assert len(data) <= 120 * 1024
+        restored = pickle.loads(data)
+        for amplitudes in (gpl_schedule.amplitudes, range(1, 126)):
+            np.testing.assert_array_equal(restored.jacobian(gpl_schedule, amplitudes),
+                                          pricer.jacobian(gpl_schedule, amplitudes))
